@@ -313,15 +313,10 @@ def ac10_adiabatic_rate_formula(seed: int = 42) -> CriterionResult:
     single_pred = np.asarray(single.extra["ec_adiabatic"])
     exactly_zero = bool(np.all(single_pred == 0.0))
 
-    h0 = adiabatic.build_ht(spec, 0.0).matrix
-    odd = list(adiabatic._ODD_SECTOR)
-    block = h0[np.ix_(odd, odd)]
-    w, v = np.linalg.eigh(block)
-    amps = np.zeros(8, dtype=complex)
+    odd = adiabatic.sector_basis(-1)
+    w, v = np.linalg.eigh(odd.T @ adiabatic.build_ht(spec, 0.0).matrix @ odd)
     mix = (v[:, 0] + v[:, -1]) / math.sqrt(2)  # sector ground + sector top
-    for row, idx in enumerate(odd):
-        amps[idx] = mix[row]
-    psi_two = PureState(3, amps)
+    psi_two = PureState(3, odd @ mix)
 
     decomp = adiabatic.adiabatic_decomposition(spec, psi_two, n_samples=512)
     prediction = adiabatic.adiabatic_rate_prediction(decomp)

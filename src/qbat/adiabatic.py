@@ -19,8 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import SteppingConfig, TimeSeries
-from .model import SystemSpec, hamiltonian_set, qubit_energy_term
+from .dynamics import SteppingConfig, TimeSeries, _observable_rows, _sampled_states
+from .model import SystemSpec, hamiltonian_set
 from .protocols import BellLabel, bell_with_empty_hub
 from .qalg import Operator, PureState, commutator, embed, ket, max_abs, pauli, tensor
 
@@ -54,10 +54,10 @@ class AdiabaticSpec:
     stepping: SteppingConfig = field(default_factory=SteppingConfig)
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ValueError(f"tau must be > 0, got {self.tau}")
-        if not self.j_coupling > 0:
-            raise ValueError(f"j_coupling must be > 0, got {self.j_coupling}")
+        if not 0 < self.tau < math.inf:
+            raise ValueError(f"tau must be finite and > 0, got {self.tau}")
+        if not 0 < self.j_coupling < math.inf:
+            raise ValueError(f"j_coupling must be finite and > 0, got {self.j_coupling}")
 
     @property
     def jtau(self) -> float:
@@ -80,22 +80,20 @@ def interpolation_parts(spec: AdiabaticSpec):
     return _interpolation_parts(float(spec.j_coupling))
 
 
-def build_ht(spec: AdiabaticSpec, s: float) -> Operator:
-    """Drive Hamiltonian [1-f]H_i + [1-f]f H_m + f H_f at progress s in [0, 1]."""
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"s must lie in [0, 1], got {s}")
-    h_i, h_m, h_f = interpolation_parts(spec)
-    f = float(schedule_value(spec.schedule, s))
-    mat = (1.0 - f) * h_i.matrix + (1.0 - f) * f * h_m.matrix + f * h_f.matrix
-    return Operator(3, mat, hermitian=True)
-
-
 def _ht_stack(spec: AdiabaticSpec, s_values: np.ndarray) -> np.ndarray:
+    """Drive Hamiltonians [1-f]H_i + [1-f]f H_m + f H_f, one per s in ``s_values``."""
     h_i, h_m, h_f = interpolation_parts(spec)
     f = schedule_value(spec.schedule, s_values)
     return ((1.0 - f)[:, None, None] * h_i.matrix
             + ((1.0 - f) * f)[:, None, None] * h_m.matrix
             + f[:, None, None] * h_f.matrix)
+
+
+def build_ht(spec: AdiabaticSpec, s: float) -> Operator:
+    """Drive Hamiltonian at progress s in [0, 1]."""
+    if not 0.0 <= s <= 1.0:
+        raise ValueError(f"s must lie in [0, 1], got {s}")
+    return Operator(3, _ht_stack(spec, np.array([s], dtype=float))[0], hermitian=True)
 
 
 def parity_operator() -> Operator:
@@ -160,51 +158,16 @@ def parity_check(spec: AdiabaticSpec, n_samples: int = 33,
     )
 
 
-def hub_bare_operator(omega: float) -> Operator:
-    """Hub-qubit bare Hamiltonian embedded in the three-qubit cell space."""
-    return embed(qubit_energy_term(omega), [2], 3)
+def sector_basis(parity: int) -> np.ndarray:
+    """(8, 4) isometry onto the computational states of one parity sector.
 
-
-def ec_operator_at(spec: AdiabaticSpec, omega: float, s: float) -> Operator:
-    """Instantaneous energy-current operator (1/i)[H0_hub, H(s)] of the drive."""
-    h = build_ht(spec, s)
-    h0a = hub_bare_operator(omega)
-    m = (h0a.matrix @ h.matrix - h.matrix @ h0a.matrix) / 1j
-    return Operator(3, m, hermitian=True)
-
-
-def _propagate_recorded(spec: AdiabaticSpec, psi0: PureState, n_samples: int):
-    """Midpoint-propagate the drive, recording n_samples uniform snapshots.
-
-    Returns (times, states) with states of shape (n_samples, 8); the stacked
-    Hamiltonian build and eigendecomposition run vectorized.
+    ``parity`` is the eigenvalue of ``parity_operator()``: -1 for an odd
+    number of excitations, +1 for an even number.
     """
-    per_segment = max(1, math.ceil(spec.stepping.n_steps(spec.jtau) / (n_samples - 1)))
-    n_steps = per_segment * (n_samples - 1)
-    dt = spec.tau / n_steps
-    psi = psi0.amplitudes.copy()
-    states = np.empty((n_samples, psi.size), dtype=complex)
-    states[0] = psi
-    recorded = 1
-    chunk = 8192
-    done = 0
-    while done < n_steps:
-        m = min(chunk, n_steps - done)
-        mids = (done + np.arange(m) + 0.5) / n_steps
-        w, v = np.linalg.eigh(_ht_stack(spec, mids))
-        phases = np.exp(-1j * w * dt)
-        for k in range(m):
-            psi = v[k] @ (phases[k] * (v[k].conj().T @ psi))
-            if (done + k + 1) % per_segment == 0:
-                states[recorded] = psi
-                recorded += 1
-        done += m
-    times = np.linspace(0.0, spec.tau, n_samples)
-    return times, states
-
-
-_EVEN_SECTOR = (0b000, 0b011, 0b101, 0b110)
-_ODD_SECTOR = (0b001, 0b010, 0b100, 0b111)
+    if parity not in (-1, 1):
+        raise ValueError(f"parity must be -1 or +1, got {parity}")
+    odd = parity < 0
+    return np.eye(8)[:, [i for i in range(8) if bin(i).count("1") % 2 == odd]]
 
 
 def min_sector_gap(spec: AdiabaticSpec, n_grid: int = 257,
@@ -216,24 +179,11 @@ def min_sector_gap(spec: AdiabaticSpec, n_grid: int = 257,
     default).
     """
     psi0 = psi0 or storage_state()
-    parity = parity_operator()
-    sign = float(np.vdot(psi0.amplitudes, parity.matrix @ psi0.amplitudes).real)
-    sector = _ODD_SECTOR if sign < 0 else _EVEN_SECTOR
-    basis = np.zeros((8, 4))
-    for col, idx in enumerate(sector):
-        basis[idx, col] = 1.0
-    s_grid = np.linspace(0.0, 1.0, n_grid)
-    blocks = np.einsum("ia,kij,jb->kab", basis, _ht_stack(spec, s_grid), basis)
-    w, v = np.linalg.eigh(blocks)
-    tracked = basis.T @ psi0.amplitudes
-    tracked /= np.linalg.norm(tracked)
-    gap = math.inf
-    for k in range(n_grid):
-        n = int(np.argmax(np.abs(v[k].conj().T @ tracked)))
-        tracked = v[k][:, n]
-        others = np.delete(w[k], n)
-        gap = min(gap, float(np.min(np.abs(others - w[k][n]))))
-    return gap
+    sign = float(np.vdot(psi0.amplitudes, parity_operator().matrix @ psi0.amplitudes).real)
+    stack = _ht_stack(spec, np.linspace(0.0, 1.0, n_grid))
+    energies, vectors, _ = _track_sector(stack, sector_basis(-1 if sign < 0 else 1))
+    n = int(np.argmax(np.abs(vectors[0].conj().T @ psi0.amplitudes)))
+    return float(np.min(np.abs(np.delete(energies, n, axis=0) - energies[n])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,26 +208,32 @@ class DischargeReport:
             raise ValueError("target fidelity and forbidden leakage exceed unity")
 
 
+def _drive_channels(spec: AdiabaticSpec, psi0: PureState, omega: float, n_samples: int):
+    """Drive ``psi0`` and sample it uniformly: (times, states, charge, current).
+
+    The charge is the hub energy above its empty state, the current the
+    expectation of (1/i)[H0_hub, H(t)] at each sample time.
+    """
+    hs = hamiltonian_set(SystemSpec(omega, spec.j_coupling))
+    times = np.linspace(0.0, spec.tau, n_samples)
+    states = _sampled_states(lambda s: _ht_stack(spec, s), psi0, spec.tau,
+                             spec.stepping.n_steps(spec.jtau), n_samples)
+    h0a = hs.h0_hub.matrix
+    h_stack = _ht_stack(spec, times / spec.tau)
+    p_stack = (h0a @ h_stack - h_stack @ h0a) / 1j
+    charge_channel = _observable_rows(states, hs.h0_hub) - hs.e_empty
+    ec_channel = np.einsum("ki,kij,kj->k", states.conj(), p_stack, states).real
+    return times, states, charge_channel, ec_channel
+
+
 def run_discharge(spec: AdiabaticSpec, omega: float = 1.0,
                   n_samples: int = 513) -> DischargeReport:
     """Drive the stored cell through the interpolation and report the outcome."""
-    if not omega > 0:
-        raise ValueError(f"omega must be > 0, got {omega}")
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
-    psi0 = storage_state()
-    times, states = _propagate_recorded(spec, psi0, n_samples)
-    hs = hamiltonian_set(SystemSpec(omega, spec.j_coupling))
-    h0a = hs.h0_hub.matrix
-    charge_channel = np.einsum("ki,ij,kj->k", states.conj(), h0a, states).real - hs.e_empty
-
-    s_values = times / spec.tau
-    h_stack = _ht_stack(spec, s_values)
-    p_stack = (h0a @ h_stack - h_stack @ h0a) / 1j
-    ec_channel = np.einsum("ki,kij,kj->k", states.conj(), p_stack, states).real
-
-    parity = parity_operator().matrix
-    parity_channel = np.einsum("ki,ij,kj->k", states.conj(), parity, states).real
+    times, states, charge_channel, ec_channel = _drive_channels(
+        spec, storage_state(), omega, n_samples)
+    parity_channel = _observable_rows(states, parity_operator())
     fidelity_channel = np.abs(states @ target_state().amplitudes.conj()) ** 2
     leakage_channel = np.abs(states @ forbidden_state().amplitudes.conj()) ** 2
 
@@ -455,11 +411,8 @@ def adiabatic_decomposition(spec: AdiabaticSpec, psi0: PureState, omega: float =
     energies = []
     vectors = []
     qualities = []
-    for sector in (_ODD_SECTOR, _EVEN_SECTOR):
-        basis = np.zeros((8, 4))
-        for col, idx in enumerate(sector):
-            basis[idx, col] = 1.0
-        w, vecs, quality = _track_sector(stack, basis)
+    for parity in (-1, 1):
+        w, vecs, quality = _track_sector(stack, sector_basis(parity))
         energies.append(w)
         vectors.append(vecs)
         qualities.append(quality)
@@ -479,7 +432,7 @@ def adiabatic_decomposition(spec: AdiabaticSpec, psi0: PureState, omega: float =
     geo[:, 1:] = -np.cumsum(steps.T, axis=1)
     phases = dyn + geo
 
-    h0a = hub_bare_operator(omega).matrix
+    h0a = hamiltonian_set(SystemSpec(omega, spec.j_coupling)).h0_hub.matrix
     hub_elements = np.einsum("kin,ij,kjm->nmk", vectors.conj(), h0a, vectors)
 
     scale = max(1.0, float(np.abs(energies[:, 0]).max()))
@@ -546,12 +499,6 @@ def adiabatic_ec(spec: AdiabaticSpec, psi0: PureState, omega: float = 1.0,
     decomp = adiabatic_decomposition(spec, psi0, omega, n_samples)
     prediction = adiabatic_rate_prediction(decomp)
 
-    times, states = _propagate_recorded(spec, psi0, n_samples)
-    hs = hamiltonian_set(SystemSpec(omega, spec.j_coupling))
-    h0a = hs.h0_hub.matrix
-    h_stack = _ht_stack(spec, times / spec.tau)
-    p_stack = (h0a @ h_stack - h_stack @ h0a) / 1j
-    ec_exact = np.einsum("ki,kij,kj->k", states.conj(), p_stack, states).real
-    charge_channel = np.einsum("ki,ij,kj->k", states.conj(), h0a, states).real - hs.e_empty
+    times, _, charge_channel, ec_exact = _drive_channels(spec, psi0, omega, n_samples)
     return TimeSeries(times, charge_channel, ec_exact,
                       extra={"ec_adiabatic": prediction})

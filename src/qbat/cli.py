@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -48,11 +49,8 @@ class RunConfig:
     output: str = "-"
 
     def __post_init__(self):
-        if not self.omega > 0:
-            raise ValueError(f"omega must be > 0, got {self.omega}")
-        if not self.j_coupling > 0:
-            raise ValueError(f"j_coupling must be > 0, got {self.j_coupling}")
-        if self.seed < 0:
+        SystemSpec(self.omega, self.j_coupling)  # rejects a bad omega or j_coupling
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format!r}")
@@ -86,7 +84,6 @@ def _resolve_config(args) -> RunConfig:
             values[field_name] = given
     values["omega"] = float(values["omega"])
     values["j_coupling"] = float(values["j_coupling"])
-    values["seed"] = int(values["seed"])
     return RunConfig(**values)
 
 
@@ -189,8 +186,8 @@ def _cmd_discharge(cfg: RunConfig, args) -> list:
     if args.gate is not None:
         psi0 = switch_gate(SwitchGate.from_kind(args.gate, args.gate_qubit), psi0)
     tmax_jt = args.tmax if args.tmax is not None else 2 * discharge_time(spec) * spec.j_coupling
-    if tmax_jt <= 0:
-        raise ValueError(f"tmax must be > 0, got {tmax_jt}")
+    if not 0 < tmax_jt < math.inf:
+        raise ValueError(f"tmax must be finite and > 0, got {tmax_jt}")
     if args.samples < 2:
         raise ValueError(f"samples must be >= 2, got {args.samples}")
     series = dynamics.sample_trajectory(hs.h_charging, psi0, tmax_jt / spec.j_coupling,
@@ -259,8 +256,8 @@ def _cmd_single_particle(cfg: RunConfig, args) -> list:
     spec = cfg.spec
     t_sp = protocols.single_particle_transfer_time(spec)
     tmax_jt = args.tmax if args.tmax is not None else 2 * t_sp * spec.j_coupling
-    if tmax_jt <= 0:
-        raise ValueError(f"tmax must be > 0, got {tmax_jt}")
+    if not 0 < tmax_jt < math.inf:
+        raise ValueError(f"tmax must be finite and > 0, got {tmax_jt}")
     if args.samples < 2:
         raise ValueError(f"samples must be >= 2, got {args.samples}")
     series = single_particle_trajectory(spec, tmax_jt / spec.j_coupling, args.samples)
@@ -284,8 +281,8 @@ def _cmd_ncell(cfg: RunConfig, args) -> list:
 
 
 def _cmd_adiabatic(cfg: RunConfig, args) -> list:
-    if args.jtau <= 0:
-        raise ValueError(f"jtau must be > 0, got {args.jtau}")
+    if not 0 < args.jtau < math.inf:
+        raise ValueError(f"jtau must be finite and > 0, got {args.jtau}")
     if args.samples < 2:
         raise ValueError(f"samples must be >= 2, got {args.samples}")
     spec = AdiabaticSpec(tau=args.jtau / cfg.j_coupling, j_coupling=cfg.j_coupling,
@@ -309,6 +306,8 @@ def _cmd_adiabatic(cfg: RunConfig, args) -> list:
 def _cmd_sweep_tau(cfg: RunConfig, args) -> list:
     if args.points < 1:
         raise ValueError(f"points must be >= 1, got {args.points}")
+    if not (math.isfinite(args.jtau_from) and math.isfinite(args.jtau_to)):
+        raise ValueError(f"sweep bounds must be finite, got {args.jtau_from} and {args.jtau_to}")
     if args.jtau_from < 0 or args.jtau_to < args.jtau_from:
         raise ValueError("sweep range requires 0 <= from <= to")
     jtaus = np.linspace(args.jtau_from, args.jtau_to, args.points)
@@ -330,7 +329,7 @@ def _cmd_selftest(cfg: RunConfig, args) -> int:
         print(result.line)
     if cfg.output != "-":
         rows = [{"criterion": r.name, "passed": r.passed, "description": r.description,
-                 "details": r.details} for r in results]
+                 "details": r.details, "elapsed_s": r.elapsed} for r in results]
         write_rows(rows, cfg.format, cfg.output)
     return 0 if all(r.passed for r in results) else 1
 

@@ -19,8 +19,9 @@ from .model import ChargeRecord, HamiltonianSet
 from .qalg import DensityMatrix, Operator, PureState
 
 HofS = Callable[[float], Operator]
+HStack = Callable[[np.ndarray], np.ndarray]  # s values (m,) -> Hamiltonians (m, d, d)
 
-_CHUNK = 8192  # batched-eigh chunk size for long stepped evolutions
+_CHUNK = 2**13  # batched-eigh chunk size for long stepped evolutions
 
 
 @dataclass(frozen=True)
@@ -110,39 +111,50 @@ def evolve_static(h: Operator, psi0: PureState, t: float) -> PureState:
     return PureState(psi0.n_qubits, amps)
 
 
-def _midpoint_states(h_of: HofS, psi0: PureState, tau: float, n_steps: int,
-                     record_steps) -> np.ndarray:
-    """Run the midpoint stepper, returning states after the listed step counts.
+def _midpoint_states(h_stack: HStack, psi0: PureState, tau: float, n_steps: int,
+                     every: int) -> np.ndarray:
+    """Run the midpoint stepper, returning the state every ``every`` steps.
 
-    ``record_steps`` is an increasing sequence starting at 0 (the initial
-    state) and ending at ``n_steps``.
+    ``h_stack`` maps an array of s = t/tau values to the (m, d, d) stack of
+    Hamiltonian matrices; ``every`` divides ``n_steps``.  Row 0 is ``psi0``.
     """
     dt = tau / n_steps
     psi = psi0.amplitudes.copy()
-    recorded = [psi.copy()]
-    want = list(record_steps)
-    if want[0] == 0:
-        want = want[1:]
-    next_idx = 0
+    states = np.empty((n_steps // every + 1, psi.size), dtype=complex)
+    states[0] = psi
+    recorded = 1
     done = 0
     while done < n_steps:
         m = min(_CHUNK, n_steps - done)
-        mids = (done + np.arange(m) + 0.5) / n_steps
-        stack = np.empty((m, psi.size, psi.size), dtype=complex)
-        for k, s in enumerate(mids):
-            h = h_of(float(s))
-            _require_hermitian(h, "evolve_timedep sample")
-            stack[k] = h.matrix
-        w, v = np.linalg.eigh(stack)
+        w, v = np.linalg.eigh(h_stack((done + np.arange(m) + 0.5) / n_steps))
         phases = np.exp(-1j * w * dt)
         for k in range(m):
             psi = v[k] @ (phases[k] * (v[k].conj().T @ psi))
-            step = done + k + 1
-            while next_idx < len(want) and want[next_idx] == step:
-                recorded.append(psi.copy())
-                next_idx += 1
+            if (done + k + 1) % every == 0:
+                states[recorded] = psi
+                recorded += 1
         done += m
-    return np.array(recorded)
+    return states
+
+
+def _sampled_states(h_stack: HStack, psi0: PureState, tau: float, min_steps: int,
+                    n_samples: int) -> np.ndarray:
+    """States at ``n_samples`` uniform times over [0, tau], stepping at least
+    ``min_steps`` times in total and a whole number of steps per segment."""
+    per_segment = max(1, math.ceil(min_steps / (n_samples - 1)))
+    return _midpoint_states(h_stack, psi0, tau, per_segment * (n_samples - 1), per_segment)
+
+
+def _stack_of(h_of: HofS, dim: int) -> HStack:
+    """Stack builder sampling a per-s callable, validating every sample."""
+    def h_stack(s_values: np.ndarray) -> np.ndarray:
+        stack = np.empty((s_values.size, dim, dim), dtype=complex)
+        for k, s in enumerate(s_values):
+            h = h_of(float(s))
+            _require_hermitian(h, "evolve_timedep sample")
+            stack[k] = h.matrix
+        return stack
+    return h_stack
 
 
 def evolve_timedep(h_of: HofS, psi0: PureState, tau: float,
@@ -161,7 +173,7 @@ def evolve_timedep(h_of: HofS, psi0: PureState, tau: float,
     n = n_steps if n_steps is not None else cfg.n_steps(tau)
     if n < 1:
         raise ValueError(f"n_steps must be >= 1, got {n}")
-    states = _midpoint_states(h_of, psi0, tau, n, [0, n])
+    states = _midpoint_states(_stack_of(h_of, psi0.dim), psi0, tau, n, n)
     return PureState(psi0.n_qubits, states[-1])
 
 
@@ -211,10 +223,8 @@ def sample_trajectory(h, psi0: PureState, t_final: float, n_samples: int,
         weights = v.conj().T @ psi0.amplitudes
         states = (v @ (np.exp(-1j * np.outer(w, times)) * weights[:, None])).T
     else:
-        per_segment = max(1, math.ceil(cfg.n_steps(t_final) / (n_samples - 1)))
-        n_steps = per_segment * (n_samples - 1)
-        record = list(range(0, n_steps + 1, per_segment))
-        states = _midpoint_states(h, psi0, t_final, n_steps, record)
+        states = _sampled_states(_stack_of(h, psi0.dim), psi0, t_final,
+                                 cfg.n_steps(t_final), n_samples)
     charge_channel = _observable_rows(states, hs.h0_hub) - hs.e_empty
     ec_channel = _observable_rows(states, p_hat)
     fidelity = np.abs(states @ psi0.amplitudes.conj()) ** 2

@@ -8,6 +8,7 @@ hbar = 1; energies are in units of hbar*omega (bare splittings) or hbar*J
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,10 +46,10 @@ class SystemSpec:
     layout: QubitLayout = field(default_factory=QubitLayout.single_cell)
 
     def __post_init__(self):
-        if not self.omega > 0:
-            raise ValueError(f"omega must be > 0, got {self.omega}")
-        if not self.j_coupling > 0:
-            raise ValueError(f"j_coupling must be > 0, got {self.j_coupling}")
+        if not 0 < self.omega < math.inf:
+            raise ValueError(f"omega must be finite and > 0, got {self.omega}")
+        if not 0 < self.j_coupling < math.inf:
+            raise ValueError(f"j_coupling must be finite and > 0, got {self.j_coupling}")
 
     @property
     def full_cell_energy(self) -> float:

@@ -303,10 +303,6 @@ def ket(bits: str) -> PureState:
     return PureState(n, amp)
 
 
-def basis_index(bits: str) -> int:
-    return int(bits, 2)
-
-
 def embed(op: Operator, target_sites: Sequence[int], n_total: int) -> Operator:
     """Embed ``op`` so that its k-th tensor factor acts on ``target_sites[k]``.
 

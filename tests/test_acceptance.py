@@ -5,19 +5,27 @@ The selftest is exercised through the CLI entry point so this also covers the
 output.
 """
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+import qbat
 
 CRITERIA = [f"AC-{i}" for i in range(1, 14)]
 
 
 @pytest.fixture(scope="session")
 def selftest():
+    # the child imports the same qbat as this process, installed or not
+    src = str(Path(qbat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "qbat.cli", "selftest"],
-        capture_output=True, text=True, timeout=600, check=False,
+        capture_output=True, text=True, timeout=600, check=False, env=env,
     )
     lines = {}
     for line in proc.stdout.splitlines():

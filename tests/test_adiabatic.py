@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from qbat.adiabatic import (
@@ -22,6 +23,8 @@ from qbat.adiabatic import (
     sweep_tau,
     target_state,
 )
+from qbat.dynamics import evolve_timedep
+from qbat.model import SystemSpec, charge, ec_operator, hamiltonian_set
 from qbat.qalg import PureState, commutator, eigh
 
 from conftest import I2, X, Y, Z, kron
@@ -212,13 +215,13 @@ def test_spec_validation():
 def test_ec_operator_at_closed_form():
     # only the battery-2/hub XY piece fails to commute with the hub term:
     # P(s) = (1-f) f * 2 omega J (y_B2 x_A - x_B2 y_A)
-    from qbat.adiabatic import ec_operator_at
-    from conftest import I2, X, Y, kron
     spec = AdiabaticSpec(tau=3.0, schedule=Schedule.SMOOTHSTEP)
+    hs = hamiltonian_set(SystemSpec())
     for s in (0.0, 0.3, 0.5, 0.9, 1.0):
         f = float(schedule_value(spec.schedule, s))
         expected = (1 - f) * f * 2.0 * (kron(I2, Y, X) - kron(I2, X, Y))
-        assert np.abs(ec_operator_at(spec, 1.0, s).matrix - expected).max() <= 1e-12
+        p_hat = ec_operator(hs.h0_hub, build_ht(spec, s))
+        assert np.abs(p_hat.matrix - expected).max() <= 1e-12
 
 
 def test_driven_charge_rate_matches_current_channel():
@@ -230,3 +233,32 @@ def test_driven_charge_rate_matches_current_channel():
     deriv = (report.series.charge[2:] - report.series.charge[:-2]) / (2 * dt)
     rel = np.abs(deriv - report.series.ec[1:-1]).max() / np.abs(report.series.ec).max()
     assert rel <= max(1e-6, 10 * dt**2)
+
+
+def test_run_discharge_uses_the_dynamics_stepper():
+    # the drive and the per-s callable path step the same midpoint states
+    spec = AdiabaticSpec(tau=6.0, schedule=Schedule.SIN_SQUARED)
+    report = run_discharge(spec, n_samples=2)
+    psi = evolve_timedep(lambda s: build_ht(spec, s), storage_state(), spec.tau,
+                         n_steps=spec.stepping.n_steps(spec.jtau))
+    leakage = abs(np.vdot(forbidden_state().amplitudes, psi.amplitudes)) ** 2
+    assert report.final_charge == pytest.approx(charge(psi, hamiltonian_set(SystemSpec())),
+                                                abs=1e-12)
+    assert report.leakage_forbidden == pytest.approx(leakage, abs=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(0.5, 20.0), st.sampled_from(list(Schedule)), st.integers(8, 64))
+def test_discharge_invariants_property(jtau, schedule, samples_per_jt):
+    n_samples = math.ceil(samples_per_jt * jtau) + 1
+    report = run_discharge(AdiabaticSpec(tau=jtau, schedule=schedule), n_samples=n_samples)
+    series = report.series
+    assert report.parity_drift <= 1e-12
+    assert np.max(series.extra["leakage_forbidden"]) <= 1e-10
+    assert np.all(series.extra["fidelity_target"] + series.extra["leakage_forbidden"]
+                  <= 1.0 + 1e-12)
+    # dC/dt = <P>: the trapezoid integral of the current reproduces the charge
+    # (its error, O(dt^2), measured at most 0.11 dt^2 over these ranges)
+    dt = series.times[1] - series.times[0]
+    integral = np.concatenate(([0.0], np.cumsum((series.ec[1:] + series.ec[:-1]) * dt / 2)))
+    assert np.abs(integral - (series.charge - series.charge[0])).max() <= 0.5 * dt**2

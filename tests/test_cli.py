@@ -223,3 +223,40 @@ def test_readme_quickstart():
     series = sample_trajectory(hs.h_charging, bell_with_empty_hub(BellLabel(1, 0)),
                                2 * discharge_time(spec), 257, hs, p_hat)
     assert series.charge.max() == pytest.approx(2.0, abs=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("args", [
+    ["adiabatic", "--jtau", "inf"],
+    ["adiabatic", "--jtau", "nan"],
+    ["discharge", "--bell", "10", "--omega", "inf"],
+    ["discharge", "--bell", "10", "--tmax", "inf"],
+    ["single-particle", "--tmax", "inf"],
+    ["adiabatic", "--jtau", "5", "--j", "inf"],
+    ["sweep-tau", "--from", "0", "--to", "inf", "--points", "2"],
+    ["sweep-tau", "--from", "nan", "--to", "1", "--points", "2"],
+])
+def test_non_finite_values_are_parameter_errors(capsys, args):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_config_seed_must_be_integer(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": 1.7}))
+    code, _, err = run_cli(["trap-scan", "--samples", "50", "--config", str(path)], capsys)
+    assert code == 2
+    assert "seed" in err
+
+
+def test_selftest_json_rows_carry_elapsed(tmp_path, capsys, monkeypatch):
+    from qbat import acceptance
+    monkeypatch.setattr(acceptance, "CRITERIA", (acceptance.ac12_dephasing_fixpoint,))
+    path = tmp_path / "report.json"
+    code, _, _ = run_cli(["selftest", "--format", "json", "--output", str(path)], capsys)
+    assert code == 0
+    (row,) = json.loads(path.read_text())
+    assert row["criterion"] == "AC-12"
+    assert 0.0 <= row["elapsed_s"] < 60.0

@@ -92,14 +92,13 @@ def ac1_bell_discharge_law(seed: int = 42) -> CriterionResult:
     """Simulated hub charge matches E0 * g * sin^2(2*sqrt(2)*J*t) per Bell state."""
     spec = SystemSpec()
     hs = hamiltonian_set(spec)
-    p_hat = model.ec_operator(hs.h0_hub, hs.h_charging)
     taud = discharge_time(spec)
     worst = 0.0
     for n in (0, 1):
         for m in (0, 1):
             label = BellLabel(n, m)
             series = sample_trajectory(hs.h_charging, bell_with_empty_hub(label),
-                                       2 * taud, 64, hs, p_hat)
+                                       2 * taud, 64, hs)
             closed = np.array([bell_charge_closed_form(label, t, spec) for t in series.times])
             worst = max(worst, float(np.abs(series.charge - closed).max()))
     return _result("AC-1", "Bell discharge law at 64 sample times",
@@ -131,9 +130,8 @@ def ac3_trapping(seed: int = 42) -> CriterionResult:
     """The stored singlet keeps zero current and unit fidelity while coupled."""
     spec = SystemSpec()
     hs = hamiltonian_set(spec)
-    p_hat = model.ec_operator(hs.h0_hub, hs.h_charging)
     series = sample_trajectory(hs.h_charging, bell_with_empty_hub(BellLabel(1, 1)),
-                               2 * discharge_time(spec), 256, hs, p_hat)
+                               2 * discharge_time(spec), 256, hs)
     max_ec = float(np.abs(series.ec).max())
     min_fid = float(series.extra["fidelity_initial"].min())
     ok = max_ec <= 1e-12 and min_fid >= 1.0 - 1e-12
@@ -185,7 +183,7 @@ def ac5_switch_gates(seed: int = 42) -> CriterionResult:
 def ac6_baselines(seed: int = 42) -> CriterionResult:
     """Single-particle timing, sqrt(2) speedup, and the separable-state bound."""
     spec = SystemSpec()
-    sp_hs, _ = single_particle_system(spec)
+    sp_hs = single_particle_system(spec)
     t_sp = single_particle_transfer_time(spec)
     sp_charge = charge(evolve_static(sp_hs.h_charging, ket("10"), t_sp), sp_hs)
     ratio = t_sp / discharge_time(spec)
@@ -215,11 +213,10 @@ def ac7_frame_invariance(seed: int = 42) -> CriterionResult:
     """Charge curves agree between the lab frame and the co-moving frame."""
     spec = SystemSpec()
     hs = hamiltonian_set(spec)
-    p_hat = model.ec_operator(hs.h0_hub, hs.h_charging)
     psi0 = bell_with_empty_hub(BellLabel(1, 0))
     t_final = 2 * discharge_time(spec)
-    lab = sample_trajectory(hs.h0_total + hs.h_charging, psi0, t_final, 129, hs, p_hat)
-    rotating = sample_trajectory(hs.h_charging, psi0, t_final, 129, hs, p_hat)
+    lab = sample_trajectory(hs.h0_total + hs.h_charging, psi0, t_final, 129, hs)
+    rotating = sample_trajectory(hs.h_charging, psi0, t_final, 129, hs)
     worst = float(np.abs(lab.charge - rotating.charge).max())
     return _result("AC-7", "frame invariance of the transferred charge",
                    worst <= 1e-9, f"max |C_lab - C_int| = {worst:.3e} (tol 1e-9)")
@@ -229,9 +226,8 @@ def ac8_ec_identity(seed: int = 42) -> CriterionResult:
     """Central differences of the charge reproduce the energy-current channel."""
     spec = SystemSpec()
     hs = hamiltonian_set(spec)
-    p_hat = model.ec_operator(hs.h0_hub, hs.h_charging)
     series = sample_trajectory(hs.h_charging, bell_with_empty_hub(BellLabel(1, 0)),
-                               2 * discharge_time(spec), 1024, hs, p_hat)
+                               2 * discharge_time(spec), 1024, hs)
     c = series.charge
     dt = series.times[1] - series.times[0]
     deriv = (-c[4:] + 8 * c[3:-1] - 8 * c[1:-3] + c[:-4]) / (12 * dt)
@@ -295,7 +291,7 @@ def ac9_adiabatic_stability(seed: int = 42) -> CriterionResult:
     charges_ok = all(r.final_charge >= charge_floor for r in final)
     tails_ok = all(r.ec_tail <= tail_ceiling for r in final)
 
-    parity = adiabatic.parity_check(AdiabaticSpec(tau=t_joint, stepping=stepping), 33)
+    parity = adiabatic.parity_check(AdiabaticSpec(tau=t_joint, stepping=stepping))
     ok = (charges_ok and tails_ok and worst_leakage <= 1e-10
           and parity.max_commutator_norm <= 1e-12 and parity.passed)
     detail = (f"charge threshold Jtau = {t_charge:g}, joint threshold T* = {t_joint:g}; "

@@ -19,10 +19,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import SteppingConfig, TimeSeries, _observable_rows, _sampled_states
-from .model import SystemSpec, hamiltonian_set
+from .dynamics import SteppingConfig, TimeSeries, _midpoint_states, _observable_rows
+from .model import RATE_CEILING, SystemSpec, _ec_matrix, hamiltonian_set
 from .protocols import BellLabel, bell_with_empty_hub
-from .qalg import Operator, PureState, commutator, embed, ket, max_abs, pauli, tensor
+from .qalg import Operator, PureState, embed, ket, max_abs, pauli, tensor
 
 
 class Schedule(Enum):
@@ -46,7 +46,10 @@ def schedule_value(schedule: Schedule, s):
 
 @dataclass(frozen=True)
 class AdiabaticSpec:
-    """One adiabatic discharge run: coupling, total time, schedule, stepping."""
+    """One adiabatic discharge run: coupling, total time, schedule, stepping.
+
+    ``j_coupling`` is capped at ``model.RATE_CEILING``, like ``SystemSpec``'s.
+    """
 
     tau: float
     j_coupling: float = 1.0
@@ -56,8 +59,9 @@ class AdiabaticSpec:
     def __post_init__(self):
         if not 0 < self.tau < math.inf:
             raise ValueError(f"tau must be finite and > 0, got {self.tau}")
-        if not 0 < self.j_coupling < math.inf:
-            raise ValueError(f"j_coupling must be finite and > 0, got {self.j_coupling}")
+        if not 0 < self.j_coupling <= RATE_CEILING:
+            raise ValueError(
+                f"j_coupling must be > 0 and <= {RATE_CEILING:g}, got {self.j_coupling}")
 
     @property
     def jtau(self) -> float:
@@ -134,15 +138,12 @@ class ParityCheckReport:
         return self.passed
 
 
-def parity_check(spec: AdiabaticSpec, n_samples: int = 33,
-                 tol: float = 1e-12) -> ParityCheckReport:
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
+def parity_check(spec: AdiabaticSpec) -> ParityCheckReport:
+    """Largest |[H(s), parity]| over 33 uniform s (passes at <= 1e-12), plus
+    the parities of the stored, target and forbidden states."""
     parity = parity_operator()
-    worst = 0.0
-    for s in np.linspace(0.0, 1.0, n_samples):
-        h = build_ht(spec, float(s))
-        worst = max(worst, max_abs(commutator(h, parity).matrix))
+    stack = _ht_stack(spec, np.linspace(0.0, 1.0, 33))
+    worst = max_abs(stack @ parity.matrix - parity.matrix @ stack)
     signs = []
     for state in (storage_state(), target_state(), forbidden_state()):
         signs.append(float(np.vdot(state.amplitudes, parity.matrix @ state.amplitudes).real))
@@ -154,7 +155,7 @@ def parity_check(spec: AdiabaticSpec, n_samples: int = 33,
         parity_initial=p_init,
         parity_target=p_target,
         parity_forbidden=p_forbidden,
-        passed=worst <= tol and same and opposite,
+        passed=worst <= 1e-12 and same and opposite,
     )
 
 
@@ -170,18 +171,16 @@ def sector_basis(parity: int) -> np.ndarray:
     return np.eye(8)[:, [i for i in range(8) if bin(i).count("1") % 2 == odd]]
 
 
-def min_sector_gap(spec: AdiabaticSpec, n_grid: int = 257,
-                   psi0: PureState | None = None) -> float:
-    """Minimum gap between the occupied branch and the rest of its parity sector.
+def min_sector_gap(spec: AdiabaticSpec) -> float:
+    """Minimum gap between the stored cell's branch and the rest of its
+    (odd) parity sector, on 257 uniform s.
 
     The occupied branch is followed by maximum-overlap continuation starting
-    from the sector component of the initial state (the stored cell by
-    default).
+    from the stored cell.
     """
-    psi0 = psi0 or storage_state()
-    sign = float(np.vdot(psi0.amplitudes, parity_operator().matrix @ psi0.amplitudes).real)
-    stack = _ht_stack(spec, np.linspace(0.0, 1.0, n_grid))
-    energies, vectors, _ = _track_sector(stack, sector_basis(-1 if sign < 0 else 1))
+    psi0 = storage_state()
+    stack = _ht_stack(spec, np.linspace(0.0, 1.0, 257))
+    energies, vectors, _ = _track_sector(stack, sector_basis(-1))
     n = int(np.argmax(np.abs(vectors[0].conj().T @ psi0.amplitudes)))
     return float(np.min(np.abs(np.delete(energies, n, axis=0) - energies[n])))
 
@@ -211,16 +210,17 @@ class DischargeReport:
 def _drive_channels(spec: AdiabaticSpec, psi0: PureState, omega: float, n_samples: int):
     """Drive ``psi0`` and sample it uniformly: (times, states, charge, current).
 
-    The charge is the hub energy above its empty state, the current the
-    expectation of (1/i)[H0_hub, H(t)] at each sample time.
+    Every segment between samples takes the same whole number of steps, at
+    least ``spec.stepping``'s count in total.  The charge is the hub energy
+    above its empty state, the current the expectation of (1/i)[H0_hub, H(t)]
+    at each sample time.
     """
     hs = hamiltonian_set(SystemSpec(omega, spec.j_coupling))
     times = np.linspace(0.0, spec.tau, n_samples)
-    states = _sampled_states(lambda s: _ht_stack(spec, s), psi0, spec.tau,
-                             spec.stepping.n_steps(spec.jtau), n_samples)
-    h0a = hs.h0_hub.matrix
-    h_stack = _ht_stack(spec, times / spec.tau)
-    p_stack = (h0a @ h_stack - h_stack @ h0a) / 1j
+    per_segment = max(1, math.ceil(spec.stepping.n_steps(spec.jtau) / (n_samples - 1)))
+    states = _midpoint_states(lambda s: _ht_stack(spec, s), psi0, spec.tau,
+                              per_segment * (n_samples - 1), per_segment)
+    p_stack = _ec_matrix(hs.h0_hub.matrix, _ht_stack(spec, times / spec.tau))
     charge_channel = _observable_rows(states, hs.h0_hub) - hs.e_empty
     ec_channel = np.einsum("ki,kij,kj->k", states.conj(), p_stack, states).real
     return times, states, charge_channel, ec_channel
@@ -267,19 +267,18 @@ class SweepPoint:
 
 
 def sweep_tau(tau_values, omega: float = 1.0, *, j_coupling: float = 1.0,
-              stepping: SteppingConfig = SteppingConfig(),
-              schedules=tuple(Schedule), n_samples: int = 257,
+              stepping: SteppingConfig = SteppingConfig(), n_samples: int = 257,
               max_workers: int = 1) -> list:
-    """Final transferred charge against total run time, per schedule.
+    """Final transferred charge against total run time, for every schedule.
 
     Returns one SweepPoint per (tau, schedule) pair, ordered by the input tau
-    list and the schedule list regardless of execution order.  tau = 0 is the
+    list and then ``Schedule``'s order regardless of execution order.  tau = 0 is the
     sudden limit: nothing evolves and nothing is transferred.
     """
     if len(tau_values) == 0:
         raise ValueError("tau_values must not be empty")
     cmax = 2.0 * omega
-    jobs = [(float(tau), schedule) for tau in tau_values for schedule in schedules]
+    jobs = [(float(tau), schedule) for tau in tau_values for schedule in Schedule]
 
     def _one(job):
         tau, schedule = job
@@ -408,17 +407,10 @@ def adiabatic_decomposition(spec: AdiabaticSpec, psi0: PureState, omega: float =
     times = np.linspace(0.0, spec.tau, n_samples)
     stack = _ht_stack(spec, times / spec.tau)
 
-    energies = []
-    vectors = []
-    qualities = []
-    for parity in (-1, 1):
-        w, vecs, quality = _track_sector(stack, sector_basis(parity))
-        energies.append(w)
-        vectors.append(vecs)
-        qualities.append(quality)
-    energies = np.concatenate(energies, axis=0)              # (8, nt)
-    vectors = np.concatenate(vectors, axis=2)                # (nt, 8, 8)
-    quality = np.concatenate(qualities)
+    odd, even = (_track_sector(stack, sector_basis(parity)) for parity in (-1, 1))
+    energies = np.concatenate([odd[0], even[0]], axis=0)     # (8, nt)
+    vectors = np.concatenate([odd[1], even[1]], axis=2)      # (nt, 8, 8)
+    quality = np.concatenate([odd[2], even[2]])
 
     coefficients = vectors[0].conj().T @ psi0.amplitudes
 
@@ -435,16 +427,9 @@ def adiabatic_decomposition(spec: AdiabaticSpec, psi0: PureState, omega: float =
     h0a = hamiltonian_set(SystemSpec(omega, spec.j_coupling)).h0_hub.matrix
     hub_elements = np.einsum("kin,ij,kjm->nmk", vectors.conj(), h0a, vectors)
 
-    scale = max(1.0, float(np.abs(energies[:, 0]).max()))
-    order = np.argsort(energies[:, 0], kind="stable")
     labels = np.empty(8, dtype=int)
-    label = 0
-    previous = None
-    for idx in order:
-        if previous is not None and energies[idx, 0] - previous > 1e-9 * scale:
-            label += 1
-        labels[idx] = label
-        previous = energies[idx, 0]
+    for label, group in enumerate(_degenerate_groups(energies[:, 0], rtol=1e-9)):
+        labels[group] = label
 
     occupied = np.abs(coefficients) ** 2 > 1e-12
     return AdiabaticDecomposition(

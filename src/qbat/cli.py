@@ -13,11 +13,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import acceptance, adiabatic, dynamics, model, protocols
+from . import acceptance, adiabatic, dynamics, protocols
 from ._io import write_rows
 from .adiabatic import AdiabaticSpec, Schedule
 from .model import SystemSpec, hamiltonian_set
@@ -35,7 +35,6 @@ from .protocols import (
 )
 
 CONFIG_FILE = "qbat.json"
-_CONFIG_FIELDS = ("omega", "j_coupling", "seed", "format", "output")
 
 
 @dataclass(frozen=True)
@@ -60,6 +59,9 @@ class RunConfig:
         return SystemSpec(self.omega, self.j_coupling)
 
 
+_CONFIG_FIELDS = tuple(f.name for f in fields(RunConfig))
+
+
 def _load_config_file(path: str | None) -> dict:
     chosen = path or CONFIG_FILE
     if path is None and not os.path.exists(chosen):
@@ -75,15 +77,15 @@ def _load_config_file(path: str | None) -> dict:
 
 
 def _resolve_config(args) -> RunConfig:
-    values = {"omega": 1.0, "j_coupling": 1.0, "seed": 42, "format": "csv", "output": "-"}
-    values.update(_load_config_file(args.config))
+    values = _load_config_file(args.config)
     for field_name, flag in (("omega", "omega"), ("j_coupling", "j"), ("seed", "seed"),
                              ("format", "format"), ("output", "output")):
         given = getattr(args, flag, None)
         if given is not None:
             values[field_name] = given
-    values["omega"] = float(values["omega"])
-    values["j_coupling"] = float(values["j_coupling"])
+    for rate in ("omega", "j_coupling"):
+        if rate in values:
+            values[rate] = float(values[rate])
     return RunConfig(**values)
 
 
@@ -178,24 +180,38 @@ def build_parser() -> argparse.ArgumentParser:
 # Subcommand handlers; each returns the rows to emit.
 
 
+def _check_run(name: str, duration_jt: float, samples: int) -> None:
+    """Reject a run length (in units of 1/J) or a sample count up front."""
+    if not 0 < duration_jt < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {duration_jt}")
+    if samples < 2:
+        raise ValueError(f"samples must be >= 2, got {samples}")
+
+
+def _series_rows(series, spec: SystemSpec, **extra) -> list:
+    """One row per sample: time in 1/J, charge in E0 = 2 hbar*omega, current in
+    hbar*omega*J, then the ``extra`` columns in the order given."""
+    e0 = spec.full_cell_energy
+    unit_p = spec.omega * spec.j_coupling
+    rows = [{"t_J": t * spec.j_coupling, "charge_over_E0": c / e0, "ec_hbar_omega_J": p / unit_p}
+            for t, c, p in zip(series.times, series.charge, series.ec)]
+    for name, values in extra.items():
+        for row, value in zip(rows, values):
+            row[name] = value
+    return rows
+
+
 def _cmd_discharge(cfg: RunConfig, args) -> list:
     spec = cfg.spec
     hs = hamiltonian_set(spec)
-    p_hat = model.ec_operator(hs.h0_hub, hs.h_charging)
     psi0 = bell_with_empty_hub(BellLabel.parse(args.bell))
     if args.gate is not None:
         psi0 = switch_gate(SwitchGate.from_kind(args.gate, args.gate_qubit), psi0)
     tmax_jt = args.tmax if args.tmax is not None else 2 * discharge_time(spec) * spec.j_coupling
-    if not 0 < tmax_jt < math.inf:
-        raise ValueError(f"tmax must be finite and > 0, got {tmax_jt}")
-    if args.samples < 2:
-        raise ValueError(f"samples must be >= 2, got {args.samples}")
+    _check_run("tmax", tmax_jt, args.samples)
     series = dynamics.sample_trajectory(hs.h_charging, psi0, tmax_jt / spec.j_coupling,
-                                        args.samples, hs, p_hat)
-    e0 = spec.full_cell_energy
-    unit_p = spec.omega * spec.j_coupling
-    return [{"t_J": t * spec.j_coupling, "charge_over_E0": c / e0, "ec_hbar_omega_J": p / unit_p}
-            for t, c, p in zip(series.times, series.charge, series.ec)]
+                                        args.samples, hs)
+    return _series_rows(series, spec)
 
 
 def _cmd_trap_check(cfg: RunConfig, args) -> list:
@@ -256,19 +272,11 @@ def _cmd_single_particle(cfg: RunConfig, args) -> list:
     spec = cfg.spec
     t_sp = protocols.single_particle_transfer_time(spec)
     tmax_jt = args.tmax if args.tmax is not None else 2 * t_sp * spec.j_coupling
-    if not 0 < tmax_jt < math.inf:
-        raise ValueError(f"tmax must be finite and > 0, got {tmax_jt}")
-    if args.samples < 2:
-        raise ValueError(f"samples must be >= 2, got {args.samples}")
+    _check_run("tmax", tmax_jt, args.samples)
     series = single_particle_trajectory(spec, tmax_jt / spec.j_coupling, args.samples)
-    e0 = spec.full_cell_energy
-    unit_p = spec.omega * spec.j_coupling
-    return [{
-        "t_J": t * spec.j_coupling,
-        "charge_over_E0": c / e0,
-        "ec_hbar_omega_J": p / unit_p,
-        "closed_form_over_E0": protocols.single_particle_baseline(t, spec) / e0,
-    } for t, c, p in zip(series.times, series.charge, series.ec)]
+    closed = [protocols.single_particle_baseline(t, spec) / spec.full_cell_energy
+              for t in series.times]
+    return _series_rows(series, spec, closed_form_over_E0=closed)
 
 
 def _cmd_ncell(cfg: RunConfig, args) -> list:
@@ -281,26 +289,13 @@ def _cmd_ncell(cfg: RunConfig, args) -> list:
 
 
 def _cmd_adiabatic(cfg: RunConfig, args) -> list:
-    if not 0 < args.jtau < math.inf:
-        raise ValueError(f"jtau must be finite and > 0, got {args.jtau}")
-    if args.samples < 2:
-        raise ValueError(f"samples must be >= 2, got {args.samples}")
+    _check_run("jtau", args.jtau, args.samples)
     spec = AdiabaticSpec(tau=args.jtau / cfg.j_coupling, j_coupling=cfg.j_coupling,
                          schedule=Schedule(args.schedule))
-    report = adiabatic.run_discharge(spec, omega=cfg.omega, n_samples=args.samples)
-    series = report.series
-    e0 = 2 * cfg.omega
-    unit_p = cfg.omega * cfg.j_coupling
-    return [{
-        "t_J": t * cfg.j_coupling,
-        "charge_over_E0": c / e0,
-        "ec_hbar_omega_J": p / unit_p,
-        "fidelity_target": f,
-        "leakage_forbidden": leak,
-        "parity": par,
-    } for t, c, p, f, leak, par in zip(
-        series.times, series.charge, series.ec, series.extra["fidelity_target"],
-        series.extra["leakage_forbidden"], series.extra["parity"])]
+    series = adiabatic.run_discharge(spec, omega=cfg.omega, n_samples=args.samples).series
+    return _series_rows(series, cfg.spec, fidelity_target=series.extra["fidelity_target"],
+                        leakage_forbidden=series.extra["leakage_forbidden"],
+                        parity=series.extra["parity"])
 
 
 def _cmd_sweep_tau(cfg: RunConfig, args) -> list:

@@ -15,7 +15,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .model import ChargeRecord, HamiltonianSet
+from .model import ChargeRecord, HamiltonianSet, ec_operator
 from .qalg import DensityMatrix, Operator, PureState
 
 HofS = Callable[[float], Operator]
@@ -75,13 +75,6 @@ class TimeSeries:
     def n_samples(self) -> int:
         return self.times.size
 
-    def channel(self, name: str) -> np.ndarray:
-        if name == "charge":
-            return self.charge
-        if name == "ec":
-            return self.ec
-        return np.asarray(self.extra[name])
-
     def records(self) -> list:
         """The core channels as a list of ChargeRecord rows."""
         return [ChargeRecord(time=float(t), charge=float(c), ec=float(p))
@@ -93,22 +86,32 @@ def _require_hermitian(h: Operator, context: str) -> None:
         raise ValueError(f"{context} requires a hermitian-flagged Hamiltonian")
 
 
+def _spectral(h: Operator, x: np.ndarray, times) -> np.ndarray:
+    """exp(-i H t) x for every t in ``times``, from one eigendecomposition of H.
+
+    ``x`` is a state (d,) or a matrix (d, k); the result stacks one such array
+    per time along a leading axis.  The phases act on x's eigenbasis
+    coefficients rather than on a formed unitary, so t = 0 returns x to
+    within the eigenbasis round trip.
+    """
+    _require_hermitian(h, "exact propagation")
+    if x.shape[0] != h.dim:
+        raise ValueError(f"dimension mismatch: operator {h.dim}, state {x.shape[0]}")
+    w, v = np.linalg.eigh(h.matrix)
+    coeffs = v.conj().T @ x.reshape(h.dim, -1)
+    phases = np.exp(-1j * np.outer(w, times))
+    out = v @ (phases[:, :, None] * coeffs[:, None, :]).reshape(h.dim, -1)
+    return out.reshape((h.dim, -1) + x.shape[1:]).swapaxes(0, 1)
+
+
 def propagator(h: Operator, t: float) -> Operator:
     """exp(-i H t) computed through the eigendecomposition of H."""
-    _require_hermitian(h, "propagator")
-    w, v = np.linalg.eigh(h.matrix)
-    u = (v * np.exp(-1j * w * t)) @ v.conj().T
-    return Operator(h.n_qubits, u, unitary=True)
+    return Operator(h.n_qubits, _spectral(h, np.eye(h.dim), [t])[0], unitary=True)
 
 
 def evolve_static(h: Operator, psi0: PureState, t: float) -> PureState:
     """exp(-i H t)|psi0> for constant H, exact to machine precision."""
-    _require_hermitian(h, "evolve_static")
-    if h.dim != psi0.dim:
-        raise ValueError(f"dimension mismatch: operator {h.dim}, state {psi0.dim}")
-    w, v = np.linalg.eigh(h.matrix)
-    amps = v @ (np.exp(-1j * w * t) * (v.conj().T @ psi0.amplitudes))
-    return PureState(psi0.n_qubits, amps)
+    return PureState(psi0.n_qubits, _spectral(h, psi0.amplitudes, [t])[0])
 
 
 def _midpoint_states(h_stack: HStack, psi0: PureState, tau: float, n_steps: int,
@@ -135,14 +138,6 @@ def _midpoint_states(h_stack: HStack, psi0: PureState, tau: float, n_steps: int,
                 recorded += 1
         done += m
     return states
-
-
-def _sampled_states(h_stack: HStack, psi0: PureState, tau: float, min_steps: int,
-                    n_samples: int) -> np.ndarray:
-    """States at ``n_samples`` uniform times over [0, tau], stepping at least
-    ``min_steps`` times in total and a whole number of steps per segment."""
-    per_segment = max(1, math.ceil(min_steps / (n_samples - 1)))
-    return _midpoint_states(h_stack, psi0, tau, per_segment * (n_samples - 1), per_segment)
 
 
 def _stack_of(h_of: HofS, dim: int) -> HStack:
@@ -183,11 +178,9 @@ def to_interaction_picture(h0: Operator, obj, t: float):
     States map as exp(+i h0 t)|psi>, operators as exp(+i h0 t) A exp(-i h0 t).
     Calling again with ``-t`` undoes the transform.
     """
-    _require_hermitian(h0, "to_interaction_picture")
-    w, v = np.linalg.eigh(h0.matrix)
-    zdag = (v * np.exp(1j * w * t)) @ v.conj().T
     if isinstance(obj, PureState):
-        return PureState(obj.n_qubits, zdag @ obj.amplitudes)
+        return PureState(obj.n_qubits, _spectral(h0, obj.amplitudes, [-t])[0])
+    zdag = _spectral(h0, np.eye(h0.dim), [-t])[0]
     if isinstance(obj, DensityMatrix):
         return DensityMatrix(obj.n_qubits, zdag @ obj.entries @ zdag.conj().T)
     if isinstance(obj, Operator):
@@ -202,31 +195,22 @@ def _observable_rows(states: np.ndarray, op: Operator) -> np.ndarray:
     return vals.real
 
 
-def sample_trajectory(h, psi0: PureState, t_final: float, n_samples: int,
-                      hs: HamiltonianSet, p_hat: Operator,
-                      cfg: SteppingConfig = SteppingConfig()) -> TimeSeries:
-    """Uniformly sampled charge and energy-current channels along an evolution.
+def sample_trajectory(h: Operator, psi0: PureState, t_final: float, n_samples: int,
+                      hs: HamiltonianSet) -> TimeSeries:
+    """Uniformly sampled charge and energy-current channels under a constant H.
 
-    ``h`` is either a constant Operator or a callable s in [0, 1] -> Operator.
-    The extra channel ``fidelity_initial`` records |<psi0|psi(t)>|^2.
+    The current is the expectation of (1/i)[H0_hub, H], so ``ec`` is dC/dt
+    in either frame.  The extra channel ``fidelity_initial`` records
+    |<psi0|psi(t)>|^2.  Driven runs go through ``qbat.adiabatic``.
     """
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
     if not t_final > 0:
         raise ValueError(f"t_final must be > 0, got {t_final}")
-    if not p_hat.hermitian:
-        raise ValueError("p_hat must be hermitian-flagged")
     times = np.linspace(0.0, t_final, n_samples)
-    if isinstance(h, Operator):
-        _require_hermitian(h, "sample_trajectory")
-        w, v = np.linalg.eigh(h.matrix)
-        weights = v.conj().T @ psi0.amplitudes
-        states = (v @ (np.exp(-1j * np.outer(w, times)) * weights[:, None])).T
-    else:
-        states = _sampled_states(_stack_of(h, psi0.dim), psi0, t_final,
-                                 cfg.n_steps(t_final), n_samples)
+    states = _spectral(h, psi0.amplitudes, times)
     charge_channel = _observable_rows(states, hs.h0_hub) - hs.e_empty
-    ec_channel = _observable_rows(states, p_hat)
+    ec_channel = _observable_rows(states, ec_operator(hs.h0_hub, h))
     fidelity = np.abs(states @ psi0.amplitudes.conj()) ** 2
     return TimeSeries(times, charge_channel, ec_channel,
                       extra={"fidelity_initial": fidelity})

@@ -8,8 +8,7 @@ hbar = 1; energies are in units of hbar*omega (bare splittings) or hbar*J
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,6 +26,11 @@ from .qalg import (
     tensor,
 )
 
+# Largest accepted omega and J.  Every command runs without a numpy warning
+# up to it (tests/test_cli.py runs each at the ceiling); far beyond it the
+# products the package forms, such as omega*J or squared charges, overflow.
+RATE_CEILING = 1e12
+
 
 @dataclass(frozen=True)
 class SystemSpec:
@@ -37,6 +41,7 @@ class SystemSpec:
         omega * (|1><1| - |0><0|), so |1> is the excited ("full") state.
     j_coupling
         XY exchange strength between each battery qubit and its hub qubit.
+        Both rates must lie in (0, RATE_CEILING].
     layout
         Qubit role assignment; default is one cell ordered B1, B2, hub.
     """
@@ -46,10 +51,9 @@ class SystemSpec:
     layout: QubitLayout = field(default_factory=QubitLayout.single_cell)
 
     def __post_init__(self):
-        if not 0 < self.omega < math.inf:
-            raise ValueError(f"omega must be finite and > 0, got {self.omega}")
-        if not 0 < self.j_coupling < math.inf:
-            raise ValueError(f"j_coupling must be finite and > 0, got {self.j_coupling}")
+        for name, rate in (("omega", self.omega), ("j_coupling", self.j_coupling)):
+            if not 0 < rate <= RATE_CEILING:
+                raise ValueError(f"{name} must be > 0 and <= {RATE_CEILING:g}, got {rate}")
 
     @property
     def full_cell_energy(self) -> float:
@@ -72,7 +76,7 @@ class HamiltonianSet:
         if max_abs(self.h0_total.matrix - total) > 1e-12:
             raise ValueError("h0_total must equal h0_battery + h0_hub entrywise")
         ground = float(np.linalg.eigvalsh(self.h0_hub.matrix).min())
-        if abs(ground - self.e_empty) > 1e-9:
+        if abs(ground - self.e_empty) > 1e-9 * max(1.0, abs(self.e_empty)):
             raise ValueError(
                 f"e_empty {self.e_empty} does not match hub ground energy {ground}")
 
@@ -139,14 +143,12 @@ def charging_hamiltonian(spec: SystemSpec) -> Operator:
 
 def hamiltonian_set(spec: SystemSpec) -> HamiltonianSet:
     """Bare pieces plus the charging Hamiltonian, all on the full space."""
-    hs = bare_hamiltonian(spec)
-    return HamiltonianSet(
-        h0_battery=hs.h0_battery,
-        h0_hub=hs.h0_hub,
-        h0_total=hs.h0_total,
-        h_charging=charging_hamiltonian(spec),
-        e_empty=hs.e_empty,
-    )
+    return replace(bare_hamiltonian(spec), h_charging=charging_hamiltonian(spec))
+
+
+def _ec_matrix(h0_hub: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """(1/i)[h0_hub, h] for one Hamiltonian matrix or a stack of them."""
+    return (h0_hub @ h - h @ h0_hub) / 1j
 
 
 def ec_operator(h0_hub: Operator, h_int: Operator) -> Operator:
@@ -157,7 +159,7 @@ def ec_operator(h0_hub: Operator, h_int: Operator) -> Operator:
     signals malformed inputs.
     """
     h0_hub._check_same_dim(h_int)
-    m = (h0_hub.matrix @ h_int.matrix - h_int.matrix @ h0_hub.matrix) / 1j
+    m = _ec_matrix(h0_hub.matrix, h_int.matrix)
     if max_abs(m - m.conj().T) > 1e-12:
         raise ValueError("energy-current operator failed its hermiticity check")
     return Operator(h0_hub.n_qubits, m, hermitian=True)
@@ -168,8 +170,15 @@ def charge(state: State, hs: HamiltonianSet) -> float:
     return expectation(hs.h0_hub, state) - hs.e_empty
 
 
-def _density(state: State) -> DensityMatrix:
-    return state.density() if isinstance(state, PureState) else state
+def _descending_populations(rho: State, h: Operator, context: str):
+    """``rho`` as a density matrix, checked against ``h``, and its eigenvalues
+    in descending order."""
+    if not h.hermitian:
+        raise ValueError(f"{context} requires a hermitian reference Hamiltonian")
+    rho = rho.density() if isinstance(rho, PureState) else rho
+    if rho.dim != h.dim:
+        raise ValueError(f"dimension mismatch: state {rho.dim}, hamiltonian {h.dim}")
+    return rho, np.sort(np.linalg.eigvalsh(rho.entries))[::-1]
 
 
 def passive_state(rho: State, h: Operator) -> DensityMatrix:
@@ -179,12 +188,7 @@ def passive_state(rho: State, h: Operator) -> DensityMatrix:
     Ties among energy levels are broken in index order; the resulting energy
     (hence the ergotropy) is unaffected by that choice.
     """
-    if not h.hermitian:
-        raise ValueError("passive_state requires a hermitian reference Hamiltonian")
-    rho = _density(rho)
-    if rho.dim != h.dim:
-        raise ValueError(f"dimension mismatch: state {rho.dim}, hamiltonian {h.dim}")
-    populations = np.sort(np.linalg.eigvalsh(rho.entries))[::-1]
+    rho, populations = _descending_populations(rho, h, "passive_state")
     populations = np.clip(populations, 0.0, None)
     populations = populations / populations.sum()
     _, levels = eigh(h)
@@ -198,11 +202,6 @@ def ergotropy(rho: State, h: Operator) -> float:
     populations paired with ascending levels).  For a pure state this equals
     the energy above the ground state of ``h``.
     """
-    if not h.hermitian:
-        raise ValueError("ergotropy requires a hermitian reference Hamiltonian")
-    rho = _density(rho)
-    if rho.dim != h.dim:
-        raise ValueError(f"dimension mismatch: state {rho.dim}, hamiltonian {h.dim}")
-    populations = np.sort(np.linalg.eigvalsh(rho.entries))[::-1]
+    rho, populations = _descending_populations(rho, h, "ergotropy")
     levels = np.linalg.eigvalsh(h.matrix)
     return float(np.trace(h.matrix @ rho.entries).real - populations @ levels)

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import evolve_static, sample_trajectory
+from .dynamics import _spectral, evolve_static, sample_trajectory
 from .model import (
     HamiltonianSet,
     SystemSpec,
@@ -36,6 +36,11 @@ from .qalg import (
 
 # Fraction of the stored cell energy each Bell state hands to the hub.
 _TRANSFER_FRACTION = {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 1.0, (1, 1): 0.0}
+
+# Blocking conditions: rho11 == rho44 within _BLOCKING_TOL, and a current
+# below _BLOCKING_TOL * hbar*omega*J at every sample of two transfer times.
+_BLOCKING_TOL = 1e-9
+_EMPTY_HUB = np.diag([1.0, 0.0]).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -105,8 +110,8 @@ class TrapReport:
 def trapping_check(h_int: Operator, hs: HamiltonianSet, psi: PureState,
                    tol: float = 1e-10) -> TrapReport:
     """Test whether ``psi`` keeps the battery energy locked under ``h_int``."""
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     if h_int.dim != psi.dim:
         raise ValueError(f"dimension mismatch: operator {h_int.dim}, state {psi.dim}")
     amps = psi.amplitudes
@@ -151,17 +156,12 @@ def blocking_state_from_constraints() -> DensityMatrix:
     rho33 = (1.0 - 2.0 * rho11) / 2.0
     rho22 = 1.0 - 2.0 * rho11 - rho33
     rho44 = rho11
-    mat = np.zeros((4, 4), dtype=complex)
-    mat[0, 0] = rho11
-    mat[1, 1] = rho22
-    mat[2, 2] = rho33
-    mat[3, 3] = rho44
+    mat = np.diag([rho11, rho22, rho33, rho44]).astype(complex)
     mat[1, 2] = mat[2, 1] = rho23
     return DensityMatrix(2, mat)
 
 
-def blocking_conditions(rho_battery: DensityMatrix, spec: SystemSpec,
-                        n_times: int = 32, ec_tol: float = 1e-9):
+def blocking_conditions(rho_battery: DensityMatrix, spec: SystemSpec):
     """Evaluate the two blocking conditions for a battery density matrix.
 
     Returns (passes_available_energy, passes_zero_ec, max_abs_ec).  The
@@ -170,15 +170,24 @@ def blocking_conditions(rho_battery: DensityMatrix, spec: SystemSpec,
     the zero-current condition is tested by direct simulation over one full
     transfer period.
     """
-    diag = np.diagonal(rho_battery.entries).real
-    ca = bool(abs(diag[0] - diag[3]) <= ec_tol)
-    rho_full = np.kron(rho_battery.entries, np.diag([1.0, 0.0]).astype(complex))
-    max_ec = float(np.abs(_ec_samples(rho_full[None, :, :], spec, n_times)).max())
-    cb = bool(max_ec <= ec_tol * spec.omega * spec.j_coupling)
-    return ca, cb, max_ec
+    ca, cb, max_ec = _blocking_batch(rho_battery.entries[None], spec)
+    return bool(ca[0]), bool(cb[0]), float(max_ec[0])
 
 
-def _ec_samples(rho_full_batch: np.ndarray, spec: SystemSpec, n_times: int) -> np.ndarray:
+def _blocking_batch(rho_batch: np.ndarray, spec: SystemSpec):
+    """Both blocking conditions for (n, 4, 4) battery states, with an empty hub.
+
+    Returns the per-state (passes_available, passes_zero_ec, max_abs_ec).
+    """
+    full = np.einsum("nab,cd->nacbd", rho_batch, _EMPTY_HUB).reshape(-1, 8, 8)
+    max_ec = np.abs(_ec_samples(full, spec)).max(axis=1)
+    diag = np.einsum("naa->na", rho_batch).real
+    pass_ca = np.abs(diag[:, 0] - diag[:, 3]) <= _BLOCKING_TOL
+    pass_cb = max_ec <= _BLOCKING_TOL * spec.omega * spec.j_coupling
+    return pass_ca, pass_cb, max_ec
+
+
+def _ec_samples(rho_full_batch: np.ndarray, spec: SystemSpec, n_times: int = 32) -> np.ndarray:
     """Energy current tr(P_hat(t) rho(t)) on a time grid, batched over states.
 
     Evolution runs in the frame co-moving with the bare Hamiltonian, where the
@@ -186,13 +195,9 @@ def _ec_samples(rho_full_batch: np.ndarray, spec: SystemSpec, n_times: int) -> n
     """
     hs = hamiltonian_set(spec)
     p_hat = ec_operator(hs.h0_hub, hs.h_charging)
-    taud = discharge_time(spec)
-    times = np.linspace(0.0, 2.0 * taud, n_times)
-    w, v = np.linalg.eigh(hs.h_charging.matrix)
-    heis = np.empty((n_times, 8, 8), dtype=complex)
-    for k, t in enumerate(times):
-        u = (v * np.exp(-1j * w * t)) @ v.conj().T
-        heis[k] = u.conj().T @ p_hat.matrix @ u
+    times = np.linspace(0.0, 2.0 * discharge_time(spec), n_times)
+    u = _spectral(hs.h_charging, np.eye(8), times)
+    heis = u.conj().transpose(0, 2, 1) @ p_hat.matrix @ u
     return np.einsum("kab,nba->nk", heis, rho_full_batch).real
 
 
@@ -217,9 +222,8 @@ class UniquenessScanReport:
 
 
 def trapping_uniqueness_scan(n_random: int, tol: float = 1e-3, *,
-                             seed: int = 42, spec: SystemSpec | None = None,
-                             n_times: int = 32, ec_tol: float = 1e-9,
-                             n_unrestricted: int | None = None) -> UniquenessScanReport:
+                             seed: int = 42,
+                             spec: SystemSpec | None = None) -> UniquenessScanReport:
     """Search the battery-state space for energy-blocking states.
 
     Samples ``n_random`` states from the restricted family (diagonal plus a
@@ -227,10 +231,12 @@ def trapping_uniqueness_scan(n_random: int, tol: float = 1e-3, *,
     conditions, and records any state passing both that is farther than
     ``tol`` in trace distance from the singlet projector.  An additional
     unrestricted random-density-matrix scan is run and reported rather than
-    asserted empty.
+    asserted empty; it draws as many states as the restricted one.
     """
     if n_random < 1:
         raise ValueError(f"n_random must be >= 1, got {n_random}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     spec = spec or SystemSpec()
     rng = np.random.default_rng(seed)
     singlet = bell_state(BellLabel(1, 1)).density()
@@ -243,19 +249,11 @@ def trapping_uniqueness_scan(n_random: int, tol: float = 1e-3, *,
     u = rng.uniform(-1.0, 1.0, size=n_random)
     rho23 = u * np.sqrt(diags[:, 1] * diags[:, 2])
     batch = np.zeros((n_random, 4, 4), dtype=complex)
-    batch[:, 0, 0] = diags[:, 0]
-    batch[:, 1, 1] = diags[:, 1]
-    batch[:, 2, 2] = diags[:, 2]
-    batch[:, 3, 3] = diags[:, 3]
+    batch[:, range(4), range(4)] = diags
     batch[:, 1, 2] = batch[:, 2, 1] = rho23
 
     def _scan(rho_batch: np.ndarray):
-        empty = np.diag([1.0, 0.0]).astype(complex)
-        full = np.einsum("nab,cd->nacbd", rho_batch, empty).reshape(-1, 8, 8)
-        currents = _ec_samples(full, spec, n_times)
-        pass_cb = np.abs(currents).max(axis=1) <= ec_tol * spec.omega * spec.j_coupling
-        diag = np.einsum("naa->na", rho_batch).real
-        pass_ca = np.abs(diag[:, 0] - diag[:, 3]) <= ec_tol
+        pass_ca, pass_cb, _ = _blocking_batch(rho_batch, spec)
         both = pass_ca & pass_cb
         counters = []
         for idx in np.nonzero(both)[0]:
@@ -267,8 +265,7 @@ def trapping_uniqueness_scan(n_random: int, tol: float = 1e-3, *,
     n_ca, n_cb, n_both, counters = _scan(batch)
 
     # Unrestricted scan: Ginibre-random density matrices.
-    n_unres = n_random if n_unrestricted is None else n_unrestricted
-    g = rng.normal(size=(n_unres, 4, 4)) + 1j * rng.normal(size=(n_unres, 4, 4))
+    g = rng.normal(size=(n_random, 4, 4)) + 1j * rng.normal(size=(n_random, 4, 4))
     wish = g @ g.conj().transpose(0, 2, 1)
     wish /= np.einsum("naa->n", wish).real[:, None, None]
     _, _, n_unres_both, unres_counters = _scan(wish)
@@ -280,7 +277,7 @@ def trapping_uniqueness_scan(n_random: int, tol: float = 1e-3, *,
         n_pass_zero_ec=n_cb,
         n_pass_both=n_both,
         counterexamples=counters,
-        n_unrestricted=n_unres,
+        n_unrestricted=n_random,
         n_unrestricted_pass_both=n_unres_both,
         unrestricted_counterexamples=unres_counters,
         seed=seed,
@@ -374,12 +371,12 @@ class SeparableSweepResult:
 
 
 def separable_sweep(grid_n: int, spec: SystemSpec = SystemSpec(), *,
-                    seed: int = 42, n_spot_checks: int = 24) -> SeparableSweepResult:
+                    seed: int = 42) -> SeparableSweepResult:
     """Scan the phase-optimized peak charge over [0, 1]^2.
 
     The optimum over the relative phase is at theta1 == theta2.  A random
-    subsample of grid points is cross-checked against direct three-qubit
-    simulation; disagreement beyond 1e-9 raises.
+    subsample of 24 grid points is cross-checked against direct three-qubit
+    simulation; disagreement beyond 1e-9 * max(1, omega) raises.
     """
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
@@ -391,12 +388,12 @@ def separable_sweep(grid_n: int, spec: SystemSpec = SystemSpec(), *,
     hs = hamiltonian_set(spec)
     taud = discharge_time(spec)
     rng = np.random.default_rng(seed)
-    flat = rng.choice(grid_n * grid_n, size=min(n_spot_checks, grid_n * grid_n), replace=False)
+    flat = rng.choice(grid_n * grid_n, size=min(24, grid_n * grid_n), replace=False)
     for idx in flat:
         i, j = divmod(int(idx), grid_n)
         state = separable_state(SeparableParams(betas[i], betas[j])).tensor(ket("0"))
         simulated = charge(evolve_static(hs.h_charging, state, taud), hs)
-        if abs(simulated - surface[i, j] * spec.full_cell_energy) > 1e-9:
+        if abs(simulated - surface[i, j] * spec.full_cell_energy) > 1e-9 * max(1.0, spec.omega):
             raise RuntimeError(
                 f"separable closed form disagrees with simulation at beta=({betas[i]}, {betas[j]})")
 
@@ -425,25 +422,22 @@ def single_particle_baseline(t: float, spec: SystemSpec) -> float:
 def single_particle_system(spec: SystemSpec):
     """Two-qubit model (battery, hub) for the single-particle baseline.
 
-    Returns (hamiltonians, coupling-frame ec operator); the battery qubit is
-    site 0, the hub site 1.
+    The battery qubit is site 0, the hub site 1.
     """
     term = qubit_energy_term(spec.omega)
     h_b = embed(term, [0], 2)
     h_a = embed(term, [1], 2)
     xy = tensor(pauli("x"), pauli("x")) + tensor(pauli("y"), pauli("y"))
     h_int = spec.j_coupling * xy
-    hs = HamiltonianSet(h0_battery=h_b, h0_hub=h_a, h0_total=h_b + h_a,
-                        h_charging=h_int, e_empty=-spec.omega)
-    return hs, ec_operator(h_a, h_int)
+    return HamiltonianSet(h0_battery=h_b, h0_hub=h_a, h0_total=h_b + h_a,
+                          h_charging=h_int, e_empty=-spec.omega)
 
 
 def single_particle_trajectory(spec: SystemSpec, t_final: float,
                                n_samples: int) -> "TimeSeries":
     """Simulated charge/current channels for the one-qubit battery."""
-    hs, p_hat = single_particle_system(spec)
-    psi0 = ket("10")
-    return sample_trajectory(hs.h_charging, psi0, t_final, n_samples, hs, p_hat)
+    hs = single_particle_system(spec)
+    return sample_trajectory(hs.h_charging, ket("10"), t_final, n_samples, hs)
 
 
 class CellAction(Enum):

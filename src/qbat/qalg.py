@@ -77,10 +77,6 @@ class Operator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def dagger(self) -> "Operator":
-        return Operator(self.n_qubits, self.matrix.conj().T,
-                        hermitian=self.hermitian, unitary=self.unitary)
-
     def __add__(self, other: "Operator") -> "Operator":
         self._check_same_dim(other)
         return Operator(self.n_qubits, self.matrix + other.matrix,
@@ -195,13 +191,11 @@ Role = Union[BatteryQubit, HubQubit]
 class QubitLayout:
     """Ordered role assignment of qubits to battery cells and hub qubits.
 
-    Each cell owns exactly two battery slots and one hub qubit.  The basis
-    ordering tag documents the fixed big-endian convention (qubit 0 most
-    significant).
+    Each cell owns exactly two battery slots and one hub qubit; site indices
+    follow the package's big-endian basis order (qubit 0 most significant).
     """
 
     roles: tuple
-    ordering: str = "qubit0-most-significant"
 
     def __post_init__(self):
         roles = tuple(self.roles)
@@ -273,10 +267,6 @@ def pauli(axis: str) -> Operator:
     if key not in _PAULI_MATRICES:
         raise ValueError(f"unknown Pauli axis {axis!r}; expected one of i, x, y, z")
     return Operator(1, _PAULI_MATRICES[key], hermitian=True, unitary=True)
-
-
-def identity(n_qubits: int) -> Operator:
-    return Operator(n_qubits, np.eye(2**n_qubits), hermitian=True, unitary=True)
 
 
 def tensor(*ops: Operator) -> Operator:

@@ -79,7 +79,7 @@ def test_initial_ground_state_is_stored_cell():
 
 
 def test_parity_check():
-    report = parity_check(AdiabaticSpec(tau=3.0), n_samples=33)
+    report = parity_check(AdiabaticSpec(tau=3.0))
     assert report.passed
     assert report.max_commutator_norm <= 1e-12
     assert report.parity_initial == pytest.approx(report.parity_target, abs=1e-9)
@@ -233,6 +233,18 @@ def test_driven_charge_rate_matches_current_channel():
     deriv = (report.series.charge[2:] - report.series.charge[:-2]) / (2 * dt)
     rel = np.abs(deriv - report.series.ec[1:-1]).max() / np.abs(report.series.ec).max()
     assert rel <= max(1e-6, 10 * dt**2)
+
+
+def test_drive_recording_across_chunk_boundaries():
+    # 41 and 81 samples share one 10,240-step grid, which crosses the
+    # 8,192-step chunk; rows at shared times must come from the same states
+    spec = AdiabaticSpec(tau=40.0)
+    coarse = run_discharge(spec, n_samples=41).series
+    fine = run_discharge(spec, n_samples=81).series
+    for name in ("charge", "ec"):
+        assert np.abs(getattr(fine, name)[::2] - getattr(coarse, name)).max() <= 1e-12
+    for name, channel in coarse.extra.items():
+        assert np.abs(fine.extra[name][::2] - channel).max() <= 1e-12
 
 
 def test_run_discharge_uses_the_dynamics_stepper():

@@ -214,14 +214,13 @@ def test_adiabatic_rejects_nonpositive_jtau(capsys):
 
 
 def test_readme_quickstart():
-    from qbat import (SystemSpec, hamiltonian_set, ec_operator, sample_trajectory,
+    from qbat import (SystemSpec, hamiltonian_set, sample_trajectory,
                       BellLabel, bell_with_empty_hub, discharge_time)
 
     spec = SystemSpec(omega=1.0, j_coupling=1.0)
     hs = hamiltonian_set(spec)
-    p_hat = ec_operator(hs.h0_hub, hs.h_charging)
     series = sample_trajectory(hs.h_charging, bell_with_empty_hub(BellLabel(1, 0)),
-                               2 * discharge_time(spec), 257, hs, p_hat)
+                               2 * discharge_time(spec), 257, hs)
     assert series.charge.max() == pytest.approx(2.0, abs=1e-12)
 
 
@@ -235,8 +234,43 @@ def test_readme_quickstart():
     ["adiabatic", "--jtau", "5", "--j", "inf"],
     ["sweep-tau", "--from", "0", "--to", "inf", "--points", "2"],
     ["sweep-tau", "--from", "nan", "--to", "1", "--points", "2"],
+    ["trap-check", "--tol", "nan"],
+    ["trap-check", "--tol", "inf"],
+    ["trap-scan", "--samples", "20", "--tol", "nan"],
 ])
 def test_non_finite_values_are_parameter_errors(capsys, args):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+_AT_CEILING = [
+    ["separable", "--grid", "5", "--omega", "1e12"],
+    ["ncell", "--plan", "f,H,h", "--omega", "1e12"],
+    ["discharge", "--bell", "10", "--j", "1e12"],
+    ["discharge", "--bell", "10", "--omega", "1e12", "--j", "1e12"],
+    ["trap-check", "--omega", "1e12", "--j", "1e12"],
+    ["trap-scan", "--samples", "20", "--omega", "1e12", "--j", "1e12"],
+    ["single-particle", "--omega", "1e12", "--j", "1e12"],
+    ["adiabatic", "--jtau", "1", "--samples", "9", "--omega", "1e12", "--j", "1e12"],
+    ["sweep-tau", "--from", "1", "--to", "2", "--points", "2", "--j", "1e12"],
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("args", _AT_CEILING)
+def test_rates_at_the_ceiling_run(capsys, args):
+    code, out, err = run_cli(args, capsys)
+    assert code == 0
+    assert err == "" and out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value", ["1.000001e12", "1e200", "1e308"])
+@pytest.mark.parametrize("args", _AT_CEILING)
+def test_rates_above_the_ceiling_are_parameter_errors(capsys, args, value):
+    args = [value if a == "1e12" else a for a in args]
     code, out, err = run_cli(args, capsys)
     assert code == 2
     assert out == ""

@@ -114,44 +114,42 @@ def test_interaction_picture_roundtrip_and_identity(hs):
     assert np.abs(rotated.matrix - hs.h_charging.matrix).max() <= 1e-12
 
 
-def test_sample_trajectory_trapped_state(hs, p_hat):
+def test_sample_trajectory_trapped_state(hs):
     series = sample_trajectory(hs.h_charging, bell_with_empty_hub(BellLabel(1, 1)),
-                               2 * TAUD, 64, hs, p_hat)
+                               2 * TAUD, 64, hs)
     assert np.abs(series.ec).max() <= 1e-12
     assert np.abs(series.charge).max() <= 1e-12
     assert series.extra["fidelity_initial"].min() >= 1.0 - 1e-12
 
 
-def test_sample_trajectory_matches_closed_form(hs, p_hat):
+def test_sample_trajectory_matches_closed_form(hs):
     series = sample_trajectory(hs.h_charging, bell_with_empty_hub(BellLabel(1, 0)),
-                               2 * TAUD, 128, hs, p_hat)
+                               2 * TAUD, 128, hs)
     closed = 2.0 * np.sin(2 * math.sqrt(2) * series.times) ** 2
     assert np.abs(series.charge - closed).max() <= 1e-9
 
 
-def test_sample_trajectory_endpoints_only(hs, p_hat):
+def test_sample_trajectory_endpoints_only(hs):
     series = sample_trajectory(hs.h_charging, bell_with_empty_hub(BellLabel(1, 0)),
-                               TAUD, 2, hs, p_hat)
+                               TAUD, 2, hs)
     assert series.n_samples == 2
     assert series.charge[0] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_sample_trajectory_timedep_matches_static(hs, p_hat):
-    psi0 = bell_with_empty_hub(BellLabel(0, 0))
-
-    def h_of(_s):
-        return hs.h_charging
-
-    static = sample_trajectory(hs.h_charging, psi0, TAUD, 17, hs, p_hat)
-    stepped = sample_trajectory(h_of, psi0, TAUD, 17, hs, p_hat)
-    assert np.abs(static.charge - stepped.charge).max() <= 1e-10
-    assert np.abs(static.ec - stepped.ec).max() <= 1e-10
+def test_lab_frame_current_matches_rotating_frame(hs):
+    # the current is formed from the H it is given: in the lab frame that is
+    # (1/i)[H0_hub, H0_total + H_c], which must give the co-moving frame's
+    psi0 = bell_with_empty_hub(BellLabel(1, 0))
+    lab = sample_trajectory(hs.h0_total + hs.h_charging, psi0, 2 * TAUD, 129, hs)
+    rotating = sample_trajectory(hs.h_charging, psi0, 2 * TAUD, 129, hs)
+    assert np.abs(rotating.ec).max() > 1.0
+    assert np.abs(lab.ec - rotating.ec).max() <= 1e-9
 
 
-def test_finite_difference_matches_ec_channel(hs, p_hat):
+def test_finite_difference_matches_ec_channel(hs):
     n = 1024
     series = sample_trajectory(hs.h_charging, bell_with_empty_hub(BellLabel(1, 0)),
-                               2 * TAUD, n, hs, p_hat)
+                               2 * TAUD, n, hs)
     dt = series.times[1] - series.times[0]
     deriv = (series.charge[2:] - series.charge[:-2]) / (2 * dt)
     err = np.abs(deriv - series.ec[1:-1]).max()
@@ -260,9 +258,9 @@ def test_default_stepping_is_converged(hs):
     assert abs(base.fidelity(fine) - 1.0) <= 1e-8
 
 
-def test_timeseries_records(hs, p_hat):
+def test_timeseries_records(hs):
     series = sample_trajectory(hs.h_charging, bell_with_empty_hub(BellLabel(1, 0)),
-                               TAUD, 5, hs, p_hat)
+                               TAUD, 5, hs)
     records = series.records()
     assert len(records) == 5
     assert records[0].time == 0.0
@@ -274,12 +272,12 @@ def test_dephasing_requires_two_qubits():
         collective_dephasing_fixpoint(ket("0").density(), 1.0, 1.0)
 
 
-def test_sample_trajectory_validation(hs, p_hat):
+def test_sample_trajectory_validation(hs):
     psi0 = bell_with_empty_hub(BellLabel(1, 0))
     with pytest.raises(ValueError):
-        sample_trajectory(hs.h_charging, psi0, TAUD, 1, hs, p_hat)
+        sample_trajectory(hs.h_charging, psi0, TAUD, 1, hs)
     with pytest.raises(ValueError):
-        sample_trajectory(hs.h_charging, psi0, 0.0, 8, hs, p_hat)
+        sample_trajectory(hs.h_charging, psi0, 0.0, 8, hs)
 
 
 def test_dephasing_preserves_whole_dfs():
@@ -293,17 +291,3 @@ def test_dephasing_preserves_whole_dfs():
         rho = PureState(2, amp).density()
         out = collective_dephasing_fixpoint(rho, 1.3, 4.0)
         assert np.abs(out.entries - rho.entries).max() <= 1e-15
-
-
-def test_sampled_stepping_across_chunk_boundaries(hs, p_hat):
-    # recording stays aligned when the stepper spans multiple internal chunks
-    psi0 = bell_with_empty_hub(BellLabel(0, 0))
-
-    def h_of(_s):
-        return hs.h_charging
-
-    t_final = 40.0  # 10240 default steps, crosses the 8192-step chunk
-    stepped = sample_trajectory(h_of, psi0, t_final, 41, hs, p_hat)
-    static = sample_trajectory(hs.h_charging, psi0, t_final, 41, hs, p_hat)
-    assert np.abs(stepped.charge - static.charge).max() <= 1e-9
-    assert np.abs(stepped.ec - static.ec).max() <= 1e-9

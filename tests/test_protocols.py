@@ -53,13 +53,13 @@ def test_closed_form_g_table(spec):
     assert bell_charge_closed_form(BellLabel(0, 1), taud, spec) == pytest.approx(1.0)
 
 
-def test_closed_form_matches_simulation_all_labels(spec, hs, p_hat):
+def test_closed_form_matches_simulation_all_labels(spec, hs):
     taud = discharge_time(spec)
     for n in (0, 1):
         for m in (0, 1):
             label = BellLabel(n, m)
             series = sample_trajectory(hs.h_charging, bell_with_empty_hub(label),
-                                       2 * taud, 64, hs, p_hat)
+                                       2 * taud, 64, hs)
             closed = [bell_charge_closed_form(label, t, spec) for t in series.times]
             assert np.abs(series.charge - np.array(closed)).max() <= 1e-9
 
@@ -77,9 +77,9 @@ def test_trapping_check_candidates(spec, hs):
     assert empty.trapped and empty.h_eigenvalue == pytest.approx(0.0, abs=1e-12)
 
 
-def test_trapping_persistence(spec, hs, p_hat):
+def test_trapping_persistence(spec, hs):
     series = sample_trajectory(hs.h_charging, bell_with_empty_hub(BellLabel(1, 1)),
-                               2 * discharge_time(spec), 256, hs, p_hat)
+                               2 * discharge_time(spec), 256, hs)
     assert np.abs(series.ec).max() <= 1e-12
     assert series.extra["fidelity_initial"].min() >= 1.0 - 1e-12
 
@@ -217,14 +217,14 @@ def test_ncell_plan_parsing_and_energy(spec):
         NCellPlan.parse("f,x")
 
 
-def test_ncell_all_full_and_all_hold(spec, hs, p_hat):
+def test_ncell_all_full_and_all_hold(spec, hs):
     total, _ = ncell_plan_energy(NCellPlan.parse("f,f,f,f"), spec)
     assert total == pytest.approx(8.0, abs=1e-9)
     total, per_cell = ncell_plan_energy(NCellPlan.parse("h,h"), spec)
     assert total == pytest.approx(0.0, abs=1e-9)
     # held cells carry no current at any sampled time
     series = sample_trajectory(hs.h_charging, cell_state_after_action(CellAction.HOLD),
-                               2 * discharge_time(spec), 32, hs, p_hat)
+                               2 * discharge_time(spec), 32, hs)
     assert np.abs(series.ec).max() <= 1e-12
 
 

@@ -26,7 +26,6 @@ from .adiabatic import (
     sweep_tau,
 )
 from .dynamics import (
-    SteppingConfig,
     TimeSeries,
     collective_dephasing_fixpoint,
     evolve_static,
@@ -36,7 +35,6 @@ from .dynamics import (
     to_interaction_picture,
 )
 from .model import (
-    ChargeRecord,
     HamiltonianSet,
     SystemSpec,
     bare_hamiltonian,
@@ -72,12 +70,9 @@ from .protocols import (
     trapping_uniqueness_scan,
 )
 from .qalg import (
-    BatteryQubit,
     DensityMatrix,
-    HubQubit,
     Operator,
     PureState,
-    QubitLayout,
     commutator,
     eigh,
     embed,

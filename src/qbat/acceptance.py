@@ -16,7 +16,7 @@ import numpy as np
 
 from . import adiabatic, dynamics, model, protocols
 from .adiabatic import AdiabaticSpec, Schedule
-from .dynamics import SteppingConfig, evolve_static, evolve_timedep, sample_trajectory
+from .dynamics import evolve_static, evolve_timedep, sample_trajectory
 from .model import SystemSpec, charge, ergotropy, hamiltonian_set
 from .protocols import (
     BellLabel,
@@ -33,7 +33,7 @@ from .protocols import (
     switch_gate,
     trapping_uniqueness_scan,
 )
-from .qalg import PureState, QubitLayout, embed, ket, trace_distance
+from .qalg import PureState, embed, ket, trace_distance
 
 E0 = 2.0  # full cell energy at omega = 1
 
@@ -247,7 +247,6 @@ def ac9_adiabatic_stability(seed: int = 42) -> CriterionResult:
     leakage into the unreachable ground state must stay at numerical zero for
     every run performed.
     """
-    stepping = SteppingConfig()
     charge_floor = 0.999 * E0
     tail_ceiling = 1e-3
     candidates = [10.0, 20.0, 40.0, 80.0, 160.0, 320.0, 640.0, 1280.0]
@@ -257,7 +256,7 @@ def ac9_adiabatic_stability(seed: int = 42) -> CriterionResult:
     def run(jtau, schedule):
         key = (jtau, schedule)
         if key not in cache:
-            spec = AdiabaticSpec(tau=jtau, schedule=schedule, stepping=stepping)
+            spec = AdiabaticSpec(tau=jtau, schedule=schedule)
             # ~8 samples per unit Jt keep the oscillating current tail from
             # being undersampled (its peaks converge by ~4 samples/period)
             n_samples = max(513, int(math.ceil(8.0 * jtau)) | 1)
@@ -291,7 +290,7 @@ def ac9_adiabatic_stability(seed: int = 42) -> CriterionResult:
     charges_ok = all(r.final_charge >= charge_floor for r in final)
     tails_ok = all(r.ec_tail <= tail_ceiling for r in final)
 
-    parity = adiabatic.parity_check(AdiabaticSpec(tau=t_joint, stepping=stepping))
+    parity = adiabatic.parity_check(AdiabaticSpec(tau=t_joint))
     ok = (charges_ok and tails_ok and worst_leakage <= 1e-10
           and parity.max_commutator_norm <= 1e-12 and parity.passed)
     detail = (f"charge threshold Jtau = {t_charge:g}, joint threshold T* = {t_joint:g}; "
@@ -381,7 +380,7 @@ def ac13_ncell(seed: int = 42) -> CriterionResult:
                and abs(per_cell[1] - 1.0) <= 1e-9
                and abs(per_cell[2]) <= 1e-9)
 
-    two_cells = SystemSpec(layout=QubitLayout.cells(2))
+    two_cells = SystemSpec(n_cells=2)
     hs = hamiltonian_set(two_cells)
     taud = discharge_time(two_cells)
     cell_a = protocols.cell_state_after_action(CellAction.FULL)

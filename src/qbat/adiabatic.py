@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import SteppingConfig, TimeSeries, _midpoint_states, _observable_rows
+from .dynamics import STEPS_PER_UNIT_JT, TimeSeries, _midpoint_states, _observable_rows
 from .model import RATE_CEILING, SystemSpec, _ec_matrix, hamiltonian_set
 from .protocols import BellLabel, bell_with_empty_hub
 from .qalg import Operator, PureState, embed, ket, max_abs, pauli, tensor
@@ -46,7 +46,7 @@ def schedule_value(schedule: Schedule, s):
 
 @dataclass(frozen=True)
 class AdiabaticSpec:
-    """One adiabatic discharge run: coupling, total time, schedule, stepping.
+    """One adiabatic discharge run: coupling, total time and schedule.
 
     ``j_coupling`` is capped at ``model.RATE_CEILING``, like ``SystemSpec``'s.
     """
@@ -54,7 +54,6 @@ class AdiabaticSpec:
     tau: float
     j_coupling: float = 1.0
     schedule: Schedule = Schedule.LINEAR
-    stepping: SteppingConfig = field(default_factory=SteppingConfig)
 
     def __post_init__(self):
         if not 0 < self.tau < math.inf:
@@ -211,13 +210,13 @@ def _drive_channels(spec: AdiabaticSpec, psi0: PureState, omega: float, n_sample
     """Drive ``psi0`` and sample it uniformly: (times, states, charge, current).
 
     Every segment between samples takes the same whole number of steps, at
-    least ``spec.stepping``'s count in total.  The charge is the hub energy
+    least STEPS_PER_UNIT_JT per unit Jt in total.  The charge is the hub energy
     above its empty state, the current the expectation of (1/i)[H0_hub, H(t)]
     at each sample time.
     """
     hs = hamiltonian_set(SystemSpec(omega, spec.j_coupling))
     times = np.linspace(0.0, spec.tau, n_samples)
-    per_segment = max(1, math.ceil(spec.stepping.n_steps(spec.jtau) / (n_samples - 1)))
+    per_segment = math.ceil(math.ceil(STEPS_PER_UNIT_JT * spec.jtau) / (n_samples - 1))
     states = _midpoint_states(lambda s: _ht_stack(spec, s), psi0, spec.tau,
                               per_segment * (n_samples - 1), per_segment)
     p_stack = _ec_matrix(hs.h0_hub.matrix, _ht_stack(spec, times / spec.tau))
@@ -267,8 +266,7 @@ class SweepPoint:
 
 
 def sweep_tau(tau_values, omega: float = 1.0, *, j_coupling: float = 1.0,
-              stepping: SteppingConfig = SteppingConfig(), n_samples: int = 257,
-              max_workers: int = 1) -> list:
+              n_samples: int = 257, max_workers: int = 1) -> list:
     """Final transferred charge against total run time, for every schedule.
 
     Returns one SweepPoint per (tau, schedule) pair, ordered by the input tau
@@ -284,8 +282,7 @@ def sweep_tau(tau_values, omega: float = 1.0, *, j_coupling: float = 1.0,
         tau, schedule = job
         if tau == 0.0:
             return SweepPoint(0.0, schedule, 0.0, 0.0, 0.0, 0.0)
-        spec = AdiabaticSpec(tau=tau, j_coupling=j_coupling, schedule=schedule,
-                             stepping=stepping)
+        spec = AdiabaticSpec(tau=tau, j_coupling=j_coupling, schedule=schedule)
         report = run_discharge(spec, omega, n_samples=n_samples)
         return SweepPoint(
             jtau=spec.jtau,

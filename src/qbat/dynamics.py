@@ -15,33 +15,18 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .model import ChargeRecord, HamiltonianSet, ec_operator
+from .model import HamiltonianSet, ec_operator
 from .qalg import DensityMatrix, Operator, PureState
 
 HofS = Callable[[float], Operator]
 HStack = Callable[[np.ndarray], np.ndarray]  # s values (m,) -> Hamiltonians (m, d, d)
 
-_CHUNK = 2**13  # batched-eigh chunk size for long stepped evolutions
-
-
-@dataclass(frozen=True)
-class SteppingConfig:
-    """Step density for the exponential-midpoint integrator.
-
-    ``steps_per_unit_jt`` counts steps per unit of dimensionless Jt.
-    """
-
-    steps_per_unit_jt: int = 256
-    method: str = "exponential-midpoint"
-
-    def __post_init__(self):
-        if self.steps_per_unit_jt < 16:
-            raise ValueError(f"steps_per_unit_jt must be >= 16, got {self.steps_per_unit_jt}")
-        if self.method != "exponential-midpoint":
-            raise ValueError(f"unsupported stepping method {self.method!r}")
-
-    def n_steps(self, duration_jt: float) -> int:
-        return max(1, math.ceil(self.steps_per_unit_jt * duration_jt))
+# Batched-eigh chunk size for long stepped evolutions.  A chunk's 8x8 complex
+# stacks are 2 MiB each, below numpy's 4 MiB huge-page threshold, so a
+# drive holds a few MiB at a time and the peak memory of a threaded sweep
+# hardly depends on how its workers' chunks overlap.
+_CHUNK = 2**11
+STEPS_PER_UNIT_JT = 256  # midpoint steps per unit of dimensionless Jt, by default
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,11 +59,6 @@ class TimeSeries:
     @property
     def n_samples(self) -> int:
         return self.times.size
-
-    def records(self) -> list:
-        """The core channels as a list of ChargeRecord rows."""
-        return [ChargeRecord(time=float(t), charge=float(c), ec=float(p))
-                for t, c, p in zip(self.times, self.charge, self.ec)]
 
 
 def _require_hermitian(h: Operator, context: str) -> None:
@@ -153,19 +133,19 @@ def _stack_of(h_of: HofS, dim: int) -> HStack:
 
 
 def evolve_timedep(h_of: HofS, psi0: PureState, tau: float,
-                   cfg: SteppingConfig = SteppingConfig(),
                    n_steps: int | None = None) -> PureState:
     """Propagate under a Hamiltonian given as a function of s = t/tau in [0, 1].
 
-    ``tau`` is interpreted in the unit system in which the Hamiltonian entries
-    are O(1) (per unit Jt for couplings carrying J); callers with other scales
-    pass ``n_steps`` explicitly.
+    By default ``tau`` is taken in the unit system in which the Hamiltonian
+    entries are O(1) (Jt for couplings carrying J) and stepped at
+    STEPS_PER_UNIT_JT steps per unit; callers with other scales pass
+    ``n_steps`` explicitly.
     """
     if tau < 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
     if tau == 0:
         return psi0
-    n = n_steps if n_steps is not None else cfg.n_steps(tau)
+    n = n_steps if n_steps is not None else math.ceil(STEPS_PER_UNIT_JT * tau)
     if n < 1:
         raise ValueError(f"n_steps must be >= 1, got {n}")
     states = _midpoint_states(_stack_of(h_of, psi0.dim), psi0, tau, n, n)

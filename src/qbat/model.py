@@ -8,15 +8,15 @@ hbar = 1; energies are in units of hbar*omega (bare splittings) or hbar*J
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .qalg import (
+    MAX_QUBITS,
     DensityMatrix,
     Operator,
     PureState,
-    QubitLayout,
     State,
     embed,
     eigh,
@@ -42,18 +42,23 @@ class SystemSpec:
     j_coupling
         XY exchange strength between each battery qubit and its hub qubit.
         Both rates must lie in (0, RATE_CEILING].
-    layout
-        Qubit role assignment; default is one cell ordered B1, B2, hub.
+    n_cells
+        Number of independent cells, an integer in [1, MAX_QUBITS // 3].
+        Cell c owns qubits 3c and 3c+1 (its batteries) and 3c+2 (its hub),
+        in the package's big-endian order, so a single cell is (B1, B2, hub).
     """
 
     omega: float = 1.0
     j_coupling: float = 1.0
-    layout: QubitLayout = field(default_factory=QubitLayout.single_cell)
+    n_cells: int = 1
 
     def __post_init__(self):
         for name, rate in (("omega", self.omega), ("j_coupling", self.j_coupling)):
             if not 0 < rate <= RATE_CEILING:
                 raise ValueError(f"{name} must be > 0 and <= {RATE_CEILING:g}, got {rate}")
+        cells, most = self.n_cells, MAX_QUBITS // 3
+        if isinstance(cells, bool) or not isinstance(cells, int) or not 1 <= cells <= most:
+            raise ValueError(f"n_cells must be an integer in [1, {most}], got {cells!r}")
 
     @property
     def full_cell_energy(self) -> float:
@@ -81,16 +86,6 @@ class HamiltonianSet:
                 f"e_empty {self.e_empty} does not match hub ground energy {ground}")
 
 
-@dataclass(frozen=True)
-class ChargeRecord:
-    """One sampled point of a discharge run: time in 1/J, charge in hbar*omega,
-    energy-current in hbar*omega*J."""
-
-    time: float
-    charge: float
-    ec: float
-
-
 def qubit_energy_term(omega: float) -> Operator:
     """Single-qubit bare Hamiltonian omega * (|1><1| - |0><0|).
 
@@ -105,18 +100,17 @@ def bare_hamiltonian(spec: SystemSpec) -> HamiltonianSet:
 
     ``e_empty`` is the hub ground energy, -hbar*omega per hub qubit.
     """
-    layout = spec.layout
-    n = layout.n_qubits
+    n = 3 * spec.n_cells
     term = qubit_energy_term(spec.omega)
     zero = Operator(n, np.zeros((2**n, 2**n)), hermitian=True)
-    h_b = sum((embed(term, [q], n) for q in layout.battery_sites), start=zero)
-    h_a = sum((embed(term, [q], n) for q in layout.hub_sites), start=zero)
+    h_b = sum((embed(term, [q], n) for q in range(n) if q % 3 != 2), start=zero)
+    h_a = sum((embed(term, [q], n) for q in range(2, n, 3)), start=zero)
     return HamiltonianSet(
         h0_battery=h_b,
         h0_hub=h_a,
         h0_total=h_b + h_a,
         h_charging=None,
-        e_empty=-spec.omega * len(layout.hub_sites),
+        e_empty=-spec.omega * spec.n_cells,
     )
 
 
@@ -128,15 +122,12 @@ def charging_hamiltonian(spec: SystemSpec) -> Operator:
     This conserves the total excitation number, which underpins the
     closed-form discharge laws.
     """
-    layout = spec.layout
-    n = layout.n_qubits
+    n = 3 * spec.n_cells
     xx = tensor(pauli("x"), pauli("x"))
     yy = tensor(pauli("y"), pauli("y"))
     h = Operator(n, np.zeros((2**n, 2**n)), hermitian=True)
-    for cell in range(layout.n_cells):
-        hub = layout.hub_site(cell)
-        for slot in (1, 2):
-            b = layout.battery_site(cell, slot)
+    for hub in range(2, n, 3):
+        for b in (hub - 2, hub - 1):
             h = h + spec.j_coupling * (embed(xx, [b, hub], n) + embed(yy, [b, hub], n))
     return h
 

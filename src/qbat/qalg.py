@@ -173,86 +173,6 @@ class DensityMatrix:
 State = Union[PureState, DensityMatrix]
 
 
-@dataclass(frozen=True)
-class BatteryQubit:
-    cell: int
-    slot: int  # 1 or 2
-
-
-@dataclass(frozen=True)
-class HubQubit:
-    cell: int
-
-
-Role = Union[BatteryQubit, HubQubit]
-
-
-@dataclass(frozen=True)
-class QubitLayout:
-    """Ordered role assignment of qubits to battery cells and hub qubits.
-
-    Each cell owns exactly two battery slots and one hub qubit; site indices
-    follow the package's big-endian basis order (qubit 0 most significant).
-    """
-
-    roles: tuple
-
-    def __post_init__(self):
-        roles = tuple(self.roles)
-        object.__setattr__(self, "roles", roles)
-        if not roles:
-            raise ValueError("layout must contain at least one qubit")
-        if len(set(roles)) != len(roles):
-            raise ValueError("layout role assignments must be unique")
-        cells = sorted({r.cell for r in roles})
-        for cell in cells:
-            slots = sorted(r.slot for r in roles if isinstance(r, BatteryQubit) and r.cell == cell)
-            hubs = [r for r in roles if isinstance(r, HubQubit) and r.cell == cell]
-            if slots != [1, 2] or len(hubs) != 1:
-                raise ValueError(f"cell {cell} must have battery slots 1, 2 and one hub qubit")
-        if cells != list(range(len(cells))):
-            raise ValueError("cell indices must be contiguous starting at 0")
-
-    @classmethod
-    def single_cell(cls) -> "QubitLayout":
-        return cls.cells(1)
-
-    @classmethod
-    def cells(cls, n_cells: int) -> "QubitLayout":
-        """Default layout: per cell the qubit order is battery 1, battery 2, hub."""
-        if n_cells < 1:
-            raise ValueError("n_cells must be >= 1")
-        roles = []
-        for c in range(n_cells):
-            roles += [BatteryQubit(c, 1), BatteryQubit(c, 2), HubQubit(c)]
-        return cls(tuple(roles))
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.roles)
-
-    @property
-    def n_cells(self) -> int:
-        return len({r.cell for r in self.roles})
-
-    def site_of(self, role: Role) -> int:
-        return self.roles.index(role)
-
-    def battery_site(self, cell: int, slot: int) -> int:
-        return self.site_of(BatteryQubit(cell, slot))
-
-    def hub_site(self, cell: int) -> int:
-        return self.site_of(HubQubit(cell))
-
-    @property
-    def battery_sites(self) -> tuple:
-        return tuple(i for i, r in enumerate(self.roles) if isinstance(r, BatteryQubit))
-
-    @property
-    def hub_sites(self) -> tuple:
-        return tuple(i for i, r in enumerate(self.roles) if isinstance(r, HubQubit))
-
-
 _PAULI_MATRICES = {
     "i": np.eye(2, dtype=complex),
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -297,7 +217,7 @@ def embed(op: Operator, target_sites: Sequence[int], n_total: int) -> Operator:
     """Embed ``op`` so that its k-th tensor factor acts on ``target_sites[k]``.
 
     The remaining sites carry the identity; the result is expressed in the
-    layout's big-endian basis order.
+    package's big-endian basis order.
     """
     sites = [int(s) for s in target_sites]
     if len(sites) != op.n_qubits:

@@ -104,6 +104,21 @@ def test_trap_check_table(capsys):
     assert rows["empty_000"]["trapped"] == "true"
 
 
+@pytest.mark.parametrize("rates", [
+    ["--j", "1e8"],
+    ["--j", "1e12"],
+    ["--omega", "1e12", "--j", "1e12"],
+    ["--omega", "1e-6", "--j", "1e-6"],
+])
+def test_trap_check_verdict_is_scale_free(capsys, rates):
+    # the residuals grow with J and omega*J; the verdict must not
+    code, out, err = run_cli(["trap-check", *rates], capsys)
+    assert code == 0 and err == ""
+    trapped = {r["state"]: r["trapped"] for r in parse_csv(out)}
+    assert trapped == {"bell_00": "false", "bell_01": "false", "bell_10": "false",
+                       "bell_11": "true", "empty_000": "true"}
+
+
 def test_trap_scan_summary(capsys):
     code, out, _ = run_cli(["trap-scan", "--samples", "200"], capsys)
     assert code == 0

@@ -6,7 +6,6 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from qbat.dynamics import (
-    SteppingConfig,
     TimeSeries,
     collective_dephasing_fixpoint,
     evolve_static,
@@ -74,7 +73,7 @@ def test_evolve_timedep_constant_matches_static(hs):
     def h_of(_s):
         return hs.h_charging
 
-    stepped = evolve_timedep(h_of, psi0, tau, SteppingConfig(steps_per_unit_jt=16))
+    stepped = evolve_timedep(h_of, psi0, tau, n_steps=math.ceil(16 * tau))
     exact = evolve_static(hs.h_charging, psi0, tau)
     assert np.abs(stepped.amplitudes - exact.amplitudes).max() <= 1e-12
 
@@ -93,13 +92,6 @@ def test_evolve_timedep_second_order_convergence(hs):
            for n in (64, 128)]
     order = math.log2(err[0] / err[1])
     assert order >= 1.9
-
-
-def test_stepping_config_validation():
-    with pytest.raises(ValueError):
-        SteppingConfig(steps_per_unit_jt=8)
-    with pytest.raises(ValueError):
-        SteppingConfig(method="rk4")
 
 
 def test_interaction_picture_roundtrip_and_identity(hs):
@@ -253,18 +245,9 @@ def test_default_stepping_is_converged(hs):
         return build_ht(spec, s)
 
     psi0 = bell_with_empty_hub(BellLabel(1, 1))
-    base = evolve_timedep(h_of, psi0, spec.tau, SteppingConfig(steps_per_unit_jt=256))
-    fine = evolve_timedep(h_of, psi0, spec.tau, SteppingConfig(steps_per_unit_jt=512))
+    base = evolve_timedep(h_of, psi0, spec.tau)
+    fine = evolve_timedep(h_of, psi0, spec.tau, n_steps=math.ceil(512 * spec.tau))
     assert abs(base.fidelity(fine) - 1.0) <= 1e-8
-
-
-def test_timeseries_records(hs):
-    series = sample_trajectory(hs.h_charging, bell_with_empty_hub(BellLabel(1, 0)),
-                               TAUD, 5, hs)
-    records = series.records()
-    assert len(records) == 5
-    assert records[0].time == 0.0
-    assert records[-1].charge == pytest.approx(series.charge[-1])
 
 
 def test_dephasing_requires_two_qubits():

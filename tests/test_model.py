@@ -18,7 +18,6 @@ from qbat.protocols import BellLabel, bell_state, bell_with_empty_hub
 from qbat.qalg import (
     DensityMatrix,
     PureState,
-    QubitLayout,
     embed,
     expectation,
     ket,
@@ -32,6 +31,14 @@ def test_spec_validation():
         SystemSpec(omega=0.0)
     with pytest.raises(ValueError):
         SystemSpec(j_coupling=-1.0)
+
+
+@pytest.mark.parametrize("n_cells", [0, 5, 1.5, True])
+def test_n_cells_validation(n_cells):
+    # four cells fill MAX_QUBITS = 12 qubits; a bool is not a cell count
+    with pytest.raises(ValueError, match=r"^n_cells must be an integer in \[1, 4\], got ") as err:
+        SystemSpec(n_cells=n_cells)
+    assert "\n" not in str(err.value)
 
 
 def test_qubit_energy_term_excited_state():
@@ -116,7 +123,7 @@ def test_passive_state_of_pure_state_is_ground():
 
 
 def test_charge_additivity_over_cells():
-    two = SystemSpec(layout=QubitLayout.cells(2))
+    two = SystemSpec(n_cells=2)
     hs2 = hamiltonian_set(two)
     one = hamiltonian_set(SystemSpec())
     rng = np.random.default_rng(7)

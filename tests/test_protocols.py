@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from qbat.dynamics import evolve_static, sample_trajectory
@@ -30,7 +31,9 @@ from qbat.protocols import (
     trapping_check,
     trapping_uniqueness_scan,
 )
-from qbat.qalg import DensityMatrix, QubitLayout, embed, ket, partial_trace
+from qbat.qalg import DensityMatrix, embed, ket, partial_trace
+
+from conftest import I2, kron, raw_bare, raw_cell_coupling
 
 TAUD = math.pi / (4 * math.sqrt(2))
 
@@ -229,7 +232,7 @@ def test_ncell_all_full_and_all_hold(spec, hs):
 
 
 def test_two_cells_factorize(spec):
-    two = SystemSpec(layout=QubitLayout.cells(2))
+    two = SystemSpec(n_cells=2)
     hs2 = hamiltonian_set(two)
     one = hamiltonian_set(spec)
     taud = discharge_time(spec)
@@ -285,7 +288,30 @@ def test_family_current_amplitude_is_analytic(spec):
         rho23 = rng.uniform(-1, 1) * math.sqrt(diag[1] * diag[2])
         rho = np.diag(diag).astype(complex)
         rho[1, 2] = rho[2, 1] = rho23
-        full = np.kron(rho, np.diag([1.0, 0.0]).astype(complex))
-        simulated = np.abs(_ec_samples(full[None], spec, 64)).max()
+        simulated = np.abs(_ec_samples(rho[None], spec, 64)).max()
         amplitude = (diag[1] + diag[2] + 2 * rho23) / 2 + diag[3]
         assert simulated == pytest.approx(4 * math.sqrt(2) * amplitude * smax, abs=1e-12)
+
+
+def test_scan_current_matches_the_lifted_trace():
+    # oracle: the explicit trace over rho x |0><0| with the 8x8 Heisenberg-
+    # picture current, built by hand, for Ginibre states with complex coherences
+    from qbat.protocols import _ec_samples
+    omega, j = 1.3, 0.7
+    spec = SystemSpec(omega, j)
+    h = raw_cell_coupling(j)
+    h0_hub = kron(I2, I2, raw_bare(omega))
+    p_hat = (h0_hub @ h - h @ h0_hub) / 1j
+    times = np.linspace(0.0, 2 * discharge_time(spec), 32)
+    rng = np.random.default_rng(11)
+    g = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
+    rhos = g @ g.conj().transpose(0, 2, 1)
+    rhos /= np.einsum("naa->n", rhos).real[:, None, None]
+    empty_hub = np.diag([1.0, 0.0]).astype(complex)
+    oracle = np.empty((len(rhos), len(times)))
+    for k, t in enumerate(times):
+        u = scipy.linalg.expm(-1j * h * t)
+        heis = u.conj().T @ p_hat @ u
+        for n, rho in enumerate(rhos):
+            oracle[n, k] = np.trace(heis @ np.kron(rho, empty_hub)).real
+    assert np.abs(_ec_samples(rhos, spec) - oracle).max() <= 1e-12

@@ -4,12 +4,9 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from qbat.qalg import (
-    BatteryQubit,
     DensityMatrix,
-    HubQubit,
     Operator,
     PureState,
-    QubitLayout,
     commutator,
     eigenspace_projector,
     eigh,
@@ -143,23 +140,6 @@ def test_trace_distance():
     b = ket("1").density()
     assert trace_distance(a, b) == pytest.approx(1.0)
     assert trace_distance(a, a) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_layout_roles_and_sites():
-    layout = QubitLayout.cells(2)
-    assert layout.n_qubits == 6
-    assert layout.n_cells == 2
-    assert layout.battery_site(0, 1) == 0
-    assert layout.hub_site(0) == 2
-    assert layout.hub_site(1) == 5
-    assert layout.battery_sites == (0, 1, 3, 4)
-
-
-def test_layout_rejects_bad_cells():
-    with pytest.raises(ValueError):
-        QubitLayout((BatteryQubit(0, 1), BatteryQubit(0, 2)))  # no hub
-    with pytest.raises(ValueError):
-        QubitLayout((BatteryQubit(0, 1), BatteryQubit(0, 1), HubQubit(0)))
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,8 @@ spanned by the discharged state |00>|1> and the unreachable |11>|0>.  The
 three-qubit parity (product of z on all qubits) commutes with the drive at
 every instant, which forbids transitions into the unreachable ground state;
 slow driving therefore empties the cell into the hub with no energy backflow.
+The drive also conserves the excitation number, so it is stepped separately
+in each excitation sector: the stored singlet runs as a 3x3 real problem.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dynamics import STEPS_PER_UNIT_JT, TimeSeries, _midpoint_states, _observable_rows
-from .model import RATE_CEILING, SystemSpec, _ec_matrix, hamiltonian_set
+from .model import RATE_CEILING, SystemSpec, ec_operator, hamiltonian_set
 from .protocols import BellLabel, bell_with_empty_hub
 from .qalg import Operator, PureState, embed, ket, max_abs, pauli, tensor
 
@@ -83,13 +85,24 @@ def interpolation_parts(spec: AdiabaticSpec):
     return _interpolation_parts(float(spec.j_coupling))
 
 
-def _ht_stack(spec: AdiabaticSpec, s_values: np.ndarray) -> np.ndarray:
-    """Drive Hamiltonians [1-f]H_i + [1-f]f H_m + f H_f, one per s in ``s_values``."""
-    h_i, h_m, h_f = interpolation_parts(spec)
+def _part_weights(spec: AdiabaticSpec, s_values: np.ndarray):
+    """Weights 1-f, (1-f)f and f of the three interpolation parts at each s."""
     f = schedule_value(spec.schedule, s_values)
-    return ((1.0 - f)[:, None, None] * h_i.matrix
-            + ((1.0 - f) * f)[:, None, None] * h_m.matrix
-            + f[:, None, None] * h_f.matrix)
+    return 1.0 - f, (1.0 - f) * f, f
+
+
+# Computational-basis indices with k excitations, k = 0..3.  The drive's XX+YY
+# and ZZ terms have exactly zero elements between these sectors.
+_EXCITATION_SECTORS = tuple([i for i in range(8) if bin(i).count("1") == k] for k in range(4))
+
+
+def _ht_stack(spec: AdiabaticSpec, s_values: np.ndarray,
+              sector=tuple(range(8))) -> np.ndarray:
+    """Real drive Hamiltonians [1-f]H_i + [1-f]f H_m + f H_f, one per s in
+    ``s_values``, on the computational states ``sector`` (all eight by default)."""
+    block = np.ix_(sector, sector)
+    return sum(w[:, None, None] * h.matrix.real[block]
+               for w, h in zip(_part_weights(spec, s_values), interpolation_parts(spec)))
 
 
 def build_ht(spec: AdiabaticSpec, s: float) -> Operator:
@@ -166,8 +179,8 @@ def sector_basis(parity: int) -> np.ndarray:
     """
     if parity not in (-1, 1):
         raise ValueError(f"parity must be -1 or +1, got {parity}")
-    odd = parity < 0
-    return np.eye(8)[:, [i for i in range(8) if bin(i).count("1") % 2 == odd]]
+    return np.eye(8)[:, [i for k, sector in enumerate(_EXCITATION_SECTORS)
+                         if (-1) ** k == parity for i in sector]]
 
 
 def min_sector_gap(spec: AdiabaticSpec) -> float:
@@ -206,22 +219,39 @@ class DischargeReport:
             raise ValueError("target fidelity and forbidden leakage exceed unity")
 
 
+def _drive_states(spec: AdiabaticSpec, amplitudes: np.ndarray, n_samples: int,
+                  sector=tuple(range(8))) -> np.ndarray:
+    """Step ``amplitudes`` on the computational states ``sector`` under the
+    drive, returning the (n_samples, len(sector)) states at uniform times.
+
+    Every segment between samples takes the same whole number of steps, at
+    least STEPS_PER_UNIT_JT per unit Jt in total, whatever the sector.
+    """
+    per_segment = math.ceil(math.ceil(STEPS_PER_UNIT_JT * spec.jtau) / (n_samples - 1))
+    return _midpoint_states(lambda s: _ht_stack(spec, s, sector), amplitudes, spec.tau,
+                            per_segment * (n_samples - 1), per_segment)
+
+
 def _drive_channels(spec: AdiabaticSpec, psi0: PureState, omega: float, n_samples: int):
     """Drive ``psi0`` and sample it uniformly: (times, states, charge, current).
 
-    Every segment between samples takes the same whole number of steps, at
-    least STEPS_PER_UNIT_JT per unit Jt in total.  The charge is the hub energy
-    above its empty state, the current the expectation of (1/i)[H0_hub, H(t)]
-    at each sample time.
+    ``psi0`` is stepped once in each excitation sector it occupies, and the
+    sector states are scattered into the (n_samples, 8) state array.  The
+    charge is the hub energy above its empty state, the current the
+    expectation of (1/i)[H0_hub, H(t)] at each sample time, summed part by
+    part because it is linear in the weights of the interpolation parts.
     """
     hs = hamiltonian_set(SystemSpec(omega, spec.j_coupling))
     times = np.linspace(0.0, spec.tau, n_samples)
-    per_segment = math.ceil(math.ceil(STEPS_PER_UNIT_JT * spec.jtau) / (n_samples - 1))
-    states = _midpoint_states(lambda s: _ht_stack(spec, s), psi0, spec.tau,
-                              per_segment * (n_samples - 1), per_segment)
-    p_stack = _ec_matrix(hs.h0_hub.matrix, _ht_stack(spec, times / spec.tau))
+    states = np.zeros((n_samples, 8), dtype=complex)
+    for sector in _EXCITATION_SECTORS:
+        amplitudes = psi0.amplitudes[sector]
+        if np.any(amplitudes):
+            states[:, sector] = _drive_states(spec, amplitudes, n_samples, sector)
     charge_channel = _observable_rows(states, hs.h0_hub) - hs.e_empty
-    ec_channel = np.einsum("ki,kij,kj->k", states.conj(), p_stack, states).real
+    currents = [_observable_rows(states, ec_operator(hs.h0_hub, h))
+                for h in interpolation_parts(spec)]
+    ec_channel = sum(w * c for w, c in zip(_part_weights(spec, times / spec.tau), currents))
     return times, states, charge_channel, ec_channel
 
 

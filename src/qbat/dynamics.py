@@ -4,7 +4,9 @@ Constant Hamiltonians are propagated exactly through their eigendecomposition.
 Time-dependent ones use exponential-midpoint stepping: each step applies the
 exact exponential of the Hamiltonian sampled at the interval midpoint, so
 every step is exactly unitary and the global error is second order in the
-step size (exact for constant Hamiltonians).
+step size (exact for constant Hamiltonians).  The steps of each recording
+segment are formed as matrices in batches and multiplied pairwise into one
+segment propagator, so a state is touched once per segment, not per step.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ HStack = Callable[[np.ndarray], np.ndarray]  # s values (m,) -> Hamiltonians (m,
 
 # Batched-eigh chunk size for long stepped evolutions.  A chunk's 8x8 complex
 # stacks are 2 MiB each, below numpy's 4 MiB huge-page threshold, so a
-# drive holds a few MiB at a time and the peak memory of a threaded sweep
-# hardly depends on how its workers' chunks overlap.
+# full-space run holds a few MiB at a time (the drive's sector blocks far
+# less) and the peak memory of a threaded sweep hardly depends on how its
+# workers' chunks overlap.
 _CHUNK = 2**11
 STEPS_PER_UNIT_JT = 256  # midpoint steps per unit of dimensionless Jt, by default
 
@@ -94,29 +97,46 @@ def evolve_static(h: Operator, psi0: PureState, t: float) -> PureState:
     return PureState(psi0.n_qubits, _spectral(h, psi0.amplitudes, [t])[0])
 
 
-def _midpoint_states(h_stack: HStack, psi0: PureState, tau: float, n_steps: int,
+def _tree_product(u: np.ndarray) -> np.ndarray:
+    """Ordered products U[p-1] ... U[1] U[0] of (..., p, d, d) stacks.
+
+    Neighbouring pairs are multiplied in one batched matmul per level, so a
+    product of p factors takes ceil(log2 p) levels instead of p - 1 steps.
+    """
+    while u.shape[-3] > 1:
+        even = u.shape[-3] // 2 * 2
+        pairs = u[..., 1:even:2, :, :] @ u[..., 0:even:2, :, :]
+        u = np.concatenate([pairs, u[..., even:, :, :]], axis=-3)
+    return u[..., 0, :, :]
+
+
+def _midpoint_states(h_stack: HStack, psi0: np.ndarray, tau: float, n_steps: int,
                      every: int) -> np.ndarray:
     """Run the midpoint stepper, returning the state every ``every`` steps.
 
     ``h_stack`` maps an array of s = t/tau values to the (m, d, d) stack of
     Hamiltonian matrices; ``every`` divides ``n_steps``.  Row 0 is ``psi0``.
+    Hamiltonians are diagonalised in chunks of at most ``_CHUNK`` steps that
+    end on recording boundaries.  Each chunk's step unitaries
+    V diag(exp(-i w dt)) V^dagger are folded by ``_tree_product`` into one
+    propagator per segment (or per ``_CHUNK``-step piece of a longer
+    segment), which is applied to the state with a single matvec.
     """
     dt = tau / n_steps
-    psi = psi0.amplitudes.copy()
+    psi = np.asarray(psi0, dtype=complex)
     states = np.empty((n_steps // every + 1, psi.size), dtype=complex)
     states[0] = psi
-    recorded = 1
     done = 0
     while done < n_steps:
-        m = min(_CHUNK, n_steps - done)
+        piece = min(every - done % every, _CHUNK)
+        m = piece * max(1, min(_CHUNK // every, (n_steps - done) // every))
         w, v = np.linalg.eigh(h_stack((done + np.arange(m) + 0.5) / n_steps))
-        phases = np.exp(-1j * w * dt)
-        for k in range(m):
-            psi = v[k] @ (phases[k] * (v[k].conj().T @ psi))
-            if (done + k + 1) % every == 0:
-                states[recorded] = psi
-                recorded += 1
-        done += m
+        steps = (v * np.exp(-1j * dt * w)[:, None, :]) @ v.conj().swapaxes(1, 2)
+        for segment in _tree_product(steps.reshape(m // piece, piece, psi.size, psi.size)):
+            psi = segment @ psi
+            done += piece
+            if done % every == 0:
+                states[done // every] = psi
     return states
 
 
@@ -148,7 +168,7 @@ def evolve_timedep(h_of: HofS, psi0: PureState, tau: float,
     n = n_steps if n_steps is not None else math.ceil(STEPS_PER_UNIT_JT * tau)
     if n < 1:
         raise ValueError(f"n_steps must be >= 1, got {n}")
-    states = _midpoint_states(_stack_of(h_of, psi0.dim), psi0, tau, n, n)
+    states = _midpoint_states(_stack_of(h_of, psi0.dim), psi0.amplitudes, tau, n, n)
     return PureState(psi0.n_qubits, states[-1])
 
 

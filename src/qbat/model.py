@@ -137,11 +137,6 @@ def hamiltonian_set(spec: SystemSpec) -> HamiltonianSet:
     return replace(bare_hamiltonian(spec), h_charging=charging_hamiltonian(spec))
 
 
-def _ec_matrix(h0_hub: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """(1/i)[h0_hub, h] for one Hamiltonian matrix or a stack of them."""
-    return (h0_hub @ h - h @ h0_hub) / 1j
-
-
 def ec_operator(h0_hub: Operator, h_int: Operator) -> Operator:
     """Energy-current operator (1/i)[h0_hub, h_int] (hbar = 1).
 
@@ -150,7 +145,7 @@ def ec_operator(h0_hub: Operator, h_int: Operator) -> Operator:
     signals malformed inputs.
     """
     h0_hub._check_same_dim(h_int)
-    m = _ec_matrix(h0_hub.matrix, h_int.matrix)
+    m = (h0_hub.matrix @ h_int.matrix - h_int.matrix @ h0_hub.matrix) / 1j
     if max_abs(m - m.conj().T) > 1e-12:
         raise ValueError("energy-current operator failed its hermiticity check")
     return Operator(h0_hub.n_qubits, m, hermitian=True)

@@ -168,6 +168,11 @@ def blocking_state_from_constraints() -> DensityMatrix:
     return DensityMatrix(2, mat)
 
 
+def _require_one_cell(spec: SystemSpec, caller: str) -> None:
+    if spec.n_cells != 1:
+        raise ValueError(f"{caller} models a single cell, got n_cells = {spec.n_cells}")
+
+
 def blocking_conditions(rho_battery: DensityMatrix, spec: SystemSpec):
     """Evaluate the two blocking conditions for a battery density matrix.
 
@@ -177,6 +182,7 @@ def blocking_conditions(rho_battery: DensityMatrix, spec: SystemSpec):
     the zero-current condition is tested by direct simulation over one full
     transfer period.
     """
+    _require_one_cell(spec, "blocking_conditions")
     ca, cb, max_ec = _blocking_batch(rho_battery.entries[None], spec)
     return bool(ca[0]), bool(cb[0]), float(max_ec[0])
 
@@ -247,6 +253,7 @@ def trapping_uniqueness_scan(n_random: int, tol: float = 1e-3, *,
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     spec = spec or SystemSpec()
+    _require_one_cell(spec, "trapping_uniqueness_scan")
     rng = np.random.default_rng(seed)
     singlet = bell_state(BellLabel(1, 1)).density()
 
@@ -389,6 +396,7 @@ def separable_sweep(grid_n: int, spec: SystemSpec = SystemSpec(), *,
     """
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
+    _require_one_cell(spec, "separable_sweep")
     betas = np.linspace(0.0, 1.0, grid_n)
     b1, b2 = np.meshgrid(betas, betas, indexing="ij")
     cross = b1 * b2 * np.sqrt((1.0 - b1**2) * (1.0 - b2**2))

@@ -6,7 +6,10 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from qbat.dynamics import (
+    _CHUNK,
     TimeSeries,
+    _midpoint_states,
+    _tree_product,
     collective_dephasing_fixpoint,
     evolve_static,
     evolve_timedep,
@@ -92,6 +95,71 @@ def test_evolve_timedep_second_order_convergence(hs):
            for n in (64, 128)]
     order = math.log2(err[0] / err[1])
     assert order >= 1.9
+
+
+def _random_hermitian(rng, d):
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return (a + a.conj().T) / 2
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 5, 7, 32])
+def test_tree_product_is_the_ordered_product(p):
+    rng = np.random.default_rng(p)
+    u = np.stack([[scipy.linalg.expm(-1j * _random_hermitian(rng, 4)) for _ in range(p)]
+                  for _ in range(3)])
+    tree = _tree_product(u)
+    for batch, factors in enumerate(u):
+        ordered = np.eye(4)
+        reversed_order = np.eye(4)
+        for factor in factors:
+            ordered = factor @ ordered
+            reversed_order = reversed_order @ factor
+        assert np.abs(tree[batch] - ordered).max() <= 1e-12
+        # random unitaries do not commute, so the order is tested
+        if p > 1:
+            assert np.abs(reversed_order - ordered).max() > 1e-3
+
+
+def _per_step_oracle(h_stack, psi0, tau, n_steps, every):
+    """The midpoint stepper as a plain loop that updates the state every step."""
+    dt = tau / n_steps
+    psi = psi0.astype(complex)
+    states = np.empty((n_steps // every + 1, psi.size), dtype=complex)
+    states[0] = psi
+    recorded = 1
+    done = 0
+    while done < n_steps:
+        m = min(_CHUNK, n_steps - done)
+        w, v = np.linalg.eigh(h_stack((done + np.arange(m) + 0.5) / n_steps))
+        phases = np.exp(-1j * w * dt)
+        for k in range(m):
+            psi = v[k] @ (phases[k] * (v[k].conj().T @ psi))
+            if (done + k + 1) % every == 0:
+                states[recorded] = psi
+                recorded += 1
+        done += m
+    return states
+
+
+@pytest.mark.parametrize("n_steps, every", [
+    (5000, 5000),  # a segment longer than a chunk, not a multiple of it
+    (4200, 300),   # several segments per chunk, not dividing it
+    (17, 1),       # a record after every step
+])
+def test_midpoint_states_match_per_step_loop(n_steps, every):
+    rng = np.random.default_rng(n_steps)
+    a, b, c = (_random_hermitian(rng, 4) for _ in range(3))
+
+    def h_stack(s):
+        return (a + np.sin(3.0 * s)[:, None, None] * b
+                + (s**2)[:, None, None] * c)
+
+    psi0 = rng.normal(size=4) + 1j * rng.normal(size=4)
+    psi0 /= np.linalg.norm(psi0)
+    ours = _midpoint_states(h_stack, psi0, 3.0, n_steps, every)
+    oracle = _per_step_oracle(h_stack, psi0, 3.0, n_steps, every)
+    assert ours.shape == (n_steps // every + 1, 4)
+    assert np.abs(ours - oracle).max() <= 1e-12
 
 
 def test_interaction_picture_roundtrip_and_identity(hs):

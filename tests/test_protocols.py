@@ -113,12 +113,23 @@ def test_blocking_conditions_probes(spec):
     assert max_ec > 1.0  # full-release current amplitude is order omega*J
 
 
+def test_blocking_conditions_rejects_multi_cell_spec():
+    singlet = bell_state(BellLabel(1, 1)).density()
+    with pytest.raises(ValueError, match=r"^blocking_conditions .* n_cells = 2$"):
+        blocking_conditions(singlet, SystemSpec(n_cells=2))
+
+
 def test_uniqueness_scan_clean(spec):
     report = trapping_uniqueness_scan(2000, tol=1e-3, seed=11, spec=spec)
     assert report.constraint_trace_distance <= 1e-10
     assert report.n_counterexamples == 0
     assert report.n_samples == 2000
     assert report.n_unrestricted == 2000
+
+
+def test_uniqueness_scan_rejects_multi_cell_spec():
+    with pytest.raises(ValueError, match=r"^trapping_uniqueness_scan .* n_cells = 2$"):
+        trapping_uniqueness_scan(10, spec=SystemSpec(n_cells=2))
 
 
 def test_switch_gate_maps_between_bell_states():
@@ -192,6 +203,11 @@ def test_separable_sweep_bound(spec):
     interior = sweep.surface_over_e0.copy()
     interior[-1, -1] = -np.inf
     assert interior.max() <= 1.0 - 1e-4
+
+
+def test_separable_sweep_rejects_multi_cell_spec():
+    with pytest.raises(ValueError, match=r"^separable_sweep .* n_cells = 3$"):
+        separable_sweep(5, SystemSpec(n_cells=3))
 
 
 def test_single_particle_baseline(spec):

@@ -59,13 +59,13 @@ from .protocols import (
     bell_with_empty_hub,
     discharge_time,
     ncell_plan_energy,
-    separable_max_charge,
     separable_state,
     separable_sweep,
     single_particle_baseline,
     single_particle_trajectory,
     single_particle_transfer_time,
     switch_gate,
+    transfer_fraction,
     trapping_check,
     trapping_uniqueness_scan,
 )

@@ -203,7 +203,9 @@ class DischargeReport:
 
     ``final_charge`` is in hbar*omega, ``min_gap_sector`` in hbar*J and
     ``ec_tail`` (the largest |energy current| over the last tenth of the run)
-    in hbar*omega*J.
+    in hbar*omega*J.  ``leakage_forbidden`` reads 0 by excitation-number
+    conservation (the stored cell is stepped in its one-excitation block,
+    which |110> lies outside); AC-9's full 8-dim runs measure leakage.
     """
 
     final_charge: float
@@ -285,7 +287,8 @@ def run_discharge(spec: AdiabaticSpec, omega: float = 1.0,
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """Final-state summary for one (Jtau, schedule) pair."""
+    """Final-state summary for one (Jtau, schedule) pair; ``leakage_forbidden``
+    reads 0 by excitation-number conservation, as in DischargeReport."""
 
     jtau: float
     schedule: Schedule

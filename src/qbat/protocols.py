@@ -8,13 +8,15 @@ Pauli gates on a single battery qubit switch between these regimes.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .dynamics import _spectral, evolve_static, sample_trajectory
+from . import dynamics
+from .dynamics import evolve_static, sample_trajectory
 from .model import (
     HamiltonianSet,
     SystemSpec,
@@ -35,11 +37,13 @@ from .qalg import (
     trace_distance,
 )
 
-# Fraction of the stored cell energy each Bell state hands to the hub.
-_TRANSFER_FRACTION = {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 1.0, (1, 1): 0.0}
+# Releasing projector Q = |T><T| + |11><11| of the empty-hub discharge law,
+# T = (|01> + |10>)/sqrt(2); see transfer_fraction.
+_RELEASING = np.diag([0.0, 0.5, 0.5, 1.0])
+_RELEASING[1, 2] = _RELEASING[2, 1] = 0.5
 
 # Blocking conditions: rho11 == rho44 within _BLOCKING_TOL, and a current
-# below _BLOCKING_TOL * hbar*omega*J at every sample of two transfer times.
+# below _BLOCKING_TOL * hbar*omega*J at all times.
 _BLOCKING_TOL = 1e-9
 
 
@@ -80,13 +84,21 @@ def discharge_time(spec: SystemSpec) -> float:
     return math.pi / (4.0 * math.sqrt(2.0) * spec.j_coupling)
 
 
-def bell_charge_closed_form(label: BellLabel, t: float, spec: SystemSpec) -> float:
-    """Closed-form hub charge 2*hbar*omega * g_nm * sin^2(2*sqrt(2)*J*t).
+def transfer_fraction(rho) -> np.ndarray:
+    """g(rho) = <T|rho|T> + <11|rho|11> for (..., 4, 4) battery density
+    matrices, with T = (|01> + |10>)/sqrt(2).
 
-    g is 1/2 for the (0, m) states, 1 for (1, 0) and 0 for the singlet; the
-    normalization is pinned by exact diagonalization of the three-qubit cell.
+    Coupled to an empty hub, any battery state rho charges the hub as
+    C(t) = 2*hbar*omega * g * sin^2(2*sqrt(2)*J*t), with energy current
+    <P_hat(t)> = 4*sqrt(2)*hbar*omega*J * g * sin(4*sqrt(2)*J*t).
     """
-    g = _TRANSFER_FRACTION[(label.n, label.m)]
+    return np.einsum("ab,...ba->...", _RELEASING, rho).real
+
+
+def bell_charge_closed_form(label: BellLabel, t: float, spec: SystemSpec) -> float:
+    """Closed-form hub charge of a Bell battery; g is 1/2 for the (0, m)
+    states, 1 for (1, 0) and 0 for the singlet."""
+    g = float(transfer_fraction(bell_state(label).density().entries))
     return spec.full_cell_energy * g * math.sin(2.0 * math.sqrt(2.0) * spec.j_coupling * t) ** 2
 
 
@@ -144,27 +156,19 @@ def blocking_state_from_constraints() -> DensityMatrix:
     """Battery state solved from the energy-blocking constraints.
 
     In the basis 1 <-> |00>, 2 <-> |01>, 3 <-> |10>, 4 <-> |11>, a battery
-    density matrix (diagonal plus a real rho23 coherence) blocks all transfer
-    iff:
+    density matrix blocks all transfer to an empty hub iff
 
-      (1) rho11 == rho44                        (full stored energy available)
-      (2) 2*rho11 + rho22 + rho33 + 2*rho23 == 0  (zero energy current)
-      (3) unit trace
-      (4) positivity, in particular rho22*rho33 >= rho23**2
+      (1) rho11 == rho44                                (full energy available)
+      (2) 2g = rho22 + rho33 + 2 Re rho23 + 2 rho44 == 0  (zero current),
 
-    (2) and (3) give rho23 = -1/2; positivity then needs
-    rho22*rho33 = (1 - 2*rho11 - rho33)*rho33 >= 1/4, whose maximum over
-    rho33 is ((1 - 2*rho11)/2)**2, so rho11 <= 0 hence rho11 = 0, attained
-    only at rho33 = 1/2.  The solution is returned (it is the singlet
-    projector).
+    with g = transfer_fraction(rho); only under (1) does (2) equal the form
+    2 rho11 + rho22 + rho33 + 2 Re rho23 == 0.  The solution is unique among
+    all density matrices: a positive rho with <v|rho|v> == 0 has rho v == 0,
+    so g == 0 removes all weight on T and on |11>, and (1) then removes
+    |00>.  Only the singlet is left, and unit trace gives its projector.
     """
-    rho23 = -0.5                    # from 1 + 2*rho23 = 0 under (1)-(3)
-    rho11 = 0.0                     # ((1 - 2*rho11)/2)**2 >= 1/4 with rho11 >= 0
-    rho33 = (1.0 - 2.0 * rho11) / 2.0
-    rho22 = 1.0 - 2.0 * rho11 - rho33
-    rho44 = rho11
-    mat = np.diag([rho11, rho22, rho33, rho44]).astype(complex)
-    mat[1, 2] = mat[2, 1] = rho23
+    mat = np.zeros((4, 4), dtype=complex)
+    mat[1:3, 1:3] = [[0.5, -0.5], [-0.5, 0.5]]
     return DensityMatrix(2, mat)
 
 
@@ -179,8 +183,9 @@ def blocking_conditions(rho_battery: DensityMatrix, spec: SystemSpec):
     Returns (passes_available_energy, passes_zero_ec, max_abs_ec).  The
     available-energy condition is the explicit trace formula
     hbar*omega*(2 + rho11 - rho44) == 2*hbar*omega, i.e. rho11 == rho44;
-    the zero-current condition is tested by direct simulation over one full
-    transfer period.
+    the zero-current condition compares the current's peak over all times,
+    max_abs_ec = 4*sqrt(2)*hbar*omega*J * |transfer_fraction(rho)|, with
+    1e-9 * hbar*omega*J.
     """
     _require_one_cell(spec, "blocking_conditions")
     ca, cb, max_ec = _blocking_batch(rho_battery.entries[None], spec)
@@ -192,28 +197,12 @@ def _blocking_batch(rho_batch: np.ndarray, spec: SystemSpec):
 
     Returns the per-state (passes_available, passes_zero_ec, max_abs_ec).
     """
-    max_ec = np.abs(_ec_samples(rho_batch, spec)).max(axis=1)
+    unit = spec.omega * spec.j_coupling
+    max_ec = 4.0 * math.sqrt(2.0) * unit * np.abs(transfer_fraction(rho_batch))
     diag = np.einsum("naa->na", rho_batch).real
     pass_ca = np.abs(diag[:, 0] - diag[:, 3]) <= _BLOCKING_TOL
-    pass_cb = max_ec <= _BLOCKING_TOL * spec.omega * spec.j_coupling
+    pass_cb = max_ec <= _BLOCKING_TOL * unit
     return pass_ca, pass_cb, max_ec
-
-
-def _ec_samples(rho_batch: np.ndarray, spec: SystemSpec, n_times: int = 32) -> np.ndarray:
-    """Energy current tr(P_hat(t) rho(t)) on a time grid for (n, 4, 4) battery
-    states with an empty hub.
-
-    Evolution runs in the frame co-moving with the bare Hamiltonian, where the
-    coupling is constant; the current is frame independent.  The hub is the
-    least significant qubit, so tr(P_hat(t) (rho x |0><0|)) only reads the
-    even rows and columns of the Heisenberg-picture P_hat(t).
-    """
-    hs = hamiltonian_set(spec)
-    p_hat = ec_operator(hs.h0_hub, hs.h_charging)
-    times = np.linspace(0.0, 2.0 * discharge_time(spec), n_times)
-    u = _spectral(hs.h_charging, np.eye(8), times)
-    heis = u.conj().transpose(0, 2, 1) @ p_hat.matrix @ u
-    return np.einsum("kab,nba->nk", heis[:, 0::2, 0::2], rho_batch).real
 
 
 @dataclass(frozen=True)
@@ -236,6 +225,16 @@ class UniquenessScanReport:
         return len(self.counterexamples)
 
 
+# The scan's random streams, one after another from its seed: the restricted
+# family's Dirichlet diagonals and rho23 factors, then the Ginibre matrices'
+# real and imaginary parts.  Each stream gets its own generator, positioned
+# by drawing the earlier streams chunk by chunk.
+_SCAN_DRAWS = (lambda rng, m: rng.dirichlet(np.ones(4), size=m),
+               lambda rng, m: rng.uniform(-1.0, 1.0, size=m),
+               lambda rng, m: rng.normal(size=(m, 4, 4)),
+               lambda rng, m: rng.normal(size=(m, 4, 4)))
+
+
 def trapping_uniqueness_scan(n_random: int, tol: float = 1e-3, *,
                              seed: int = 42,
                              spec: SystemSpec | None = None) -> UniquenessScanReport:
@@ -246,7 +245,10 @@ def trapping_uniqueness_scan(n_random: int, tol: float = 1e-3, *,
     conditions, and records any state passing both that is farther than
     ``tol`` in trace distance from the singlet projector.  An additional
     unrestricted random-density-matrix scan is run and reported rather than
-    asserted empty; it draws as many states as the restricted one.
+    asserted empty; it draws as many states as the restricted one.  States
+    are drawn and tested in chunks of ``dynamics._CHUNK``, so memory does not
+    grow with ``n_random``, and every chunk equals the matching slice of a
+    one-shot draw of its stream.
     """
     if n_random < 1:
         raise ValueError(f"n_random must be >= 1, got {n_random}")
@@ -254,48 +256,55 @@ def trapping_uniqueness_scan(n_random: int, tol: float = 1e-3, *,
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     spec = spec or SystemSpec()
     _require_one_cell(spec, "trapping_uniqueness_scan")
-    rng = np.random.default_rng(seed)
     singlet = bell_state(BellLabel(1, 1)).density()
 
     solved = blocking_state_from_constraints()
     solved_distance = trace_distance(solved, singlet)
 
-    # Restricted family: Dirichlet diagonal, real rho23 bounded by positivity.
-    diags = rng.dirichlet(np.ones(4), size=n_random)
-    u = rng.uniform(-1.0, 1.0, size=n_random)
-    rho23 = u * np.sqrt(diags[:, 1] * diags[:, 2])
-    batch = np.zeros((n_random, 4, 4), dtype=complex)
-    batch[:, range(4), range(4)] = diags
-    batch[:, 1, 2] = batch[:, 2, 1] = rho23
+    starts = range(0, n_random, dynamics._CHUNK)
+    sizes = [min(dynamics._CHUNK, n_random - start) for start in starts]
+    streams = [np.random.default_rng(seed)]
+    for draw in _SCAN_DRAWS[:-1]:
+        rng = copy.deepcopy(streams[-1])
+        for m in sizes:
+            draw(rng, m)
+        streams.append(rng)
 
-    def _scan(rho_batch: np.ndarray):
+    def _scan(rho_batch: np.ndarray, start: int, counters: list) -> np.ndarray:
         pass_ca, pass_cb, _ = _blocking_batch(rho_batch, spec)
         both = pass_ca & pass_cb
-        counters = []
         for idx in np.nonzero(both)[0]:
             dist = trace_distance(DensityMatrix(2, rho_batch[idx]), singlet)
             if dist > tol:
-                counters.append((int(idx), float(dist)))
-        return int(pass_ca.sum()), int(pass_cb.sum()), int(both.sum()), tuple(counters)
+                counters.append((start + int(idx), float(dist)))
+        return np.array([pass_ca.sum(), pass_cb.sum(), both.sum()])
 
-    n_ca, n_cb, n_both, counters = _scan(batch)
+    tally = np.zeros((2, 3), dtype=int)  # per family: passes available, zero ec, both
+    counters = ([], [])
+    for start, m in zip(starts, sizes):
+        diags, u, re, im = (draw(gen, m) for draw, gen in zip(_SCAN_DRAWS, streams))
+        # Restricted family: Dirichlet diagonal, real rho23 bounded by positivity.
+        batch = np.zeros((m, 4, 4), dtype=complex)
+        batch[:, range(4), range(4)] = diags
+        batch[:, 1, 2] = batch[:, 2, 1] = u * np.sqrt(diags[:, 1] * diags[:, 2])
+        tally[0] += _scan(batch, start, counters[0])
+        # Unrestricted scan: Ginibre-random density matrices.
+        ginibre = re + 1j * im
+        wish = ginibre @ ginibre.conj().transpose(0, 2, 1)
+        wish /= np.einsum("naa->n", wish).real[:, None, None]
+        tally[1] += _scan(wish, start, counters[1])
 
-    # Unrestricted scan: Ginibre-random density matrices.
-    g = rng.normal(size=(n_random, 4, 4)) + 1j * rng.normal(size=(n_random, 4, 4))
-    wish = g @ g.conj().transpose(0, 2, 1)
-    wish /= np.einsum("naa->n", wish).real[:, None, None]
-    _, _, n_unres_both, unres_counters = _scan(wish)
-
+    (n_ca, n_cb, n_both), (_, _, n_unres_both) = tally.tolist()
     return UniquenessScanReport(
         constraint_trace_distance=float(solved_distance),
         n_samples=n_random,
         n_pass_available=n_ca,
         n_pass_zero_ec=n_cb,
         n_pass_both=n_both,
-        counterexamples=counters,
+        counterexamples=tuple(counters[0]),
         n_unrestricted=n_random,
         n_unrestricted_pass_both=n_unres_both,
-        unrestricted_counterexamples=unres_counters,
+        unrestricted_counterexamples=tuple(counters[1]),
         seed=seed,
     )
 
@@ -364,18 +373,6 @@ def separable_state(p: SeparableParams) -> PureState:
     return PureState(2, np.kron(one, two))
 
 
-def separable_max_charge(p: SeparableParams, spec: SystemSpec = SystemSpec()) -> float:
-    """Peak hub charge for a product battery state, reached at the usual
-    transfer time pi/(4*sqrt(2)*J):
-
-        E0 * [ b1 b2 a1 a2 cos(t1 - t2) + (b1^2 + b2^2)/2 ]
-
-    with E0 = 2*hbar*omega.  It reaches E0 iff b1 = b2 = 1.
-    """
-    cross = p.beta1 * p.beta2 * p.alpha1 * p.alpha2 * math.cos(p.theta1 - p.theta2)
-    return spec.full_cell_energy * (cross + (p.beta1**2 + p.beta2**2) / 2.0)
-
-
 @dataclass(frozen=True, eq=False)
 class SeparableSweepResult:
     """Phase-optimized peak-charge surface over the (beta1, beta2) grid."""
@@ -390,7 +387,10 @@ def separable_sweep(grid_n: int, spec: SystemSpec = SystemSpec(), *,
                     seed: int = 42) -> SeparableSweepResult:
     """Scan the phase-optimized peak charge over [0, 1]^2.
 
-    The optimum over the relative phase is at theta1 == theta2.  A random
+    The peak charge at the transfer time is E0 * transfer_fraction of the
+    product state, E0 * [b1 b2 a1 a2 cos(t1 - t2) + (b1^2 + b2^2)/2] with
+    E0 = 2*hbar*omega, so the optimum over the relative phase is at
+    theta1 == theta2, and it reaches E0 only at b1 = b2 = 1.  A random
     subsample of 24 grid points is cross-checked against direct three-qubit
     simulation; disagreement beyond 1e-9 * max(1, omega) raises.
     """
@@ -398,9 +398,9 @@ def separable_sweep(grid_n: int, spec: SystemSpec = SystemSpec(), *,
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
     _require_one_cell(spec, "separable_sweep")
     betas = np.linspace(0.0, 1.0, grid_n)
-    b1, b2 = np.meshgrid(betas, betas, indexing="ij")
-    cross = b1 * b2 * np.sqrt((1.0 - b1**2) * (1.0 - b2**2))
-    surface = cross + (b1**2 + b2**2) / 2.0
+    qubits = np.stack([np.sqrt(1.0 - betas**2), betas], axis=1)  # a|0> + b|1> per beta
+    pairs = np.einsum("ia,jb->ijab", qubits, qubits).reshape(grid_n, grid_n, 4)
+    surface = transfer_fraction(pairs[..., :, None] * pairs[..., None, :])
 
     hs = hamiltonian_set(spec)
     taud = discharge_time(spec)

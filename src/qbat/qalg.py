@@ -279,15 +279,6 @@ def eigh(op: Operator):
     return w, v
 
 
-def eigenspace_projector(op: Operator, eigenvalue: float, atol: float = 1e-9) -> np.ndarray:
-    """Projector onto the span of eigenvectors with eigenvalue near ``eigenvalue``."""
-    w, v = eigh(op)
-    cols = v[:, np.abs(w - eigenvalue) <= atol]
-    if cols.shape[1] == 0:
-        raise ValueError(f"no eigenvalue within {atol} of {eigenvalue}")
-    return cols @ cols.conj().T
-
-
 def partial_trace(state: State, keep: Iterable[int]) -> DensityMatrix:
     """Reduced density matrix on the (ascending) ``keep`` qubits."""
     keep = sorted(int(q) for q in keep)

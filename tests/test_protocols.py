@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from qbat import dynamics
 from qbat.dynamics import evolve_static, sample_trajectory
 from qbat.model import SystemSpec, charge, ergotropy, hamiltonian_set, qubit_energy_term
 from qbat.protocols import (
@@ -21,13 +24,13 @@ from qbat.protocols import (
     cell_state_after_action,
     discharge_time,
     ncell_plan_energy,
-    separable_max_charge,
     separable_state,
     separable_sweep,
     single_particle_baseline,
     single_particle_transfer_time,
     single_particle_trajectory,
     switch_gate,
+    transfer_fraction,
     trapping_check,
     trapping_uniqueness_scan,
 )
@@ -54,6 +57,9 @@ def test_closed_form_g_table(spec):
     assert bell_charge_closed_form(BellLabel(1, 0), taud, spec) == pytest.approx(2.0)
     assert bell_charge_closed_form(BellLabel(0, 0), taud, spec) == pytest.approx(1.0)
     assert bell_charge_closed_form(BellLabel(0, 1), taud, spec) == pytest.approx(1.0)
+    bells = np.stack([bell_state(BellLabel(n, m)).density().entries
+                      for n in (0, 1) for m in (0, 1)])
+    assert_allclose(transfer_fraction(bells), [0.5, 0.5, 1.0, 0.0], atol=1e-15)
 
 
 def test_closed_form_matches_simulation_all_labels(spec, hs):
@@ -113,6 +119,20 @@ def test_blocking_conditions_probes(spec):
     assert max_ec > 1.0  # full-release current amplitude is order omega*J
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 2 * math.pi))
+def test_blocking_conditions_on_vacuum_singlet_span(p, size, phase):
+    # g vanishes on span{|00>, singlet}, so every state there carries no
+    # current; only condition (1), rho11 == rho44 = 0, removes the |00> weight p
+    spec = SystemSpec(1.3, 0.7)
+    basis = np.stack([ket("00").amplitudes, bell_state(BellLabel(1, 1)).amplitudes], axis=1)
+    coherence = size * math.sqrt(p * (1.0 - p)) * np.exp(1j * phase)
+    rho = basis @ np.array([[p, coherence], [np.conj(coherence), 1.0 - p]]) @ basis.conj().T
+    ca, cb, max_ec = blocking_conditions(DensityMatrix(2, rho), spec)
+    assert cb and max_ec <= 1e-14
+    assert ca == (p <= 1e-9)
+
+
 def test_blocking_conditions_rejects_multi_cell_spec():
     singlet = bell_state(BellLabel(1, 1)).density()
     with pytest.raises(ValueError, match=r"^blocking_conditions .* n_cells = 2$"):
@@ -125,6 +145,28 @@ def test_uniqueness_scan_clean(spec):
     assert report.n_counterexamples == 0
     assert report.n_samples == 2000
     assert report.n_unrestricted == 2000
+
+
+def test_uniqueness_scan_memory_is_bounded(monkeypatch):
+    monkeypatch.setattr(dynamics, "_CHUNK", 512)
+    trapping_uniqueness_scan(2000, seed=3)  # warm up: first-call allocations
+    peaks = []
+    for n in (2000, 20_000):
+        tracemalloc.start()
+        try:
+            trapping_uniqueness_scan(n, seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
+
+
+def test_uniqueness_scan_is_independent_of_chunk_size(monkeypatch):
+    # seed 1908 has the one restricted draw passing the available-energy test
+    default = trapping_uniqueness_scan(100_000, seed=1908)
+    monkeypatch.setattr(dynamics, "_CHUNK", 4099)  # does not divide the sample count
+    assert trapping_uniqueness_scan(100_000, seed=1908) == default
+    assert default.n_pass_available == 1
 
 
 def test_uniqueness_scan_rejects_multi_cell_spec():
@@ -178,11 +220,23 @@ def test_switch_gate_dimension_check():
         switch_gate(SwitchGate.FULL_ON_QUBIT1, ket("01"))
 
 
+def _separable_law(params, spec):
+    """Peak hub charge 2*hbar*omega * g of a product battery state."""
+    return spec.full_cell_energy * float(transfer_fraction(separable_state(params).density().entries))
+
+
 def test_separable_closed_form_values(spec):
-    assert separable_max_charge(SeparableParams(1.0, 1.0), spec) == pytest.approx(2.0)
-    assert separable_max_charge(SeparableParams(0.0, 0.0), spec) == pytest.approx(0.0)
+    assert _separable_law(SeparableParams(1.0, 1.0), spec) == pytest.approx(2.0)
+    assert _separable_law(SeparableParams(0.0, 0.0), spec) == pytest.approx(0.0)
     even = SeparableParams(1 / math.sqrt(2), 1 / math.sqrt(2))
-    assert separable_max_charge(even, spec) == pytest.approx(1.5)  # 0.75 * E0
+    assert _separable_law(even, spec) == pytest.approx(1.5)  # 0.75 * E0
+    rng = np.random.default_rng(3)
+    for _ in range(6):
+        p = SeparableParams(rng.uniform(0, 1), rng.uniform(0, 1),
+                            rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
+        cross = p.beta1 * p.beta2 * p.alpha1 * p.alpha2 * math.cos(p.theta1 - p.theta2)
+        polynomial = cross + (p.beta1**2 + p.beta2**2) / 2
+        assert _separable_law(p, spec) == pytest.approx(2.0 * polynomial, abs=1e-14)
 
 
 def test_separable_closed_form_matches_simulation(spec, hs):
@@ -193,7 +247,7 @@ def test_separable_closed_form_matches_simulation(spec, hs):
                                  rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
         psi0 = separable_state(params).tensor(ket("0"))
         simulated = charge(evolve_static(hs.h_charging, psi0, taud), hs)
-        assert simulated == pytest.approx(separable_max_charge(params, spec), abs=1e-9)
+        assert simulated == pytest.approx(_separable_law(params, spec), abs=1e-9)
 
 
 def test_separable_sweep_bound(spec):
@@ -291,43 +345,29 @@ def test_commutator_dimension_mismatch(hs):
         commutator(hs.h_charging, pauli("x"))
 
 
-def test_family_current_amplitude_is_analytic(spec):
-    # for diagonal-plus-real-coherence battery states the simulated current
-    # maximum equals 4*sqrt(2)*omega*J * ((rho22+rho33+2*rho23)/2 + rho44)
-    # times the largest sampled |sin(4*sqrt(2) J t)|
-    from qbat.protocols import _ec_samples
-    rng = np.random.default_rng(0)
-    times = np.linspace(0.0, 2 * discharge_time(spec), 64)
-    smax = np.abs(np.sin(4 * math.sqrt(2) * times)).max()
-    for _ in range(5):
-        diag = rng.dirichlet(np.ones(4))
-        rho23 = rng.uniform(-1, 1) * math.sqrt(diag[1] * diag[2])
-        rho = np.diag(diag).astype(complex)
-        rho[1, 2] = rho[2, 1] = rho23
-        simulated = np.abs(_ec_samples(rho[None], spec, 64)).max()
-        amplitude = (diag[1] + diag[2] + 2 * rho23) / 2 + diag[3]
-        assert simulated == pytest.approx(4 * math.sqrt(2) * amplitude * smax, abs=1e-12)
-
-
-def test_scan_current_matches_the_lifted_trace():
-    # oracle: the explicit trace over rho x |0><0| with the 8x8 Heisenberg-
-    # picture current, built by hand, for Ginibre states with complex coherences
-    from qbat.protocols import _ec_samples
-    omega, j = 1.3, 0.7
-    spec = SystemSpec(omega, j)
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
+def test_scan_current_matches_the_lifted_trace(seed, omega, j):
+    # the empty-hub law C(t) = 2 omega g sin^2(2 sqrt(2) J t) and
+    # <P_hat(t)> = 4 sqrt(2) omega J g sin(4 sqrt(2) J t), against the explicit
+    # trace over rho x |0><0| evolved by a hand-built propagator, for a
+    # Ginibre battery state with complex coherences
     h = raw_cell_coupling(j)
     h0_hub = kron(I2, I2, raw_bare(omega))
     p_hat = (h0_hub @ h - h @ h0_hub) / 1j
-    times = np.linspace(0.0, 2 * discharge_time(spec), 32)
-    rng = np.random.default_rng(11)
-    g = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
-    rhos = g @ g.conj().transpose(0, 2, 1)
-    rhos /= np.einsum("naa->n", rhos).real[:, None, None]
-    empty_hub = np.diag([1.0, 0.0]).astype(complex)
-    oracle = np.empty((len(rhos), len(times)))
-    for k, t in enumerate(times):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    lifted = np.kron(rho, np.diag([1.0, 0.0]))
+    fraction = float(transfer_fraction(rho))
+    rate = 2 * math.sqrt(2) * j
+    for t in np.linspace(0.0, math.pi / rate, 9):  # two transfer times
         u = scipy.linalg.expm(-1j * h * t)
-        heis = u.conj().T @ p_hat @ u
-        for n, rho in enumerate(rhos):
-            oracle[n, k] = np.trace(heis @ np.kron(rho, empty_hub)).real
-    assert np.abs(_ec_samples(rhos, spec) - oracle).max() <= 1e-12
+        rho_t = u @ lifted @ u.conj().T
+        charge_t = np.trace(h0_hub @ rho_t).real + omega
+        current_t = np.trace(p_hat @ rho_t).real
+        law_charge = 2 * omega * fraction * math.sin(rate * t) ** 2
+        law_current = 2 * rate * omega * fraction * math.sin(2 * rate * t)
+        assert abs(charge_t - law_charge) <= 1e-12 * max(1.0, omega)
+        assert abs(current_t - law_current) <= 1e-12 * max(1.0, omega * j)

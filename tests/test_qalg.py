@@ -8,7 +8,6 @@ from qbat.qalg import (
     Operator,
     PureState,
     commutator,
-    eigenspace_projector,
     eigh,
     embed,
     expectation,
@@ -101,12 +100,6 @@ def test_eigh_battery_pair_ground():
 def test_eigh_requires_hermitian_flag():
     with pytest.raises(ValueError):
         eigh(Operator(1, np.array([[0, 1], [0, 0]], dtype=complex)))
-
-
-def test_eigenspace_projector_degenerate():
-    op = tensor(pauli("z"), pauli("z"))
-    proj = eigenspace_projector(op, -1.0)
-    assert_allclose(proj, np.diag([0, 1, 1, 0]).astype(complex), atol=1e-12)
 
 
 def test_hermitian_flag_validated():

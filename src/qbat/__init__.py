@@ -73,7 +73,6 @@ from .qalg import (
     DensityMatrix,
     Operator,
     PureState,
-    commutator,
     eigh,
     embed,
     expectation,

@@ -9,6 +9,8 @@ every instant, which forbids transitions into the unreachable ground state;
 slow driving therefore empties the cell into the hub with no energy backflow.
 The drive also conserves the excitation number, so it is stepped separately
 in each excitation sector: the stored singlet runs as a 3x3 real problem.
+The instantaneous eigen-branches are taken in the same sectors, where no two
+levels cross before the end of the drive.
 """
 
 from __future__ import annotations
@@ -184,17 +186,10 @@ def sector_basis(parity: int) -> np.ndarray:
 
 
 def min_sector_gap(spec: AdiabaticSpec) -> float:
-    """Minimum gap between the stored cell's branch and the rest of its
-    (odd) parity sector, on 257 uniform s.
-
-    The occupied branch is followed by maximum-overlap continuation starting
-    from the stored cell.
-    """
-    psi0 = storage_state()
-    stack = _ht_stack(spec, np.linspace(0.0, 1.0, 257))
-    energies, vectors, _ = _track_sector(stack, sector_basis(-1))
-    n = int(np.argmax(np.abs(vectors[0].conj().T @ psi0.amplitudes)))
-    return float(np.min(np.abs(np.delete(energies, n, axis=0) - energies[n])))
+    """Minimum gap between the stored cell's branch, the ground branch of the
+    one-excitation sector, and the rest of that sector, on 257 uniform s."""
+    energies, _ = _sector_branches(spec, np.linspace(0.0, 1.0, 257), _EXCITATION_SECTORS[1])
+    return float(np.min(energies[:, 1] - energies[:, 0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,11 +331,11 @@ def sweep_tau(tau_values, omega: float = 1.0, *, j_coupling: float = 1.0,
 class AdiabaticDecomposition:
     """Tracked instantaneous eigensystem along one drive.
 
-    Branches are continued across samples by maximum overlap, separately in
-    each parity sector.  ``phases`` accumulate the dynamic phase (trapezoid
-    integral of the energies) plus the discrete geometric phase obtained from
-    the overlap product along the path, so any per-sample eigenvector gauge is
-    consistent with the stored vectors.
+    Branches are taken per excitation sector in ascending energy order, which
+    no level crossing disturbs (see ``_sector_branches``).  ``phases``
+    accumulate the dynamic phase (trapezoid integral of the energies) plus the
+    discrete geometric phase obtained from the overlap product along the path,
+    so any per-sample eigenvector gauge is consistent with the stored vectors.
     """
 
     times: np.ndarray              # (n_samples,)
@@ -386,63 +381,44 @@ def _align_group(target: np.ndarray, columns: np.ndarray) -> np.ndarray:
     return columns @ (u_l @ u_r)
 
 
-def _track_sector(stack: np.ndarray, basis: np.ndarray):
-    """Eigen-branches of one parity block, continued by maximum overlap.
+def _sector_branches(spec: AdiabaticSpec, s_values: np.ndarray, sector):
+    """Eigen-branches of the drive on the computational states ``sector``:
+    energies (nt, d) and real eigenvectors (nt, d, d), in ascending order.
 
-    Returns (energies (4, nt), vectors (nt, 8, 4) in the full space, minimum
-    continuation overlap per branch).  Wherever the solver meets an exactly
-    degenerate group (common at the path's endpoints and at level crossings)
-    the returned eigenvector mixture is arbitrary, so degenerate columns are
-    rotated onto the neighbouring sample: forward at the first sample (which
-    pins the gauge the initial-state coefficients live in) and backward at
-    every later one.
+    H(s) = J M(f(s)) with f monotone and f < 1 for s < 1, and on f in [0, 1)
+    both gaps of each three-state sector stay >= 1.5 J (1 - f), so ascending
+    order is branch order for every schedule and coupling.  The upper two
+    levels of those sectors meet at s = 1, where the solver's mixture of each
+    degenerate group is rotated onto the previous sample.
     """
-    blocks = np.einsum("ia,kij,jb->kab", basis, stack, basis)
-    w, v = np.linalg.eigh(blocks)
-    nt, dim, _ = v.shape
-
-    if nt > 1:
-        for group in _degenerate_groups(w[0], rtol=1e-9):
-            if len(group) > 1:
-                span = v[0][:, group]
-                scores = np.linalg.norm(span.conj().T @ v[1], axis=0)
-                chosen = np.sort(np.argsort(scores)[-len(group):])
-                v[0][:, group] = _align_group(v[1][:, chosen], span)
-
-    quality = np.ones(dim)
-    for k in range(1, nt):
-        weight = np.abs(v[k - 1].conj().T @ v[k])
-        assignment = np.full(dim, -1)
-        for _ in range(dim):
-            i, j = np.unravel_index(int(np.argmax(weight)), weight.shape)
-            assignment[i] = j
-            weight[i, :] = -1.0
-            weight[:, j] = -1.0
-        v[k] = v[k][:, assignment]
-        w[k] = w[k][assignment]
+    w, v = np.linalg.eigh(_ht_stack(spec, s_values, sector))
+    scale = np.maximum(1.0, np.abs(w).max(axis=1))
+    touching = np.any(np.diff(w, axis=1) <= 1e-12 * scale[:, None], axis=1)
+    for k in np.nonzero(touching[1:])[0] + 1:
         for group in _degenerate_groups(w[k]):
             if len(group) > 1:
                 v[k][:, group] = _align_group(v[k - 1][:, group], v[k][:, group])
-        step = np.abs(np.einsum("in,in->n", v[k - 1].conj(), v[k]))
-        quality = np.minimum(quality, step)
-    full_vectors = np.einsum("ia,kab->kib", basis, v)
-    return w.T, full_vectors, quality
+    return w, v
 
 
 def adiabatic_decomposition(spec: AdiabaticSpec, psi0: PureState, omega: float = 1.0,
                             n_samples: int = 1024) -> AdiabaticDecomposition:
-    """Track all eigen-branches of the drive and the initial-state coefficients."""
+    """All eigen-branches of the drive, joined sector by sector as 1 + 3 + 3 + 1
+    branches, and the initial-state coefficients."""
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
     times = np.linspace(0.0, spec.tau, n_samples)
-    stack = _ht_stack(spec, times / spec.tau)
+    energies = np.empty((8, n_samples))          # (n_branches, nt)
+    vectors = np.zeros((n_samples, 8, 8))        # (nt, 8, n_branches)
+    first = 0
+    for sector in _EXCITATION_SECTORS:
+        branches = slice(first, first + len(sector))
+        w, vectors[:, sector, branches] = _sector_branches(spec, times / spec.tau, sector)
+        energies[branches] = w.T
+        first += len(sector)
+    overlaps = np.einsum("kin,kin->kn", vectors[:-1], vectors[1:])
 
-    odd, even = (_track_sector(stack, sector_basis(parity)) for parity in (-1, 1))
-    energies = np.concatenate([odd[0], even[0]], axis=0)     # (8, nt)
-    vectors = np.concatenate([odd[1], even[1]], axis=2)      # (nt, 8, 8)
-    quality = np.concatenate([odd[2], even[2]])
-
-    coefficients = vectors[0].conj().T @ psi0.amplitudes
+    coefficients = vectors[0].T @ psi0.amplitudes
 
     # Dynamic phase: minus the running trapezoid integral of each energy.
     dt = np.diff(times)
@@ -450,12 +426,11 @@ def adiabatic_decomposition(spec: AdiabaticSpec, psi0: PureState, omega: float =
     dyn[:, 1:] = -np.cumsum((energies[:, :-1] + energies[:, 1:]) / 2.0 * dt, axis=1)
     # Geometric phase from overlap products; compensates per-sample gauges.
     geo = np.zeros_like(energies)
-    steps = np.angle(np.einsum("kin,kin->kn", vectors[:-1].conj(), vectors[1:]))
-    geo[:, 1:] = -np.cumsum(steps.T, axis=1)
+    geo[:, 1:] = -np.cumsum(np.angle(overlaps).T, axis=1)
     phases = dyn + geo
 
     h0a = hamiltonian_set(SystemSpec(omega, spec.j_coupling)).h0_hub.matrix
-    hub_elements = np.einsum("kin,ij,kjm->nmk", vectors.conj(), h0a, vectors)
+    hub_elements = np.einsum("kin,ij,kjm->nmk", vectors, h0a, vectors)
 
     labels = np.empty(8, dtype=int)
     for label, group in enumerate(_degenerate_groups(energies[:, 0], rtol=1e-9)):
@@ -470,7 +445,7 @@ def adiabatic_decomposition(spec: AdiabaticSpec, psi0: PureState, omega: float =
         hub_elements=hub_elements,
         eigenspace_labels=labels,
         occupied=occupied,
-        min_tracking_overlap=quality,
+        min_tracking_overlap=np.abs(overlaps).min(axis=0),
     )
 
 

@@ -35,6 +35,8 @@ from .protocols import (
 )
 
 CONFIG_FILE = "qbat.json"
+# Most output rows any command may produce; checked before any work is done.
+MAX_ROWS = 2**16
 
 
 @dataclass(frozen=True)
@@ -186,6 +188,13 @@ def _check_run(name: str, duration_jt: float, samples: int) -> None:
         raise ValueError(f"{name} must be finite and > 0, got {duration_jt}")
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
+    _check_rows(f"samples {samples}", samples)
+
+
+def _check_rows(request: str, rows: int) -> None:
+    """Reject a request whose output would exceed MAX_ROWS rows."""
+    if rows > MAX_ROWS:
+        raise ValueError(f"{request} gives {rows} output rows, more than {MAX_ROWS}")
 
 
 def _series_rows(series, spec: SystemSpec, **extra) -> list:
@@ -259,6 +268,7 @@ def _cmd_trap_scan(cfg: RunConfig, args) -> list:
 def _cmd_separable(cfg: RunConfig, args) -> list:
     if args.grid < 2:
         raise ValueError(f"grid must be >= 2, got {args.grid}")
+    _check_rows(f"grid {args.grid}", args.grid**2)
     sweep = separable_sweep(args.grid, cfg.spec, seed=cfg.seed)
     rows = []
     for i, b1 in enumerate(sweep.beta_grid):
@@ -281,6 +291,7 @@ def _cmd_single_particle(cfg: RunConfig, args) -> list:
 
 def _cmd_ncell(cfg: RunConfig, args) -> list:
     plan = NCellPlan.parse(args.plan)
+    _check_rows(f"a plan of {plan.n_cells} cells", plan.n_cells + 1)
     total, per_cell = protocols.ncell_plan_energy(plan, cfg.spec)
     rows = [{"cell": str(i), "action": action.value, "energy_hbar_omega": energy / cfg.omega}
             for i, (action, energy) in enumerate(zip(plan.actions, per_cell))]
@@ -301,6 +312,7 @@ def _cmd_adiabatic(cfg: RunConfig, args) -> list:
 def _cmd_sweep_tau(cfg: RunConfig, args) -> list:
     if args.points < 1:
         raise ValueError(f"points must be >= 1, got {args.points}")
+    _check_rows(f"points {args.points}", args.points * len(Schedule))
     if not (math.isfinite(args.jtau_from) and math.isfinite(args.jtau_to)):
         raise ValueError(f"sweep bounds must be finite, got {args.jtau_from} and {args.jtau_to}")
     if args.jtau_from < 0 or args.jtau_to < args.jtau_from:

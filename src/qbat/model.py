@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .qalg import (
-    MAX_QUBITS,
     DensityMatrix,
     Operator,
     PureState,
@@ -30,6 +29,8 @@ from .qalg import (
 # up to it (tests/test_cli.py runs each at the ceiling); far beyond it the
 # products the package forms, such as omega*J or squared charges, overflow.
 RATE_CEILING = 1e12
+# Largest accepted cell count: nothing needs more than two cells (AC-13).
+MAX_CELLS = 2
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,7 @@ class SystemSpec:
         XY exchange strength between each battery qubit and its hub qubit.
         Both rates must lie in (0, RATE_CEILING].
     n_cells
-        Number of independent cells, an integer in [1, MAX_QUBITS // 3].
+        Number of independent cells, an integer in [1, MAX_CELLS].
         Cell c owns qubits 3c and 3c+1 (its batteries) and 3c+2 (its hub),
         in the package's big-endian order, so a single cell is (B1, B2, hub).
     """
@@ -56,9 +57,9 @@ class SystemSpec:
         for name, rate in (("omega", self.omega), ("j_coupling", self.j_coupling)):
             if not 0 < rate <= RATE_CEILING:
                 raise ValueError(f"{name} must be > 0 and <= {RATE_CEILING:g}, got {rate}")
-        cells, most = self.n_cells, MAX_QUBITS // 3
-        if isinstance(cells, bool) or not isinstance(cells, int) or not 1 <= cells <= most:
-            raise ValueError(f"n_cells must be an integer in [1, {most}], got {cells!r}")
+        cells = self.n_cells
+        if isinstance(cells, bool) or not isinstance(cells, int) or not 1 <= cells <= MAX_CELLS:
+            raise ValueError(f"n_cells must be an integer in [1, {MAX_CELLS}], got {cells!r}")
 
     @property
     def full_cell_energy(self) -> float:

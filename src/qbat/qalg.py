@@ -236,12 +236,6 @@ def embed(op: Operator, target_sites: Sequence[int], n_total: int) -> Operator:
     return Operator(n_total, mat, hermitian=op.hermitian, unitary=op.unitary)
 
 
-def commutator(a: Operator, b: Operator) -> Operator:
-    """[a, b] = ab - ba, exactly as written (no symmetrization)."""
-    a._check_same_dim(b)
-    return Operator(a.n_qubits, a.matrix @ b.matrix - b.matrix @ a.matrix)
-
-
 def expectation(op: Operator, state: State):
     """<psi|A|psi> or tr(A rho).
 

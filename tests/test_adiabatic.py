@@ -5,11 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from qbat import dynamics
 from qbat.adiabatic import (
+    _EXCITATION_SECTORS,
+    AdiabaticDecomposition,
     AdiabaticSpec,
     Schedule,
+    _align_group,
+    _degenerate_groups,
     _drive_channels,
     _drive_states,
+    _ht_stack,
     adiabatic_decomposition,
     adiabatic_ec,
     adiabatic_rate_prediction,
@@ -27,7 +33,7 @@ from qbat.adiabatic import (
 )
 from qbat.dynamics import STEPS_PER_UNIT_JT, evolve_timedep
 from qbat.model import SystemSpec, charge, ec_operator, hamiltonian_set
-from qbat.qalg import PureState, commutator, eigh
+from qbat.qalg import PureState, eigh
 
 from conftest import I2, X, Y, Z, kron
 
@@ -92,9 +98,10 @@ def test_parity_check():
 
 def test_parity_commutes_at_spot_values():
     spec = AdiabaticSpec(tau=2.0, schedule=Schedule.SMOOTHSTEP)
-    pi_z = parity_operator()
+    pi_z = parity_operator().matrix
     for s in (0.0, 0.31, 0.5, 0.77, 1.0):
-        assert np.abs(commutator(build_ht(spec, s), pi_z).matrix).max() <= 1e-12
+        h = build_ht(spec, s).matrix
+        assert np.abs(h @ pi_z - pi_z @ h).max() <= 1e-12
 
 
 def test_min_sector_gap_positive():
@@ -301,3 +308,123 @@ def test_discharge_invariants_property(jtau, schedule, samples_per_jt):
     dt = series.times[1] - series.times[0]
     integral = np.concatenate(([0.0], np.cumsum((series.ec[1:] + series.ec[:-1]) * dt / 2)))
     assert np.abs(integral - (series.charge - series.charge[0])).max() <= 0.5 * dt**2
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(list(Schedule)), st.floats(0.5, 40.0), st.integers(2, 200),
+       st.integers(1, 600))
+def test_drive_series_across_chunk_sizes(schedule, jtau, n_samples, chunk):
+    # chunks that hold whole recording segments leave every series bit-identical;
+    # chunks that split a segment regroup its product (measured <= 2.7e-13
+    # at a 7-step chunk and Jtau = 1280)
+    spec = AdiabaticSpec(tau=jtau, schedule=schedule)
+    default = run_discharge(spec, n_samples=n_samples).series
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "_CHUNK", chunk)
+        chunked = run_discharge(spec, n_samples=n_samples).series
+    per_segment = math.ceil(math.ceil(STEPS_PER_UNIT_JT * jtau) / (n_samples - 1))
+    tol = 0.0 if chunk >= per_segment else 1e-12
+    pairs = [(default.charge, chunked.charge), (default.ec, chunked.ec)]
+    pairs += [(channel, chunked.extra[name]) for name, channel in default.extra.items()]
+    for before, after in pairs:
+        assert np.abs(after - before).max() <= tol
+
+
+def test_sector_gaps_on_the_f_grid():
+    # H(s) = J M(f(s)): on f in [0, 1) both gaps of each three-state sector
+    # stay >= 1.5 J (1 - f) (measured >= 1.636 J (1 - f)), so ascending order
+    # is branch order for every schedule and J; the lower gap bottoms out at
+    # 0.6606 J near f = 0.63
+    f = np.linspace(0.0, 1.0, 100_000, endpoint=False)
+    for j in (1.0, 2.5):
+        spec = AdiabaticSpec(tau=1.0, j_coupling=j)  # linear schedule: f = s
+        for sector in _EXCITATION_SECTORS[1:3]:
+            gaps = np.diff(np.linalg.eigvalsh(_ht_stack(spec, f, sector)), axis=1)
+            assert np.all(gaps >= 1.5 * j * (1.0 - f)[:, None])
+            assert gaps[:, 0].min() == pytest.approx(0.6606 * j, rel=1e-4)
+            assert f[np.argmin(gaps[:, 0])] == pytest.approx(0.63, abs=0.01)
+
+
+# The parity-block tracker that the excitation-sector branches replaced: the
+# 4-dim parity blocks of the full drive, continued by greedy maximum-overlap
+# assignment at every sample.  Kept as the oracle for those branches.
+def _parity_basis(odd: bool) -> np.ndarray:
+    return np.eye(8)[:, [i for k, sector in enumerate(_EXCITATION_SECTORS)
+                         if k % 2 == odd for i in sector]]
+
+
+def _track_parity_block(stack, basis):
+    blocks = np.einsum("ia,kij,jb->kab", basis, stack, basis)
+    w, v = np.linalg.eigh(blocks)
+    nt, dim, _ = v.shape
+    if nt > 1:
+        for group in _degenerate_groups(w[0], rtol=1e-9):
+            if len(group) > 1:
+                span = v[0][:, group]
+                scores = np.linalg.norm(span.conj().T @ v[1], axis=0)
+                chosen = np.sort(np.argsort(scores)[-len(group):])
+                v[0][:, group] = _align_group(v[1][:, chosen], span)
+    quality = np.ones(dim)
+    for k in range(1, nt):
+        weight = np.abs(v[k - 1].conj().T @ v[k])
+        assignment = np.full(dim, -1)
+        for _ in range(dim):
+            i, j = np.unravel_index(int(np.argmax(weight)), weight.shape)
+            assignment[i] = j
+            weight[i, :] = -1.0
+            weight[:, j] = -1.0
+        v[k] = v[k][:, assignment]
+        w[k] = w[k][assignment]
+        for group in _degenerate_groups(w[k]):
+            if len(group) > 1:
+                v[k][:, group] = _align_group(v[k - 1][:, group], v[k][:, group])
+        quality = np.minimum(quality, np.abs(np.einsum("in,in->n", v[k - 1].conj(), v[k])))
+    return w.T, np.einsum("ia,kab->kib", basis, v), quality
+
+
+def _parity_block_gap(spec):
+    stack = _ht_stack(spec, np.linspace(0.0, 1.0, 257))
+    energies, vectors, _ = _track_parity_block(stack, _parity_basis(True))
+    n = int(np.argmax(np.abs(vectors[0].conj().T @ storage_state().amplitudes)))
+    return float(np.min(np.abs(np.delete(energies, n, axis=0) - energies[n])))
+
+
+def _parity_block_decomposition(spec, psi0, n_samples):
+    times = np.linspace(0.0, spec.tau, n_samples)
+    stack = _ht_stack(spec, times / spec.tau)
+    odd, even = (_track_parity_block(stack, _parity_basis(odd)) for odd in (True, False))
+    energies = np.concatenate([odd[0], even[0]], axis=0)
+    vectors = np.concatenate([odd[1], even[1]], axis=2)
+    coefficients = vectors[0].conj().T @ psi0.amplitudes
+    dyn = np.zeros_like(energies)
+    dyn[:, 1:] = -np.cumsum((energies[:, :-1] + energies[:, 1:]) / 2.0 * np.diff(times), axis=1)
+    geo = np.zeros_like(energies)
+    steps = np.angle(np.einsum("kin,kin->kn", vectors[:-1].conj(), vectors[1:]))
+    geo[:, 1:] = -np.cumsum(steps.T, axis=1)
+    h0a = hamiltonian_set(SystemSpec(1.0, spec.j_coupling)).h0_hub.matrix
+    labels = np.empty(8, dtype=int)
+    for label, group in enumerate(_degenerate_groups(energies[:, 0], rtol=1e-9)):
+        labels[group] = label
+    return AdiabaticDecomposition(
+        times=times, coefficients=coefficients, energies=energies, phases=dyn + geo,
+        hub_elements=np.einsum("kin,ij,kjm->nmk", vectors.conj(), h0a, vectors),
+        eigenspace_labels=labels, occupied=np.abs(coefficients) ** 2 > 1e-12,
+        min_tracking_overlap=np.concatenate([odd[2], even[2]]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(list(Schedule)), st.floats(0.5, 80.0), st.floats(-3.0, 3.0),
+       st.integers(32, 256), st.integers(0, 2**31 - 1))
+def test_sector_branches_match_the_parity_block_tracker(schedule, jtau, log_j, n_samples,
+                                                        seed):
+    # measured: gaps bit-identical, predictions within 5e-15 max(1, J)
+    j = 10.0**log_j
+    spec = AdiabaticSpec(tau=jtau / j, j_coupling=j, schedule=schedule)
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+    psi0 = PureState(3, amps / np.linalg.norm(amps))
+    prediction = adiabatic_rate_prediction(adiabatic_decomposition(spec, psi0,
+                                                                   n_samples=n_samples))
+    oracle = adiabatic_rate_prediction(_parity_block_decomposition(spec, psi0, n_samples))
+    assert np.abs(prediction - oracle).max() <= 1e-12 * max(1.0, j)
+    assert abs(min_sector_gap(spec) - _parity_block_gap(spec)) <= 1e-12 * j

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qbat.cli import main
+from qbat.cli import MAX_ROWS, main
 
 
 def run_cli(args, capsys):
@@ -290,6 +290,28 @@ def test_rates_above_the_ceiling_are_parameter_errors(capsys, args, value):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("args", [
+    ["discharge", "--bell", "10", "--samples", str(MAX_ROWS + 1)],
+    ["single-particle", "--samples", str(MAX_ROWS + 1)],
+    ["adiabatic", "--jtau", "1", "--samples", str(MAX_ROWS + 1)],
+    ["separable", "--grid", "257"],
+    ["sweep-tau", "--from", "1", "--to", "2", "--points", str(MAX_ROWS // 3 + 1)],
+    ["ncell", "--plan", ",".join(["h"] * MAX_ROWS)],
+], ids=["discharge", "single-particle", "adiabatic", "separable", "sweep-tau", "ncell"])
+def test_row_counts_above_the_ceiling_are_parameter_errors(capsys, args):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert f"more than {MAX_ROWS}" in err
+
+
+def test_separable_runs_at_the_row_ceiling(capsys):
+    code, out, err = run_cli(["separable", "--grid", "256"], capsys)
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 1 + MAX_ROWS
 
 
 def test_config_seed_must_be_integer(tmp_path, capsys):

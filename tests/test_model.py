@@ -33,10 +33,10 @@ def test_spec_validation():
         SystemSpec(j_coupling=-1.0)
 
 
-@pytest.mark.parametrize("n_cells", [0, 5, 1.5, True])
+@pytest.mark.parametrize("n_cells", [0, 5, 1.5, True, 3])
 def test_n_cells_validation(n_cells):
-    # four cells fill MAX_QUBITS = 12 qubits; a bool is not a cell count
-    with pytest.raises(ValueError, match=r"^n_cells must be an integer in \[1, 4\], got ") as err:
+    # at most two cells (MAX_CELLS); a bool is not a cell count
+    with pytest.raises(ValueError, match=r"^n_cells must be an integer in \[1, 2\], got ") as err:
         SystemSpec(n_cells=n_cells)
     assert "\n" not in str(err.value)
 

@@ -7,7 +7,6 @@ from qbat.qalg import (
     DensityMatrix,
     Operator,
     PureState,
-    commutator,
     eigh,
     embed,
     expectation,
@@ -60,15 +59,10 @@ def test_embed_validates_sites():
         embed(pauli("x"), [3], 3)
 
 
-def test_commutator_pauli_algebra():
-    assert_allclose(commutator(pauli("z"), pauli("x")).matrix, 2j * Y)
-    a = Operator(1, np.array([[1, 2], [3, 4]], dtype=complex))
-    assert_allclose(commutator(a, a).matrix, np.zeros((2, 2)))
-
-
 def test_bare_hamiltonian_commutes_with_coupling(hs):
     # equal splittings make the coupling commute with the total bare part
-    comm = commutator(hs.h0_total, hs.h_charging).matrix
+    a, b = hs.h0_total.matrix, hs.h_charging.matrix
+    comm = a @ b - b @ a
     assert np.abs(comm).max() <= 1e-12
 
 
@@ -182,14 +176,6 @@ def test_embed_is_multiplicative(a, b):
     left = embed(a, [1], 3) @ embed(b, [1], 3)
     right = embed(Operator(1, a.matrix @ b.matrix), [1], 3)
     assert np.abs(left.matrix - right.matrix).max() <= 1e-12
-
-
-@settings(max_examples=30, deadline=None)
-@given(_hermitian_ops(2), _hermitian_ops(2))
-def test_commutator_antisymmetry(a, b):
-    forward = commutator(a, b).matrix
-    backward = commutator(b, a).matrix
-    assert np.array_equal(forward, -backward)
 
 
 @settings(max_examples=30, deadline=None)

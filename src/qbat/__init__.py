@@ -32,7 +32,6 @@ from .dynamics import (
     evolve_timedep,
     propagator,
     sample_trajectory,
-    to_interaction_picture,
 )
 from .model import (
     HamiltonianSet,
@@ -43,7 +42,6 @@ from .model import (
     ec_operator,
     ergotropy,
     hamiltonian_set,
-    passive_state,
     qubit_energy_term,
 )
 from .protocols import (
@@ -73,11 +71,9 @@ from .qalg import (
     DensityMatrix,
     Operator,
     PureState,
-    eigh,
     embed,
     expectation,
     ket,
-    partial_trace,
     pauli,
     tensor,
     trace_distance,

@@ -28,6 +28,11 @@ from .model import RATE_CEILING, SystemSpec, ec_operator, hamiltonian_set
 from .protocols import BellLabel, bell_with_empty_hub
 from .qalg import Operator, PureState, embed, ket, max_abs, pauli, tensor
 
+# Most midpoint steps one drive, or one sweep over all its jobs, may take:
+# adiabatic --jtau 16384 --samples 2 exactly, about 3 s of stepping on a
+# 2-core machine.  Checked before any stepping.
+MAX_STEPS = 2**22
+
 
 class Schedule(Enum):
     """Interpolation schedules; all satisfy f(0) = 0 and f(1) = 1 exactly."""
@@ -173,18 +178,6 @@ def parity_check(spec: AdiabaticSpec) -> ParityCheckReport:
     )
 
 
-def sector_basis(parity: int) -> np.ndarray:
-    """(8, 4) isometry onto the computational states of one parity sector.
-
-    ``parity`` is the eigenvalue of ``parity_operator()``: -1 for an odd
-    number of excitations, +1 for an even number.
-    """
-    if parity not in (-1, 1):
-        raise ValueError(f"parity must be -1 or +1, got {parity}")
-    return np.eye(8)[:, [i for k, sector in enumerate(_EXCITATION_SECTORS)
-                         if (-1) ** k == parity for i in sector]]
-
-
 def min_sector_gap(spec: AdiabaticSpec) -> float:
     """Minimum gap between the stored cell's branch, the ground branch of the
     one-excitation sector, and the rest of that sector, on 257 uniform s."""
@@ -216,24 +209,41 @@ class DischargeReport:
             raise ValueError("target fidelity and forbidden leakage exceed unity")
 
 
+def _drive_steps(spec: AdiabaticSpec, n_samples: int) -> int:
+    """Midpoint steps of one drive recorded at ``n_samples`` uniform times.
+
+    Every segment between samples takes the same whole number of steps, at
+    least STEPS_PER_UNIT_JT per unit Jt in total.  Fewer than two samples or
+    more than MAX_STEPS steps raise ValueError.
+    """
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
+    per_unit = STEPS_PER_UNIT_JT * spec.jtau
+    segments = n_samples - 1
+    if per_unit <= MAX_STEPS:  # also keeps math.ceil away from inf
+        steps = math.ceil(math.ceil(per_unit) / segments) * segments
+        if steps <= MAX_STEPS:
+            return steps
+    raise ValueError(f"Jtau = {spec.jtau:g} at {n_samples} samples needs more than "
+                     f"{MAX_STEPS} drive steps")
+
+
 def _drive_states(spec: AdiabaticSpec, amplitudes: np.ndarray, n_samples: int,
                   sector=tuple(range(8))) -> np.ndarray:
     """Step ``amplitudes`` on the computational states ``sector`` under the
-    drive, returning the (n_samples, len(sector)) states at uniform times.
-
-    Every segment between samples takes the same whole number of steps, at
-    least STEPS_PER_UNIT_JT per unit Jt in total, whatever the sector.
-    """
-    per_segment = math.ceil(math.ceil(STEPS_PER_UNIT_JT * spec.jtau) / (n_samples - 1))
+    drive, returning the (n_samples, len(sector)) states at uniform times,
+    after ``_drive_steps`` steps whatever the sector."""
+    n_steps = _drive_steps(spec, n_samples)
     return _midpoint_states(lambda s: _ht_stack(spec, s, sector), amplitudes, spec.tau,
-                            per_segment * (n_samples - 1), per_segment)
+                            n_steps, n_steps // (n_samples - 1))
 
 
 def _drive_channels(spec: AdiabaticSpec, psi0: PureState, omega: float, n_samples: int):
     """Drive ``psi0`` and sample it uniformly: (times, states, charge, current).
 
     ``psi0`` is stepped once in each excitation sector it occupies, and the
-    sector states are scattered into the (n_samples, 8) state array.  The
+    sector states are scattered into the (n_samples, 8) state array.  A drive
+    over MAX_STEPS raises ValueError before the first sector is stepped.  The
     charge is the hub energy above its empty state, the current the
     expectation of (1/i)[H0_hub, H(t)] at each sample time, summed part by
     part because it is linear in the weights of the interpolation parts.
@@ -255,8 +265,6 @@ def _drive_channels(spec: AdiabaticSpec, psi0: PureState, omega: float, n_sample
 def run_discharge(spec: AdiabaticSpec, omega: float = 1.0,
                   n_samples: int = 513) -> DischargeReport:
     """Drive the stored cell through the interpolation and report the outcome."""
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
     times, states, charge_channel, ec_channel = _drive_channels(
         spec, storage_state(), omega, n_samples)
     parity_channel = _observable_rows(states, parity_operator())
@@ -299,12 +307,19 @@ def sweep_tau(tau_values, omega: float = 1.0, *, j_coupling: float = 1.0,
 
     Returns one SweepPoint per (tau, schedule) pair, ordered by the input tau
     list and then ``Schedule``'s order regardless of execution order.  tau = 0 is the
-    sudden limit: nothing evolves and nothing is transferred.
+    sudden limit: nothing evolves and nothing is transferred.  A sweep whose
+    jobs take more than MAX_STEPS drive steps in total raises ValueError
+    before the first job starts.
     """
     if len(tau_values) == 0:
         raise ValueError("tau_values must not be empty")
     cmax = 2.0 * omega
     jobs = [(float(tau), schedule) for tau in tau_values for schedule in Schedule]
+    steps = sum(_drive_steps(AdiabaticSpec(tau, j_coupling, schedule), n_samples)
+                for tau, schedule in jobs if tau != 0.0)
+    if steps > MAX_STEPS:
+        raise ValueError(f"the sweep needs {steps} drive steps in total, "
+                         f"more than {MAX_STEPS}")
 
     def _one(job):
         tau, schedule = job

@@ -50,11 +50,17 @@ class RunConfig:
     output: str = "-"
 
     def __post_init__(self):
+        for rate in ("omega", "j_coupling"):
+            value = getattr(self, rate)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{rate} must be a number, got {value!r}")
         SystemSpec(self.omega, self.j_coupling)  # rejects a bad omega or j_coupling
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format!r}")
+        if not isinstance(self.output, str) or not self.output:
+            raise ValueError(f"output must be a non-empty path or '-', got {self.output!r}")
 
     @property
     def spec(self) -> SystemSpec:
@@ -85,9 +91,6 @@ def _resolve_config(args) -> RunConfig:
         given = getattr(args, flag, None)
         if given is not None:
             values[field_name] = given
-    for rate in ("omega", "j_coupling"):
-        if rate in values:
-            values[rate] = float(values[rate])
     return RunConfig(**values)
 
 
@@ -291,7 +294,7 @@ def _cmd_single_particle(cfg: RunConfig, args) -> list:
 
 def _cmd_ncell(cfg: RunConfig, args) -> list:
     plan = NCellPlan.parse(args.plan)
-    _check_rows(f"a plan of {plan.n_cells} cells", plan.n_cells + 1)
+    _check_rows(f"a plan of {len(plan.actions)} cells", len(plan.actions) + 1)
     total, per_cell = protocols.ncell_plan_energy(plan, cfg.spec)
     rows = [{"cell": str(i), "action": action.value, "energy_hbar_omega": energy / cfg.omega}
             for i, (action, energy) in enumerate(zip(plan.actions, per_cell))]
@@ -366,7 +369,7 @@ def main(argv=None) -> int:
         rows = _HANDLERS[args.command](cfg, args)
         write_rows(rows, cfg.format, cfg.output)
         return 0
-    except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal failure

@@ -18,9 +18,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .model import HamiltonianSet, ec_operator
-from .qalg import DensityMatrix, Operator, PureState
+from .qalg import HERMITIAN_ATOL, DensityMatrix, Operator, PureState, max_abs
 
-HofS = Callable[[float], Operator]
 HStack = Callable[[np.ndarray], np.ndarray]  # s values (m,) -> Hamiltonians (m, d, d)
 
 # Batched-eigh chunk size for long stepped evolutions.  A chunk's 8x8 complex
@@ -64,11 +63,6 @@ class TimeSeries:
         return self.times.size
 
 
-def _require_hermitian(h: Operator, context: str) -> None:
-    if not h.hermitian:
-        raise ValueError(f"{context} requires a hermitian-flagged Hamiltonian")
-
-
 def _spectral(h: Operator, x: np.ndarray, times) -> np.ndarray:
     """exp(-i H t) x for every t in ``times``, from one eigendecomposition of H.
 
@@ -77,7 +71,8 @@ def _spectral(h: Operator, x: np.ndarray, times) -> np.ndarray:
     coefficients rather than on a formed unitary, so t = 0 returns x to
     within the eigenbasis round trip.
     """
-    _require_hermitian(h, "exact propagation")
+    if not h.hermitian:
+        raise ValueError("exact propagation requires a hermitian-flagged Hamiltonian")
     if x.shape[0] != h.dim:
         raise ValueError(f"dimension mismatch: operator {h.dim}, state {x.shape[0]}")
     w, v = np.linalg.eigh(h.matrix)
@@ -117,10 +112,12 @@ def _midpoint_states(h_stack: HStack, psi0: np.ndarray, tau: float, n_steps: int
     ``h_stack`` maps an array of s = t/tau values to the (m, d, d) stack of
     Hamiltonian matrices; ``every`` divides ``n_steps``.  Row 0 is ``psi0``.
     Hamiltonians are diagonalised in chunks of at most ``_CHUNK`` steps that
-    end on recording boundaries.  Each chunk's step unitaries
-    V diag(exp(-i w dt)) V^dagger are folded by ``_tree_product`` into one
-    propagator per segment (or per ``_CHUNK``-step piece of a longer
-    segment), which is applied to the state with a single matvec.
+    end on recording boundaries; a chunk whose stack is not hermitian within
+    1e-12 raises ValueError, as ``eigh`` would read only one triangle of it.
+    Each chunk's step unitaries V diag(exp(-i w dt)) V^dagger are folded by
+    ``_tree_product`` into one propagator per segment (or per ``_CHUNK``-step
+    piece of a longer segment), which is applied to the state with a single
+    matvec.
     """
     dt = tau / n_steps
     psi = np.asarray(psi0, dtype=complex)
@@ -130,7 +127,10 @@ def _midpoint_states(h_stack: HStack, psi0: np.ndarray, tau: float, n_steps: int
     while done < n_steps:
         piece = min(every - done % every, _CHUNK)
         m = piece * max(1, min(_CHUNK // every, (n_steps - done) // every))
-        w, v = np.linalg.eigh(h_stack((done + np.arange(m) + 0.5) / n_steps))
+        h = h_stack((done + np.arange(m) + 0.5) / n_steps)
+        if max_abs(h - h.conj().swapaxes(1, 2)) > HERMITIAN_ATOL:
+            raise ValueError("time-dependent Hamiltonian stack is not hermitian")
+        w, v = np.linalg.eigh(h)
         steps = (v * np.exp(-1j * dt * w)[:, None, :]) @ v.conj().swapaxes(1, 2)
         for segment in _tree_product(steps.reshape(m // piece, piece, psi.size, psi.size)):
             psi = segment @ psi
@@ -140,22 +140,12 @@ def _midpoint_states(h_stack: HStack, psi0: np.ndarray, tau: float, n_steps: int
     return states
 
 
-def _stack_of(h_of: HofS, dim: int) -> HStack:
-    """Stack builder sampling a per-s callable, validating every sample."""
-    def h_stack(s_values: np.ndarray) -> np.ndarray:
-        stack = np.empty((s_values.size, dim, dim), dtype=complex)
-        for k, s in enumerate(s_values):
-            h = h_of(float(s))
-            _require_hermitian(h, "evolve_timedep sample")
-            stack[k] = h.matrix
-        return stack
-    return h_stack
-
-
-def evolve_timedep(h_of: HofS, psi0: PureState, tau: float,
+def evolve_timedep(h_stack: HStack, psi0: PureState, tau: float,
                    n_steps: int | None = None) -> PureState:
-    """Propagate under a Hamiltonian given as a function of s = t/tau in [0, 1].
+    """Propagate under a time-dependent Hamiltonian with the midpoint stepper.
 
+    ``h_stack`` maps an array of s = t/tau values in [0, 1] to the (m, d, d)
+    stack of Hamiltonian matrices at those s, as ``adiabatic._ht_stack`` does.
     By default ``tau`` is taken in the unit system in which the Hamiltonian
     entries are O(1) (Jt for couplings carrying J) and stepped at
     STEPS_PER_UNIT_JT steps per unit; callers with other scales pass
@@ -168,25 +158,8 @@ def evolve_timedep(h_of: HofS, psi0: PureState, tau: float,
     n = n_steps if n_steps is not None else math.ceil(STEPS_PER_UNIT_JT * tau)
     if n < 1:
         raise ValueError(f"n_steps must be >= 1, got {n}")
-    states = _midpoint_states(_stack_of(h_of, psi0.dim), psi0.amplitudes, tau, n, n)
+    states = _midpoint_states(h_stack, psi0.amplitudes, tau, n, n)
     return PureState(psi0.n_qubits, states[-1])
-
-
-def to_interaction_picture(h0: Operator, obj, t: float):
-    """Rotate a state or conjugate an operator into the frame co-moving with h0.
-
-    States map as exp(+i h0 t)|psi>, operators as exp(+i h0 t) A exp(-i h0 t).
-    Calling again with ``-t`` undoes the transform.
-    """
-    if isinstance(obj, PureState):
-        return PureState(obj.n_qubits, _spectral(h0, obj.amplitudes, [-t])[0])
-    zdag = _spectral(h0, np.eye(h0.dim), [-t])[0]
-    if isinstance(obj, DensityMatrix):
-        return DensityMatrix(obj.n_qubits, zdag @ obj.entries @ zdag.conj().T)
-    if isinstance(obj, Operator):
-        return Operator(obj.n_qubits, zdag @ obj.matrix @ zdag.conj().T,
-                        hermitian=obj.hermitian, unitary=obj.unitary)
-    raise TypeError(f"cannot transform object of type {type(obj).__name__}")
 
 
 def _observable_rows(states: np.ndarray, op: Operator) -> np.ndarray:

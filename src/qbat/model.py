@@ -1,7 +1,8 @@
-"""Physical model of one or more battery cells coupled to a consumption hub.
+"""Physical model of one battery cell coupled to its consumption hub.
 
-A cell is a pair of non-interacting battery qubits; each cell feeds one hub
-qubit through an XY exchange coupling.  Everything here is expressed with
+A cell is a pair of non-interacting battery qubits B1, B2 that feed one hub
+qubit through an XY exchange coupling; the qubits are ordered (B1, B2, hub)
+in the package's big-endian basis.  Everything here is expressed with
 hbar = 1; energies are in units of hbar*omega (bare splittings) or hbar*J
 (couplings).
 """
@@ -13,12 +14,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .qalg import (
-    DensityMatrix,
     Operator,
     PureState,
     State,
     embed,
-    eigh,
     expectation,
     max_abs,
     pauli,
@@ -29,13 +28,11 @@ from .qalg import (
 # up to it (tests/test_cli.py runs each at the ceiling); far beyond it the
 # products the package forms, such as omega*J or squared charges, overflow.
 RATE_CEILING = 1e12
-# Largest accepted cell count: nothing needs more than two cells (AC-13).
-MAX_CELLS = 2
 
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """Physical parameters of the battery/hub block.
+    """Physical parameters of the cell.
 
     omega
         Qubit splitting; the bare per-qubit Hamiltonian is
@@ -43,33 +40,25 @@ class SystemSpec:
     j_coupling
         XY exchange strength between each battery qubit and its hub qubit.
         Both rates must lie in (0, RATE_CEILING].
-    n_cells
-        Number of independent cells, an integer in [1, MAX_CELLS].
-        Cell c owns qubits 3c and 3c+1 (its batteries) and 3c+2 (its hub),
-        in the package's big-endian order, so a single cell is (B1, B2, hub).
     """
 
     omega: float = 1.0
     j_coupling: float = 1.0
-    n_cells: int = 1
 
     def __post_init__(self):
         for name, rate in (("omega", self.omega), ("j_coupling", self.j_coupling)):
             if not 0 < rate <= RATE_CEILING:
                 raise ValueError(f"{name} must be > 0 and <= {RATE_CEILING:g}, got {rate}")
-        cells = self.n_cells
-        if isinstance(cells, bool) or not isinstance(cells, int) or not 1 <= cells <= MAX_CELLS:
-            raise ValueError(f"n_cells must be an integer in [1, {MAX_CELLS}], got {cells!r}")
 
     @property
     def full_cell_energy(self) -> float:
-        """Maximum energy one cell can hand to its hub qubit (2 hbar*omega)."""
+        """Maximum energy the cell can hand to its hub qubit (2 hbar*omega)."""
         return 2.0 * self.omega
 
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianSet:
-    """Bare Hamiltonian pieces (plus, optionally, the coupling) on the full space."""
+    """Bare Hamiltonian pieces (plus, optionally, the coupling) on the cell's space."""
 
     h0_battery: Operator
     h0_hub: Operator
@@ -99,42 +88,32 @@ def qubit_energy_term(omega: float) -> Operator:
 def bare_hamiltonian(spec: SystemSpec) -> HamiltonianSet:
     """Bare Hamiltonians of the battery and hub qubits (no coupling term).
 
-    ``e_empty`` is the hub ground energy, -hbar*omega per hub qubit.
+    ``e_empty`` is the hub ground energy, -hbar*omega.
     """
-    n = 3 * spec.n_cells
     term = qubit_energy_term(spec.omega)
-    zero = Operator(n, np.zeros((2**n, 2**n)), hermitian=True)
-    h_b = sum((embed(term, [q], n) for q in range(n) if q % 3 != 2), start=zero)
-    h_a = sum((embed(term, [q], n) for q in range(2, n, 3)), start=zero)
-    return HamiltonianSet(
-        h0_battery=h_b,
-        h0_hub=h_a,
-        h0_total=h_b + h_a,
-        h_charging=None,
-        e_empty=-spec.omega * spec.n_cells,
-    )
+    h_b = embed(term, [0], 3) + embed(term, [1], 3)
+    h_a = embed(term, [2], 3)
+    return HamiltonianSet(h0_battery=h_b, h0_hub=h_a, h0_total=h_b + h_a,
+                          h_charging=None, e_empty=-spec.omega)
 
 
 def charging_hamiltonian(spec: SystemSpec) -> Operator:
-    """XY coupling of both battery qubits of every cell to that cell's hub:
+    """XY coupling of both battery qubits to the hub:
 
-        J * sum_cells sum_{n=1,2} (x_Bn x_A + y_Bn y_A)
+        J * sum_{n=1,2} (x_Bn x_A + y_Bn y_A)
 
     This conserves the total excitation number, which underpins the
     closed-form discharge laws.
     """
-    n = 3 * spec.n_cells
     xx = tensor(pauli("x"), pauli("x"))
     yy = tensor(pauli("y"), pauli("y"))
-    h = Operator(n, np.zeros((2**n, 2**n)), hermitian=True)
-    for hub in range(2, n, 3):
-        for b in (hub - 2, hub - 1):
-            h = h + spec.j_coupling * (embed(xx, [b, hub], n) + embed(yy, [b, hub], n))
-    return h
+    j = spec.j_coupling
+    return (j * (embed(xx, [0, 2], 3) + embed(yy, [0, 2], 3))
+            + j * (embed(xx, [1, 2], 3) + embed(yy, [1, 2], 3)))
 
 
 def hamiltonian_set(spec: SystemSpec) -> HamiltonianSet:
-    """Bare pieces plus the charging Hamiltonian, all on the full space."""
+    """Bare pieces plus the charging Hamiltonian, all on the cell's space."""
     return replace(bare_hamiltonian(spec), h_charging=charging_hamiltonian(spec))
 
 
@@ -157,31 +136,6 @@ def charge(state: State, hs: HamiltonianSet) -> float:
     return expectation(hs.h0_hub, state) - hs.e_empty
 
 
-def _descending_populations(rho: State, h: Operator, context: str):
-    """``rho`` as a density matrix, checked against ``h``, and its eigenvalues
-    in descending order."""
-    if not h.hermitian:
-        raise ValueError(f"{context} requires a hermitian reference Hamiltonian")
-    rho = rho.density() if isinstance(rho, PureState) else rho
-    if rho.dim != h.dim:
-        raise ValueError(f"dimension mismatch: state {rho.dim}, hamiltonian {h.dim}")
-    return rho, np.sort(np.linalg.eigvalsh(rho.entries))[::-1]
-
-
-def passive_state(rho: State, h: Operator) -> DensityMatrix:
-    """State reached by sorting rho's populations descending against h's
-    levels ascending; no work is unitarily extractable from it.
-
-    Ties among energy levels are broken in index order; the resulting energy
-    (hence the ergotropy) is unaffected by that choice.
-    """
-    rho, populations = _descending_populations(rho, h, "passive_state")
-    populations = np.clip(populations, 0.0, None)
-    populations = populations / populations.sum()
-    _, levels = eigh(h)
-    return DensityMatrix(rho.n_qubits, (levels * populations) @ levels.conj().T)
-
-
 def ergotropy(rho: State, h: Operator) -> float:
     """Maximum work extractable from ``rho`` by unitaries, for reference ``h``.
 
@@ -189,6 +143,11 @@ def ergotropy(rho: State, h: Operator) -> float:
     populations paired with ascending levels).  For a pure state this equals
     the energy above the ground state of ``h``.
     """
-    rho, populations = _descending_populations(rho, h, "ergotropy")
+    if not h.hermitian:
+        raise ValueError("ergotropy requires a hermitian reference Hamiltonian")
+    rho = rho.density() if isinstance(rho, PureState) else rho
+    if rho.dim != h.dim:
+        raise ValueError(f"dimension mismatch: state {rho.dim}, hamiltonian {h.dim}")
+    populations = np.sort(np.linalg.eigvalsh(rho.entries))[::-1]
     levels = np.linalg.eigvalsh(h.matrix)
     return float(np.trace(h.matrix @ rho.entries).real - populations @ levels)

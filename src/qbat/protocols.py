@@ -172,11 +172,6 @@ def blocking_state_from_constraints() -> DensityMatrix:
     return DensityMatrix(2, mat)
 
 
-def _require_one_cell(spec: SystemSpec, caller: str) -> None:
-    if spec.n_cells != 1:
-        raise ValueError(f"{caller} models a single cell, got n_cells = {spec.n_cells}")
-
-
 def blocking_conditions(rho_battery: DensityMatrix, spec: SystemSpec):
     """Evaluate the two blocking conditions for a battery density matrix.
 
@@ -187,7 +182,6 @@ def blocking_conditions(rho_battery: DensityMatrix, spec: SystemSpec):
     max_abs_ec = 4*sqrt(2)*hbar*omega*J * |transfer_fraction(rho)|, with
     1e-9 * hbar*omega*J.
     """
-    _require_one_cell(spec, "blocking_conditions")
     ca, cb, max_ec = _blocking_batch(rho_battery.entries[None], spec)
     return bool(ca[0]), bool(cb[0]), float(max_ec[0])
 
@@ -255,7 +249,6 @@ def trapping_uniqueness_scan(n_random: int, tol: float = 1e-3, *,
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     spec = spec or SystemSpec()
-    _require_one_cell(spec, "trapping_uniqueness_scan")
     singlet = bell_state(BellLabel(1, 1)).density()
 
     solved = blocking_state_from_constraints()
@@ -396,7 +389,6 @@ def separable_sweep(grid_n: int, spec: SystemSpec = SystemSpec(), *,
     """
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
-    _require_one_cell(spec, "separable_sweep")
     betas = np.linspace(0.0, 1.0, grid_n)
     qubits = np.stack([np.sqrt(1.0 - betas**2), betas], axis=1)  # a|0> + b|1> per beta
     pairs = np.einsum("ia,jb->ijab", qubits, qubits).reshape(grid_n, grid_n, 4)
@@ -499,10 +491,6 @@ class NCellPlan:
     def parse(cls, text: str) -> "NCellPlan":
         return cls(tuple(CellAction.parse(tok.strip()) for tok in text.split(",") if tok.strip()))
 
-    @property
-    def n_cells(self) -> int:
-        return len(self.actions)
-
 
 _GATE_FOR_ACTION = {CellAction.HALF: SwitchGate.HALF_ON_QUBIT1,
                     CellAction.FULL: SwitchGate.FULL_ON_QUBIT1}
@@ -522,9 +510,8 @@ def ncell_plan_energy(plan: NCellPlan, spec: SystemSpec):
     Each cell is simulated independently as a three-qubit block.  Holds
     deliver nothing, half actions one quantum (hbar*omega), full actions two.
     """
-    cell_spec = SystemSpec(spec.omega, spec.j_coupling)
-    hs = hamiltonian_set(cell_spec)
-    taud = discharge_time(cell_spec)
+    hs = hamiltonian_set(spec)
+    taud = discharge_time(spec)
     per_cell = []
     for action in plan.actions:
         psi = cell_state_after_action(action)

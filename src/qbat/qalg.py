@@ -14,7 +14,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -81,14 +81,6 @@ class Operator:
         self._check_same_dim(other)
         return Operator(self.n_qubits, self.matrix + other.matrix,
                         hermitian=self.hermitian and other.hermitian)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        self._check_same_dim(other)
-        return Operator(self.n_qubits, self.matrix - other.matrix,
-                        hermitian=self.hermitian and other.hermitian)
-
-    def __neg__(self) -> "Operator":
-        return Operator(self.n_qubits, -self.matrix, hermitian=self.hermitian)
 
     def __mul__(self, scalar: complex) -> "Operator":
         keep = self.hermitian and float(np.imag(scalar)) == 0.0
@@ -258,38 +250,6 @@ def expectation(op: Operator, state: State):
             raise ValueError(f"hermitian expectation has imaginary part {value.imag}")
         return float(value.real)
     return value
-
-
-def eigh(op: Operator):
-    """Eigendecomposition of a hermitian-flagged operator.
-
-    Returns (eigenvalues ascending, orthonormal eigenvector columns).  Inside
-    degenerate subspaces no particular eigenvector choice is promised; use
-    eigenspace projectors downstream.
-    """
-    if not op.hermitian:
-        raise ValueError("eigh requires a hermitian-flagged operator")
-    w, v = np.linalg.eigh(op.matrix)
-    return w, v
-
-
-def partial_trace(state: State, keep: Iterable[int]) -> DensityMatrix:
-    """Reduced density matrix on the (ascending) ``keep`` qubits."""
-    keep = sorted(int(q) for q in keep)
-    n = state.n_qubits
-    if len(set(keep)) != len(keep) or any(q < 0 or q >= n for q in keep):
-        raise ValueError(f"invalid keep set {keep} for {n} qubits")
-    if isinstance(state, PureState):
-        rho = np.outer(state.amplitudes, state.amplitudes.conj())
-    else:
-        rho = state.entries
-    tensor_form = rho.reshape((2,) * (2 * n))
-    row_labels = list(range(n))
-    col_labels = [n + q if q in keep else q for q in range(n)]
-    out_labels = keep + [n + q for q in keep]
-    reduced = np.einsum(tensor_form, row_labels + col_labels, out_labels)
-    d = 2 ** len(keep)
-    return DensityMatrix(len(keep), reduced.reshape(d, d))
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:

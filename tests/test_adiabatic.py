@@ -33,7 +33,7 @@ from qbat.adiabatic import (
 )
 from qbat.dynamics import STEPS_PER_UNIT_JT, evolve_timedep
 from qbat.model import SystemSpec, charge, ec_operator, hamiltonian_set
-from qbat.qalg import PureState, eigh
+from qbat.qalg import PureState
 
 from conftest import I2, X, Y, Z, kron
 
@@ -65,7 +65,7 @@ def test_interpolation_parts_match_hand_built():
 def test_final_ground_space_is_two_fold():
     spec = AdiabaticSpec(tau=1.0)
     _, _, h_f = interpolation_parts(spec)
-    w, v = eigh(h_f)
+    w, v = np.linalg.eigh(h_f.matrix)
     assert w[0] == pytest.approx(-2.0)
     assert w[1] == pytest.approx(-2.0)
     assert w[2] > -2.0 + 1e-9
@@ -78,7 +78,7 @@ def test_final_ground_space_is_two_fold():
 def test_initial_ground_state_is_stored_cell():
     spec = AdiabaticSpec(tau=1.0)
     h_i, _, _ = interpolation_parts(spec)
-    w, v = eigh(h_i)
+    w, v = np.linalg.eigh(h_i.matrix)
     assert w[0] == pytest.approx(-2.0)
     stored = storage_state()
     projector = v[:, np.abs(w + 2.0) <= 1e-9]
@@ -258,10 +258,10 @@ def test_drive_recording_across_chunk_boundaries():
 
 
 def test_run_discharge_uses_the_dynamics_stepper():
-    # the drive and the per-s callable path step the same midpoint states
+    # the drive and evolve_timedep step the same midpoint states
     spec = AdiabaticSpec(tau=6.0, schedule=Schedule.SIN_SQUARED)
     report = run_discharge(spec, n_samples=2)
-    psi = evolve_timedep(lambda s: build_ht(spec, s), storage_state(), spec.tau,
+    psi = evolve_timedep(lambda s: _ht_stack(spec, s), storage_state(), spec.tau,
                          n_steps=math.ceil(STEPS_PER_UNIT_JT * spec.jtau))
     leakage = abs(np.vdot(forbidden_state().amplitudes, psi.amplitudes)) ** 2
     assert report.final_charge == pytest.approx(charge(psi, hamiltonian_set(SystemSpec())),

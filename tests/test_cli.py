@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from qbat import adiabatic
+from qbat.adiabatic import MAX_STEPS, AdiabaticSpec, _drive_steps
 from qbat.cli import MAX_ROWS, main
 
 
@@ -214,12 +216,20 @@ def test_qbat_threads_validation(capsys, monkeypatch):
 
 
 def test_qbat_threads_parallel_matches_serial(capsys, monkeypatch):
-    args = ["sweep-tau", "--from", "1", "--to", "3", "--points", "3"]
-    code, serial, _ = run_cli(args, capsys)
-    monkeypatch.setenv("QBAT_THREADS", "3")
-    code2, threaded, _ = run_cli(args, capsys)
-    assert code == 0 and code2 == 0
-    assert serial == threaded
+    # CSV and JSON are byte-identical for any worker count, over random sweeps
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        low, high = np.sort(rng.uniform(0.0, 4.0, size=2))
+        args = ["sweep-tau", "--from", f"{low:.4f}", "--to", f"{high:.4f}",
+                "--points", str(rng.integers(1, 4)), "--j", f"{rng.uniform(0.2, 3.0):.4f}"]
+        for fmt in ("csv", "json"):
+            outputs = set()
+            for threads in ("1", "2", "3"):
+                monkeypatch.setenv("QBAT_THREADS", threads)
+                code, out, _ = run_cli(args + ["--format", fmt], capsys)
+                assert code == 0
+                outputs.add(out)
+            assert len(outputs) == 1
 
 
 def test_adiabatic_rejects_nonpositive_jtau(capsys):
@@ -312,6 +322,72 @@ def test_separable_runs_at_the_row_ceiling(capsys):
     code, out, err = run_cli(["separable", "--grid", "256"], capsys)
     assert code == 0 and err == ""
     assert len(out.splitlines()) == 1 + MAX_ROWS
+
+
+@pytest.mark.parametrize("args", [
+    ["trap-check", "--output", "{dir}"],
+    ["trap-check", "--config", "{dir}"],
+    ["trap-check", "--output", "{dir}/missing/out.csv"],
+], ids=["output-is-a-directory", "config-is-a-directory", "output-in-a-missing-directory"])
+def test_unusable_paths_are_parameter_errors(tmp_path, capsys, args):
+    code, out, err = run_cli([a.format(dir=tmp_path) for a in args], capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("config", [
+    {"output": 2}, {"output": ""}, {"omega": True}, {"omega": "2.5"}, {"j_coupling": None},
+], ids=["output-int", "output-empty", "omega-bool", "omega-str", "j_coupling-null"])
+def test_config_values_of_the_wrong_type_are_parameter_errors(tmp_path, capsys, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(["ncell", "--plan", "f", "--config", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {next(iter(config))} ")
+
+
+def test_config_rates_may_be_json_integers(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"omega": 2, "j_coupling": 3}))
+    code, out, err = run_cli(["ncell", "--plan", "f,H", "--config", str(path)], capsys)
+    assert code == 0 and err == ""
+    assert parse_csv(out)[-1]["energy_hbar_omega"] == "3"
+
+
+@pytest.mark.parametrize("args, over", [
+    (["adiabatic", "--jtau", "48", "--samples", "2"], False),
+    (["adiabatic", "--jtau", "48.01", "--samples", "2"], True),
+    (["sweep-tau", "--from", "0", "--to", "16", "--points", "2"], False),
+    (["sweep-tau", "--from", "0", "--to", "16.01", "--points", "2"], True),
+], ids=["adiabatic-at", "adiabatic-above", "sweep-tau-at", "sweep-tau-above"])
+def test_drive_steps_at_and_above_the_ceiling(capsys, monkeypatch, args, over):
+    # a ceiling of 3 * 256 * 16 steps stands in for MAX_STEPS to keep the runs
+    # at it short: one drive at Jtau = 48, or a sweep's three drives at 16
+    monkeypatch.setattr(adiabatic, "MAX_STEPS", 3 * 256 * 16)
+    code, out, err = run_cli(args, capsys)
+    if over:
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert f"more than {3 * 256 * 16}" in err
+    else:
+        assert code == 0 and err == "" and out
+
+
+def test_max_steps_rejects_long_drives_up_front(capsys):
+    # adiabatic --jtau 16384 --samples 2 takes exactly MAX_STEPS steps, and a
+    # sweep to 5461 stays within them; one unit of Jtau more is rejected
+    # before any stepping, as is a run time whose step count overflows
+    assert _drive_steps(AdiabaticSpec(tau=16384.0), 2) == MAX_STEPS == 2**22
+    assert len(adiabatic.Schedule) * _drive_steps(AdiabaticSpec(tau=5461.0), 257) <= MAX_STEPS
+    for args in (["adiabatic", "--jtau", "16385", "--samples", "2"],
+                 ["sweep-tau", "--from", "0", "--to", "5462", "--points", "2"],
+                 ["adiabatic", "--jtau", "1e308"],
+                 ["sweep-tau", "--from", "0", "--to", "1e308", "--points", "2"]):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and f"more than {MAX_STEPS}" in err
 
 
 def test_config_seed_must_be_integer(tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from qbat.dynamics import (
@@ -15,8 +16,8 @@ from qbat.dynamics import (
     evolve_timedep,
     propagator,
     sample_trajectory,
-    to_interaction_picture,
 )
+from qbat.model import SystemSpec, hamiltonian_set
 from qbat.protocols import BellLabel, bell_state, bell_with_empty_hub
 from qbat.qalg import DensityMatrix, Operator, PureState, embed, expectation, ket, pauli
 
@@ -73,28 +74,36 @@ def test_evolve_timedep_constant_matches_static(hs):
     psi0 = bell_with_empty_hub(BellLabel(1, 0))
     tau = 0.9
 
-    def h_of(_s):
-        return hs.h_charging
+    def h_stack(s):
+        return np.broadcast_to(hs.h_charging.matrix, (s.size, 8, 8))
 
-    stepped = evolve_timedep(h_of, psi0, tau, n_steps=math.ceil(16 * tau))
+    stepped = evolve_timedep(h_stack, psi0, tau, n_steps=math.ceil(16 * tau))
     exact = evolve_static(hs.h_charging, psi0, tau)
     assert np.abs(stepped.amplitudes - exact.amplitudes).max() <= 1e-12
 
 
 def test_evolve_timedep_second_order_convergence(hs):
     # time-dependent blend of the coupling and the bare term
-    x1 = embed(pauli("x"), [0], 3)
+    x1 = embed(pauli("x"), [0], 3).matrix
 
-    def h_of(s):
-        return hs.h_charging + (2.0 * s * (1 - s)) * x1
+    def h_stack(s):
+        return hs.h_charging.matrix + (2.0 * s * (1 - s))[:, None, None] * x1
 
     psi0 = bell_with_empty_hub(BellLabel(1, 0))
     tau = 2.0
-    reference = evolve_timedep(h_of, psi0, tau, n_steps=4096).amplitudes
-    err = [np.linalg.norm(evolve_timedep(h_of, psi0, tau, n_steps=n).amplitudes - reference)
+    reference = evolve_timedep(h_stack, psi0, tau, n_steps=4096).amplitudes
+    err = [np.linalg.norm(evolve_timedep(h_stack, psi0, tau, n_steps=n).amplitudes - reference)
            for n in (64, 128)]
     order = math.log2(err[0] / err[1])
     assert order >= 1.9
+
+
+def test_evolve_timedep_rejects_non_hermitian_stack(hs):
+    # eigh would read one triangle of it and step a different Hamiltonian
+    upper = np.triu(hs.h_charging.matrix)
+    with pytest.raises(ValueError, match="^time-dependent Hamiltonian stack is not hermitian$"):
+        evolve_timedep(lambda s: np.broadcast_to(upper, (s.size, 8, 8)),
+                       bell_with_empty_hub(BellLabel(1, 0)), 1.0)
 
 
 def _random_hermitian(rng, d):
@@ -162,16 +171,27 @@ def test_midpoint_states_match_per_step_loop(n_steps, every):
     assert np.abs(ours - oracle).max() <= 1e-12
 
 
-def test_interaction_picture_roundtrip_and_identity(hs):
-    psi = bell_with_empty_hub(BellLabel(0, 1))
-    assert to_interaction_picture(hs.h0_total, psi, 0.0).fidelity(psi) == pytest.approx(1.0)
-    t = 0.61
-    there = to_interaction_picture(hs.h0_total, psi, t)
-    back = to_interaction_picture(hs.h0_total, there, -t)
-    assert np.abs(back.amplitudes - psi.amplitudes).max() <= 1e-12
-    # equal splittings: the coupling is static in the co-moving frame
-    rotated = to_interaction_picture(hs.h0_total, hs.h_charging, t)
-    assert np.abs(rotated.matrix - hs.h_charging.matrix).max() <= 1e-12
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(0.01, 3.0),
+       st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16))
+def test_frame_invariance_property(log_omega, log_j, t, parts):
+    # the lab frame (H0_total + H_c) and the frame co-moving with H0_total
+    # (H_c alone) agree on charge and current, and exp(+i H0_total t) maps
+    # the lab state onto the co-moving one.  t is absolute, so the rounding
+    # of the lab eigenphases, about 1e-16 * omega * t, stays below the bound.
+    omega, j = 10.0**log_omega, 10.0**log_j
+    hs = hamiltonian_set(SystemSpec(omega, j))
+    amp = np.array(parts[:8]) + 1j * np.array(parts[8:])
+    assume(np.linalg.norm(amp) > 1e-3)
+    psi0 = PureState(3, amp / np.linalg.norm(amp))
+    lab = sample_trajectory(hs.h0_total + hs.h_charging, psi0, t, 9, hs)
+    rotating = sample_trajectory(hs.h_charging, psi0, t, 9, hs)
+    tol = 1e-9 * max(1.0, omega * j)
+    assert np.abs(lab.charge - rotating.charge).max() <= tol
+    assert np.abs(lab.ec - rotating.ec).max() <= tol
+    lab_state = evolve_static(hs.h0_total + hs.h_charging, psi0, t)
+    back = evolve_static(hs.h0_total, lab_state, -t)
+    assert np.abs(back.amplitudes - evolve_static(hs.h_charging, psi0, t).amplitudes).max() <= 1e-9
 
 
 def test_sample_trajectory_trapped_state(hs):
@@ -306,15 +326,15 @@ def test_dephasing_matches_superoperator_expm():
 def test_default_stepping_is_converged(hs):
     # doubling the default step density changes the final state fidelity by
     # less than 1e-8 on a representative driven run
-    from qbat.adiabatic import AdiabaticSpec, Schedule, build_ht
+    from qbat.adiabatic import AdiabaticSpec, Schedule, _ht_stack
     spec = AdiabaticSpec(tau=20.0, schedule=Schedule.SMOOTHSTEP)
 
-    def h_of(s):
-        return build_ht(spec, s)
+    def h_stack(s):
+        return _ht_stack(spec, s)
 
     psi0 = bell_with_empty_hub(BellLabel(1, 1))
-    base = evolve_timedep(h_of, psi0, spec.tau)
-    fine = evolve_timedep(h_of, psi0, spec.tau, n_steps=math.ceil(512 * spec.tau))
+    base = evolve_timedep(h_stack, psi0, spec.tau)
+    fine = evolve_timedep(h_stack, psi0, spec.tau, n_steps=math.ceil(512 * spec.tau))
     assert abs(base.fidelity(fine) - 1.0) <= 1e-8
 
 

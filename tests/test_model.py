@@ -3,15 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from qbat.dynamics import evolve_static, to_interaction_picture
+from qbat.dynamics import evolve_static
 from qbat.model import (
     SystemSpec,
     bare_hamiltonian,
     charge,
     ec_operator,
     ergotropy,
-    hamiltonian_set,
-    passive_state,
     qubit_energy_term,
 )
 from qbat.protocols import BellLabel, bell_state, bell_with_empty_hub
@@ -23,7 +21,7 @@ from qbat.qalg import (
     ket,
 )
 
-from conftest import I2, X, Y, kron, raw_cell_coupling
+from conftest import I2, X, Y, kron, raw_bare, raw_cell_coupling
 
 
 def test_spec_validation():
@@ -31,14 +29,6 @@ def test_spec_validation():
         SystemSpec(omega=0.0)
     with pytest.raises(ValueError):
         SystemSpec(j_coupling=-1.0)
-
-
-@pytest.mark.parametrize("n_cells", [0, 5, 1.5, True, 3])
-def test_n_cells_validation(n_cells):
-    # at most two cells (MAX_CELLS); a bool is not a cell count
-    with pytest.raises(ValueError, match=r"^n_cells must be an integer in \[1, 2\], got ") as err:
-        SystemSpec(n_cells=n_cells)
-    assert "\n" not in str(err.value)
 
 
 def test_qubit_energy_term_excited_state():
@@ -99,8 +89,8 @@ def test_charge_frame_invariance(hs):
         lab = evolve_static(full, psi0, t)
         rotating = evolve_static(hs.h_charging, psi0, t)
         assert charge(lab, hs) == pytest.approx(charge(rotating, hs), abs=1e-9)
-        # the frame transform itself maps one trajectory onto the other
-        assert to_interaction_picture(hs.h0_total, lab, t).fidelity(rotating) == pytest.approx(1.0, abs=1e-9)
+        # rotating back by exp(+i H0_total t) maps one trajectory onto the other
+        assert evolve_static(hs.h0_total, lab, -t).fidelity(rotating) == pytest.approx(1.0, abs=1e-9)
 
 
 def _battery_pair_h(omega=1.0):
@@ -116,23 +106,29 @@ def test_ergotropy_bell_and_full_battery():
     assert ergotropy(ket("00").density(), h) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_passive_state_of_pure_state_is_ground():
+def test_ergotropy_of_pure_state_is_energy_above_ground():
+    # a pure state's passive state is the ground state of h, at -2
     h = _battery_pair_h()
-    sigma = passive_state(bell_state(BellLabel(1, 0)).density(), h)
-    assert expectation(h, sigma) == pytest.approx(-2.0)
+    rng = np.random.default_rng(4)
+    for _ in range(8):
+        amp = rng.normal(size=4) + 1j * rng.normal(size=4)
+        psi = PureState(2, amp / np.linalg.norm(amp))
+        assert ergotropy(psi, h) == pytest.approx(expectation(h, psi) + 2.0, abs=1e-12)
 
 
-def test_charge_additivity_over_cells():
-    two = SystemSpec(n_cells=2)
-    hs2 = hamiltonian_set(two)
-    one = hamiltonian_set(SystemSpec())
+def test_charge_additivity_over_cells(hs):
+    # the energy of both hubs of a two-cell bank, built by hand, above their
+    # empty energy -omega each, is the sum of the per-cell charges
+    hub = kron(I2, I2, raw_bare())
+    one = np.eye(8)
+    two_hubs = np.kron(hub, one) + np.kron(one, hub)
     rng = np.random.default_rng(7)
     for _ in range(5):
         amps = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
         cells = [PureState(3, a / np.linalg.norm(a)) for a in amps]
-        joint = cells[0].tensor(cells[1])
-        total = charge(joint, hs2)
-        parts = sum(charge(c, one) for c in cells)
+        joint = np.kron(cells[0].amplitudes, cells[1].amplitudes)
+        total = np.vdot(joint, two_hubs @ joint).real + 2.0
+        parts = sum(charge(c, hs) for c in cells)
         assert total == pytest.approx(parts, abs=1e-10)
 
 
@@ -166,7 +162,9 @@ def _as_density(vals, dim, n_qubits):
 @given(_density_matrices(2))
 def test_passive_state_has_zero_ergotropy(rho):
     h = _battery_pair_h()
-    sigma = passive_state(rho, h)
+    # h is diag(-2, 0, 0, 2), so rho's passive state holds its eigenvalues in
+    # descending order on the diagonal
+    sigma = DensityMatrix(2, np.diag(np.sort(np.linalg.eigvalsh(rho.entries))[::-1]))
     assert ergotropy(sigma, h) <= 1e-10
     assert ergotropy(rho, h) >= -1e-10
 

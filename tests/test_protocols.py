@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from qbat import dynamics
 from qbat.dynamics import evolve_static, sample_trajectory
-from qbat.model import SystemSpec, charge, ergotropy, hamiltonian_set, qubit_energy_term
+from qbat.model import SystemSpec, charge, ergotropy, qubit_energy_term
 from qbat.protocols import (
     BellLabel,
     CellAction,
@@ -34,7 +34,7 @@ from qbat.protocols import (
     trapping_check,
     trapping_uniqueness_scan,
 )
-from qbat.qalg import DensityMatrix, embed, ket, partial_trace
+from qbat.qalg import DensityMatrix, embed, expectation, ket
 
 from conftest import I2, kron, raw_bare, raw_cell_coupling
 
@@ -133,12 +133,6 @@ def test_blocking_conditions_on_vacuum_singlet_span(p, size, phase):
     assert ca == (p <= 1e-9)
 
 
-def test_blocking_conditions_rejects_multi_cell_spec():
-    singlet = bell_state(BellLabel(1, 1)).density()
-    with pytest.raises(ValueError, match=r"^blocking_conditions .* n_cells = 2$"):
-        blocking_conditions(singlet, SystemSpec(n_cells=2))
-
-
 def test_uniqueness_scan_clean(spec):
     report = trapping_uniqueness_scan(2000, tol=1e-3, seed=11, spec=spec)
     assert report.constraint_trace_distance <= 1e-10
@@ -167,11 +161,6 @@ def test_uniqueness_scan_is_independent_of_chunk_size(monkeypatch):
     monkeypatch.setattr(dynamics, "_CHUNK", 4099)  # does not divide the sample count
     assert trapping_uniqueness_scan(100_000, seed=1908) == default
     assert default.n_pass_available == 1
-
-
-def test_uniqueness_scan_rejects_multi_cell_spec():
-    with pytest.raises(ValueError, match=r"^trapping_uniqueness_scan .* n_cells = 2$"):
-        trapping_uniqueness_scan(10, spec=SystemSpec(n_cells=2))
 
 
 def test_switch_gate_maps_between_bell_states():
@@ -206,12 +195,11 @@ def test_switch_gate_qubit_independence(spec, hs):
 
 
 def test_switch_gate_leaves_battery_energy_alone(hs):
-    # gates commute with the hub bare term and preserve battery ergotropy
+    # no gate changes the energy stored in the battery, <H0_battery>
     stored = bell_with_empty_hub(BellLabel(1, 1))
-    pair_h = embed(qubit_energy_term(1.0), [0], 2) + embed(qubit_energy_term(1.0), [1], 2)
-    before = ergotropy(partial_trace(stored, [0, 1]), pair_h)
+    before = expectation(hs.h0_battery, stored)
     for kind in SwitchGate:
-        after = ergotropy(partial_trace(switch_gate(kind, stored), [0, 1]), pair_h)
+        after = expectation(hs.h0_battery, switch_gate(kind, stored))
         assert abs(after - before) <= 1e-10
 
 
@@ -259,11 +247,6 @@ def test_separable_sweep_bound(spec):
     assert interior.max() <= 1.0 - 1e-4
 
 
-def test_separable_sweep_rejects_multi_cell_spec():
-    with pytest.raises(ValueError, match=r"^separable_sweep .* n_cells = 2$"):
-        separable_sweep(5, SystemSpec(n_cells=2))
-
-
 def test_single_particle_baseline(spec):
     t_sp = single_particle_transfer_time(spec)
     assert single_particle_baseline(t_sp, spec) == pytest.approx(2.0)
@@ -301,18 +284,22 @@ def test_ncell_all_full_and_all_hold(spec, hs):
     assert np.abs(series.ec).max() <= 1e-12
 
 
-def test_two_cells_factorize(spec):
-    two = SystemSpec(n_cells=2)
-    hs2 = hamiltonian_set(two)
-    one = hamiltonian_set(spec)
+def test_two_cells_factorize(spec, hs):
+    # a two-cell block built by hand evolves as the product of the library's
+    # per-cell evolutions, which is what ncell relies on
     taud = discharge_time(spec)
     cell_a = cell_state_after_action(CellAction.FULL)
     cell_b = cell_state_after_action(CellAction.HALF)
-    joint = evolve_static(hs2.h_charging, cell_a.tensor(cell_b), taud)
-    product = (evolve_static(one.h_charging, cell_a, taud)
-               .tensor(evolve_static(one.h_charging, cell_b, taud)))
-    assert np.abs(joint.amplitudes - product.amplitudes).max() <= 1e-9
-    assert charge(joint, hs2) == pytest.approx(3.0, abs=1e-9)
+    one = np.eye(8)
+    block = np.kron(raw_cell_coupling(), one) + np.kron(one, raw_cell_coupling())
+    joint = (scipy.linalg.expm(-1j * block * taud)
+             @ np.kron(cell_a.amplitudes, cell_b.amplitudes))
+    product = np.kron(evolve_static(hs.h_charging, cell_a, taud).amplitudes,
+                      evolve_static(hs.h_charging, cell_b, taud).amplitudes)
+    assert np.abs(joint - product).max() <= 1e-9
+    hub = kron(I2, I2, raw_bare())
+    two_hubs = np.kron(hub, one) + np.kron(one, hub)
+    assert np.vdot(joint, two_hubs @ joint).real + 2.0 == pytest.approx(3.0, abs=1e-9)
 
 
 def test_switch_gates_commute_with_hub_term(hs):

@@ -36,7 +36,6 @@ from .dynamics import (
 from .model import (
     HamiltonianSet,
     SystemSpec,
-    bare_hamiltonian,
     charge,
     charging_hamiltonian,
     ec_operator,
@@ -48,7 +47,6 @@ from .protocols import (
     BellLabel,
     CellAction,
     NCellPlan,
-    SeparableParams,
     SwitchGate,
     TrapReport,
     UniquenessScanReport,
@@ -57,7 +55,6 @@ from .protocols import (
     bell_with_empty_hub,
     discharge_time,
     ncell_plan_energy,
-    separable_state,
     separable_sweep,
     single_particle_baseline,
     single_particle_trajectory,

@@ -329,7 +329,7 @@ def ac10_adiabatic_rate_formula(seed: int = 42) -> CriterionResult:
                        f"expected two occupied branches, found {len(occ)}")
     m, n = int(occ[0]), int(occ[1])
     w_term = (np.conj(decomp.coefficients[m]) * decomp.coefficients[n]
-              * np.exp(1j * decomp.phase_difference(n, m))
+              * np.exp(1j * (decomp.phases[n] - decomp.phases[m]))
               * (decomp.energies[n] - decomp.energies[m])
               * decomp.hub_elements[m, n])
     two_level = 2.0 * np.imag(w_term)

@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dynamics import STEPS_PER_UNIT_JT, TimeSeries, _midpoint_states, _observable_rows
-from .model import RATE_CEILING, SystemSpec, ec_operator, hamiltonian_set
+from .model import SystemSpec, check_rate, ec_operator, hamiltonian_set
 from .protocols import BellLabel, bell_with_empty_hub
 from .qalg import Operator, PureState, embed, ket, max_abs, pauli, tensor
 
@@ -57,7 +57,8 @@ def schedule_value(schedule: Schedule, s):
 class AdiabaticSpec:
     """One adiabatic discharge run: coupling, total time and schedule.
 
-    ``j_coupling`` is capped at ``model.RATE_CEILING``, like ``SystemSpec``'s.
+    ``j_coupling`` lies in the band ``model.check_rate`` accepts, like
+    ``SystemSpec``'s.
     """
 
     tau: float
@@ -67,9 +68,7 @@ class AdiabaticSpec:
     def __post_init__(self):
         if not 0 < self.tau < math.inf:
             raise ValueError(f"tau must be finite and > 0, got {self.tau}")
-        if not 0 < self.j_coupling <= RATE_CEILING:
-            raise ValueError(
-                f"j_coupling must be > 0 and <= {RATE_CEILING:g}, got {self.j_coupling}")
+        check_rate("j_coupling", self.j_coupling)
 
     @property
     def jtau(self) -> float:
@@ -152,9 +151,6 @@ class ParityCheckReport:
     parity_target: float
     parity_forbidden: float
     passed: bool
-
-    def __bool__(self) -> bool:
-        return self.passed
 
 
 def parity_check(spec: AdiabaticSpec) -> ParityCheckReport:
@@ -302,17 +298,19 @@ class SweepPoint:
 
 
 def sweep_tau(tau_values, omega: float = 1.0, *, j_coupling: float = 1.0,
-              n_samples: int = 257, max_workers: int = 1) -> list:
+              max_workers: int = 1) -> list:
     """Final transferred charge against total run time, for every schedule.
 
     Returns one SweepPoint per (tau, schedule) pair, ordered by the input tau
-    list and then ``Schedule``'s order regardless of execution order.  tau = 0 is the
-    sudden limit: nothing evolves and nothing is transferred.  A sweep whose
-    jobs take more than MAX_STEPS drive steps in total raises ValueError
-    before the first job starts.
+    list and then ``Schedule``'s order regardless of execution order.  Each
+    run is recorded at 257 uniform times.  tau = 0 is the sudden limit:
+    nothing evolves and nothing is transferred.  A sweep whose jobs take more
+    than MAX_STEPS drive steps in total raises ValueError before the first
+    job starts.
     """
     if len(tau_values) == 0:
         raise ValueError("tau_values must not be empty")
+    n_samples = 257
     cmax = 2.0 * omega
     jobs = [(float(tau), schedule) for tau in tau_values for schedule in Schedule]
     steps = sum(_drive_steps(AdiabaticSpec(tau, j_coupling, schedule), n_samples)
@@ -367,16 +365,11 @@ class AdiabaticDecomposition:
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"branch coefficients are not complete: sum |c|^2 = {total}")
 
-    def phase_difference(self, n: int, m: int) -> np.ndarray:
-        return self.phases[n] - self.phases[m]
-
-    def gap(self, n: int, m: int) -> np.ndarray:
-        return self.energies[m] - self.energies[n]
-
 
 def _degenerate_groups(values: np.ndarray, rtol: float = 1e-12):
-    """Index groups of (nearly) equal values, in arbitrary branch order."""
-    scale = max(1.0, float(np.abs(values).max()))
+    """Index groups of values equal within rtol * max|value|, in arbitrary
+    branch order."""
+    scale = float(np.abs(values).max())
     order = np.argsort(values, kind="stable")
     groups = []
     current = [int(order[0])]
@@ -407,8 +400,8 @@ def _sector_branches(spec: AdiabaticSpec, s_values: np.ndarray, sector):
     degenerate group is rotated onto the previous sample.
     """
     w, v = np.linalg.eigh(_ht_stack(spec, s_values, sector))
-    scale = np.maximum(1.0, np.abs(w).max(axis=1))
-    touching = np.any(np.diff(w, axis=1) <= 1e-12 * scale[:, None], axis=1)
+    scale = np.abs(w).max(axis=1, keepdims=True)
+    touching = np.any(np.diff(w, axis=1) <= 1e-12 * scale, axis=1)
     for k in np.nonzero(touching[1:])[0] + 1:
         for group in _degenerate_groups(w[k]):
             if len(group) > 1:

@@ -94,6 +94,21 @@ def _resolve_config(args) -> RunConfig:
     return RunConfig(**values)
 
 
+def _check_writable(path: str) -> None:
+    """Reject an output path that cannot be written, before any work is done.
+
+    Nothing is opened or created: a run that fails later leaves no empty
+    file, and short calls pay no extra open and close of their output.
+    """
+    if os.path.exists(path):
+        usable = not os.path.isdir(path) and os.access(path, os.W_OK)
+    else:
+        parent = os.path.dirname(path) or "."
+        usable = os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK)
+    if not usable:
+        raise OSError(f"cannot write the output file {path!r}")
+
+
 def _max_workers() -> int:
     raw = os.environ.get("QBAT_THREADS")
     if raw is None:
@@ -251,8 +266,7 @@ def _cmd_trap_check(cfg: RunConfig, args) -> list:
 def _cmd_trap_scan(cfg: RunConfig, args) -> list:
     if args.samples < 1:
         raise ValueError(f"samples must be >= 1, got {args.samples}")
-    report = trapping_uniqueness_scan(args.samples, tol=args.tol, seed=cfg.seed,
-                                      spec=cfg.spec)
+    report = trapping_uniqueness_scan(args.samples, tol=args.tol, seed=cfg.seed)
     return [
         {"metric": "constraint_trace_distance", "value": report.constraint_trace_distance},
         {"metric": "n_samples", "value": report.n_samples},
@@ -364,6 +378,8 @@ def main(argv=None) -> int:
         return int(exit_code.code or 0)
     try:
         cfg = _resolve_config(args)
+        if cfg.output != "-":
+            _check_writable(cfg.output)
         if args.command == "selftest":
             return _cmd_selftest(cfg, args)
         rows = _HANDLERS[args.command](cfg, args)

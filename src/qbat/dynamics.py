@@ -11,7 +11,6 @@ segment propagator, so a state is touched once per segment, not per step.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -28,7 +27,7 @@ HStack = Callable[[np.ndarray], np.ndarray]  # s values (m,) -> Hamiltonians (m,
 # less) and the peak memory of a threaded sweep hardly depends on how its
 # workers' chunks overlap.
 _CHUNK = 2**11
-STEPS_PER_UNIT_JT = 256  # midpoint steps per unit of dimensionless Jt, by default
+STEPS_PER_UNIT_JT = 256  # least midpoint steps of the drive per unit of dimensionless Jt
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,10 +56,6 @@ class TimeSeries:
         for name, channel in [("charge", self.charge), ("ec", self.ec)] + list(self.extra.items()):
             if np.asarray(channel).shape != times.shape:
                 raise ValueError(f"channel {name!r} does not match the length of times")
-
-    @property
-    def n_samples(self) -> int:
-        return self.times.size
 
 
 def _spectral(h: Operator, x: np.ndarray, times) -> np.ndarray:
@@ -140,25 +135,19 @@ def _midpoint_states(h_stack: HStack, psi0: np.ndarray, tau: float, n_steps: int
     return states
 
 
-def evolve_timedep(h_stack: HStack, psi0: PureState, tau: float,
-                   n_steps: int | None = None) -> PureState:
-    """Propagate under a time-dependent Hamiltonian with the midpoint stepper.
+def evolve_timedep(h_stack: HStack, psi0: PureState, tau: float, n_steps: int) -> PureState:
+    """Propagate under a time-dependent Hamiltonian with ``n_steps`` midpoint steps.
 
     ``h_stack`` maps an array of s = t/tau values in [0, 1] to the (m, d, d)
     stack of Hamiltonian matrices at those s, as ``adiabatic._ht_stack`` does.
-    By default ``tau`` is taken in the unit system in which the Hamiltonian
-    entries are O(1) (Jt for couplings carrying J) and stepped at
-    STEPS_PER_UNIT_JT steps per unit; callers with other scales pass
-    ``n_steps`` explicitly.
     """
     if tau < 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
     if tau == 0:
         return psi0
-    n = n_steps if n_steps is not None else math.ceil(STEPS_PER_UNIT_JT * tau)
-    if n < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n}")
-    states = _midpoint_states(h_stack, psi0.amplitudes, tau, n, n)
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    states = _midpoint_states(h_stack, psi0.amplitudes, tau, n_steps, n_steps)
     return PureState(psi0.n_qubits, states[-1])
 
 

@@ -9,7 +9,7 @@ hbar = 1; energies are in units of hbar*omega (bare splittings) or hbar*J
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,10 +24,18 @@ from .qalg import (
     tensor,
 )
 
-# Largest accepted omega and J.  Every command runs without a numpy warning
-# up to it (tests/test_cli.py runs each at the ceiling); far beyond it the
-# products the package forms, such as omega*J or squared charges, overflow.
+# Largest accepted omega and J; its inverse is the smallest.  Every command
+# runs without a numpy warning across that band (tests/test_cli.py runs each
+# at both ends); far beyond it the products the package forms, such as
+# omega*J or squared charges, overflow or underflow.
 RATE_CEILING = 1e12
+
+
+def check_rate(name: str, rate: float) -> None:
+    """Reject a rate outside [1/RATE_CEILING, RATE_CEILING], NaN included."""
+    if not 1 / RATE_CEILING <= rate <= RATE_CEILING:
+        raise ValueError(f"{name} must lie in [{1 / RATE_CEILING:g}, {RATE_CEILING:g}], "
+                         f"got {rate}")
 
 
 @dataclass(frozen=True)
@@ -39,16 +47,15 @@ class SystemSpec:
         omega * (|1><1| - |0><0|), so |1> is the excited ("full") state.
     j_coupling
         XY exchange strength between each battery qubit and its hub qubit.
-        Both rates must lie in (0, RATE_CEILING].
+        Both rates must lie in [1/RATE_CEILING, RATE_CEILING].
     """
 
     omega: float = 1.0
     j_coupling: float = 1.0
 
     def __post_init__(self):
-        for name, rate in (("omega", self.omega), ("j_coupling", self.j_coupling)):
-            if not 0 < rate <= RATE_CEILING:
-                raise ValueError(f"{name} must be > 0 and <= {RATE_CEILING:g}, got {rate}")
+        check_rate("omega", self.omega)
+        check_rate("j_coupling", self.j_coupling)
 
     @property
     def full_cell_energy(self) -> float:
@@ -58,12 +65,12 @@ class SystemSpec:
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianSet:
-    """Bare Hamiltonian pieces (plus, optionally, the coupling) on the cell's space."""
+    """Bare Hamiltonian pieces and the coupling on the cell's space."""
 
     h0_battery: Operator
     h0_hub: Operator
     h0_total: Operator
-    h_charging: Operator | None
+    h_charging: Operator
     e_empty: float
 
     def __post_init__(self):
@@ -85,18 +92,6 @@ def qubit_energy_term(omega: float) -> Operator:
     return Operator(1, np.diag([-omega, omega]).astype(complex), hermitian=True)
 
 
-def bare_hamiltonian(spec: SystemSpec) -> HamiltonianSet:
-    """Bare Hamiltonians of the battery and hub qubits (no coupling term).
-
-    ``e_empty`` is the hub ground energy, -hbar*omega.
-    """
-    term = qubit_energy_term(spec.omega)
-    h_b = embed(term, [0], 3) + embed(term, [1], 3)
-    h_a = embed(term, [2], 3)
-    return HamiltonianSet(h0_battery=h_b, h0_hub=h_a, h0_total=h_b + h_a,
-                          h_charging=None, e_empty=-spec.omega)
-
-
 def charging_hamiltonian(spec: SystemSpec) -> Operator:
     """XY coupling of both battery qubits to the hub:
 
@@ -113,8 +108,13 @@ def charging_hamiltonian(spec: SystemSpec) -> Operator:
 
 
 def hamiltonian_set(spec: SystemSpec) -> HamiltonianSet:
-    """Bare pieces plus the charging Hamiltonian, all on the cell's space."""
-    return replace(bare_hamiltonian(spec), h_charging=charging_hamiltonian(spec))
+    """Bare battery and hub Hamiltonians plus the charging Hamiltonian, all on
+    the cell's space; ``e_empty`` is the hub ground energy, -hbar*omega."""
+    term = qubit_energy_term(spec.omega)
+    h_b = embed(term, [0], 3) + embed(term, [1], 3)
+    h_a = embed(term, [2], 3)
+    return HamiltonianSet(h0_battery=h_b, h0_hub=h_a, h0_total=h_b + h_a,
+                          h_charging=charging_hamiltonian(spec), e_empty=-spec.omega)
 
 
 def ec_operator(h0_hub: Operator, h_int: Operator) -> Operator:

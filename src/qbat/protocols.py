@@ -8,7 +8,6 @@ Pauli gates on a single battery qubit switch between these regimes.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -124,9 +123,9 @@ def trapping_check(h_int: Operator, hs: HamiltonianSet, psi: PureState,
     """Test whether ``psi`` keeps the battery energy locked under ``h_int``.
 
     ``tol`` is relative to the operators' scale: the eigen-residual of
-    ``h_int`` is compared with tol * max(1, max|H|), the current and its
-    residual with tol * max(1, max|P_hat|), so the verdict does not depend
-    on the units of omega and J.
+    ``h_int`` is compared with tol * max|H|, the current and its residual
+    with tol * max|P_hat|, so the verdict does not depend on the units of
+    omega and J.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
@@ -140,8 +139,8 @@ def trapping_check(h_int: Operator, hs: HamiltonianSet, psi: PureState,
     p_psi = p_hat.matrix @ amps
     ec_value = float(np.vdot(amps, p_psi).real)
     residual_p = float(np.linalg.norm(p_psi))
-    is_eig = residual_h <= tol * max(1.0, max_abs(h_int.matrix))
-    tol_p = tol * max(1.0, max_abs(p_hat.matrix))
+    is_eig = residual_h <= tol * max_abs(h_int.matrix)
+    tol_p = tol * max_abs(p_hat.matrix)
     return TrapReport(
         is_h_eigenstate=is_eig,
         h_eigenvalue=h_value,
@@ -172,31 +171,20 @@ def blocking_state_from_constraints() -> DensityMatrix:
     return DensityMatrix(2, mat)
 
 
-def blocking_conditions(rho_battery: DensityMatrix, spec: SystemSpec):
-    """Evaluate the two blocking conditions for a battery density matrix.
+def blocking_conditions(rho: np.ndarray):
+    """Both blocking conditions for (..., 4, 4) battery density matrices,
+    with an empty hub: (passes_available_energy, passes_zero_ec, max_abs_ec).
 
-    Returns (passes_available_energy, passes_zero_ec, max_abs_ec).  The
-    available-energy condition is the explicit trace formula
-    hbar*omega*(2 + rho11 - rho44) == 2*hbar*omega, i.e. rho11 == rho44;
-    the zero-current condition compares the current's peak over all times,
-    max_abs_ec = 4*sqrt(2)*hbar*omega*J * |transfer_fraction(rho)|, with
-    1e-9 * hbar*omega*J.
+    The available-energy condition is the explicit trace formula
+    hbar*omega*(2 + rho11 - rho44) == 2*hbar*omega, i.e. rho11 == rho44; the
+    zero-current condition compares the current's peak over all times,
+    max_abs_ec = 4*sqrt(2) * |transfer_fraction(rho)| in units of
+    hbar*omega*J, with 1e-9.  Neither depends on omega or J.
     """
-    ca, cb, max_ec = _blocking_batch(rho_battery.entries[None], spec)
-    return bool(ca[0]), bool(cb[0]), float(max_ec[0])
-
-
-def _blocking_batch(rho_batch: np.ndarray, spec: SystemSpec):
-    """Both blocking conditions for (n, 4, 4) battery states, with an empty hub.
-
-    Returns the per-state (passes_available, passes_zero_ec, max_abs_ec).
-    """
-    unit = spec.omega * spec.j_coupling
-    max_ec = 4.0 * math.sqrt(2.0) * unit * np.abs(transfer_fraction(rho_batch))
-    diag = np.einsum("naa->na", rho_batch).real
-    pass_ca = np.abs(diag[:, 0] - diag[:, 3]) <= _BLOCKING_TOL
-    pass_cb = max_ec <= _BLOCKING_TOL * unit
-    return pass_ca, pass_cb, max_ec
+    max_ec = 4.0 * math.sqrt(2.0) * np.abs(transfer_fraction(rho))
+    diag = np.einsum("...aa->...a", rho).real
+    return (np.abs(diag[..., 0] - diag[..., 3]) <= _BLOCKING_TOL,
+            max_ec <= _BLOCKING_TOL, max_ec)
 
 
 @dataclass(frozen=True)
@@ -219,19 +207,8 @@ class UniquenessScanReport:
         return len(self.counterexamples)
 
 
-# The scan's random streams, one after another from its seed: the restricted
-# family's Dirichlet diagonals and rho23 factors, then the Ginibre matrices'
-# real and imaginary parts.  Each stream gets its own generator, positioned
-# by drawing the earlier streams chunk by chunk.
-_SCAN_DRAWS = (lambda rng, m: rng.dirichlet(np.ones(4), size=m),
-               lambda rng, m: rng.uniform(-1.0, 1.0, size=m),
-               lambda rng, m: rng.normal(size=(m, 4, 4)),
-               lambda rng, m: rng.normal(size=(m, 4, 4)))
-
-
 def trapping_uniqueness_scan(n_random: int, tol: float = 1e-3, *,
-                             seed: int = 42,
-                             spec: SystemSpec | None = None) -> UniquenessScanReport:
+                             seed: int = 42) -> UniquenessScanReport:
     """Search the battery-state space for energy-blocking states.
 
     Samples ``n_random`` states from the restricted family (diagonal plus a
@@ -239,32 +216,25 @@ def trapping_uniqueness_scan(n_random: int, tol: float = 1e-3, *,
     conditions, and records any state passing both that is farther than
     ``tol`` in trace distance from the singlet projector.  An additional
     unrestricted random-density-matrix scan is run and reported rather than
-    asserted empty; it draws as many states as the restricted one.  States
-    are drawn and tested in chunks of ``dynamics._CHUNK``, so memory does not
-    grow with ``n_random``, and every chunk equals the matching slice of a
-    one-shot draw of its stream.
+    asserted empty; it draws as many states as the restricted one.  The
+    family's Dirichlet diagonals come from ``default_rng(seed)``; its rho23
+    factors and the Ginibre matrices' real and imaginary parts come from
+    three streams spawned from ``SeedSequence(seed)``.  Each stream is drawn
+    and tested in chunks of ``dynamics._CHUNK``, so memory does not grow with
+    ``n_random`` and the report does not depend on the chunk size.
     """
     if n_random < 1:
         raise ValueError(f"n_random must be >= 1, got {n_random}")
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
-    spec = spec or SystemSpec()
     singlet = bell_state(BellLabel(1, 1)).density()
-
-    solved = blocking_state_from_constraints()
-    solved_distance = trace_distance(solved, singlet)
-
-    starts = range(0, n_random, dynamics._CHUNK)
-    sizes = [min(dynamics._CHUNK, n_random - start) for start in starts]
-    streams = [np.random.default_rng(seed)]
-    for draw in _SCAN_DRAWS[:-1]:
-        rng = copy.deepcopy(streams[-1])
-        for m in sizes:
-            draw(rng, m)
-        streams.append(rng)
+    solved_distance = trace_distance(blocking_state_from_constraints(), singlet)
+    diagonal_rng = np.random.default_rng(seed)
+    coherence_rng, re_rng, im_rng = map(np.random.default_rng,
+                                        np.random.SeedSequence(seed).spawn(3))
 
     def _scan(rho_batch: np.ndarray, start: int, counters: list) -> np.ndarray:
-        pass_ca, pass_cb, _ = _blocking_batch(rho_batch, spec)
+        pass_ca, pass_cb, _ = blocking_conditions(rho_batch)
         both = pass_ca & pass_cb
         for idx in np.nonzero(both)[0]:
             dist = trace_distance(DensityMatrix(2, rho_batch[idx]), singlet)
@@ -274,15 +244,17 @@ def trapping_uniqueness_scan(n_random: int, tol: float = 1e-3, *,
 
     tally = np.zeros((2, 3), dtype=int)  # per family: passes available, zero ec, both
     counters = ([], [])
-    for start, m in zip(starts, sizes):
-        diags, u, re, im = (draw(gen, m) for draw, gen in zip(_SCAN_DRAWS, streams))
+    for start in range(0, n_random, dynamics._CHUNK):
+        m = min(dynamics._CHUNK, n_random - start)
         # Restricted family: Dirichlet diagonal, real rho23 bounded by positivity.
+        diags = diagonal_rng.dirichlet(np.ones(4), size=m)
         batch = np.zeros((m, 4, 4), dtype=complex)
         batch[:, range(4), range(4)] = diags
-        batch[:, 1, 2] = batch[:, 2, 1] = u * np.sqrt(diags[:, 1] * diags[:, 2])
+        batch[:, 1, 2] = batch[:, 2, 1] = (coherence_rng.uniform(-1.0, 1.0, size=m)
+                                           * np.sqrt(diags[:, 1] * diags[:, 2]))
         tally[0] += _scan(batch, start, counters[0])
         # Unrestricted scan: Ginibre-random density matrices.
-        ginibre = re + 1j * im
+        ginibre = re_rng.normal(size=(m, 4, 4)) + 1j * im_rng.normal(size=(m, 4, 4))
         wish = ginibre @ ginibre.conj().transpose(0, 2, 1)
         wish /= np.einsum("naa->n", wish).real[:, None, None]
         tally[1] += _scan(wish, start, counters[1])
@@ -334,38 +306,6 @@ def switch_gate(kind: SwitchGate, psi: PureState) -> PureState:
     return PureState(3, gate.matrix @ psi.amplitudes)
 
 
-@dataclass(frozen=True)
-class SeparableParams:
-    """Product battery state (a1|0> + b1 e^{i t1}|1>) x (a2|0> + b2 e^{i t2}|1>).
-
-    The amplitudes b1, b2 lie in [0, 1]; a_n = sqrt(1 - b_n^2) is real.
-    """
-
-    beta1: float
-    beta2: float
-    theta1: float = 0.0
-    theta2: float = 0.0
-
-    def __post_init__(self):
-        for name, b in (("beta1", self.beta1), ("beta2", self.beta2)):
-            if not 0.0 <= b <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {b}")
-
-    @property
-    def alpha1(self) -> float:
-        return math.sqrt(1.0 - self.beta1**2)
-
-    @property
-    def alpha2(self) -> float:
-        return math.sqrt(1.0 - self.beta2**2)
-
-
-def separable_state(p: SeparableParams) -> PureState:
-    one = np.array([p.alpha1, p.beta1 * np.exp(1j * p.theta1)])
-    two = np.array([p.alpha2, p.beta2 * np.exp(1j * p.theta2)])
-    return PureState(2, np.kron(one, two))
-
-
 @dataclass(frozen=True, eq=False)
 class SeparableSweepResult:
     """Phase-optimized peak-charge surface over the (beta1, beta2) grid."""
@@ -385,7 +325,7 @@ def separable_sweep(grid_n: int, spec: SystemSpec = SystemSpec(), *,
     E0 = 2*hbar*omega, so the optimum over the relative phase is at
     theta1 == theta2, and it reaches E0 only at b1 = b2 = 1.  A random
     subsample of 24 grid points is cross-checked against direct three-qubit
-    simulation; disagreement beyond 1e-9 * max(1, omega) raises.
+    simulation; disagreement beyond 1e-9 * 2*hbar*omega raises.
     """
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
@@ -400,9 +340,9 @@ def separable_sweep(grid_n: int, spec: SystemSpec = SystemSpec(), *,
     flat = rng.choice(grid_n * grid_n, size=min(24, grid_n * grid_n), replace=False)
     for idx in flat:
         i, j = divmod(int(idx), grid_n)
-        state = separable_state(SeparableParams(betas[i], betas[j])).tensor(ket("0"))
+        state = PureState(2, pairs[i, j]).tensor(ket("0"))
         simulated = charge(evolve_static(hs.h_charging, state, taud), hs)
-        if abs(simulated - surface[i, j] * spec.full_cell_energy) > 1e-9 * max(1.0, spec.omega):
+        if abs(simulated - surface[i, j] * spec.full_cell_energy) > 1e-9 * spec.full_cell_energy:
             raise RuntimeError(
                 f"separable closed form disagrees with simulation at beta=({betas[i]}, {betas[j]})")
 

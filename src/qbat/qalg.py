@@ -88,10 +88,6 @@ class Operator:
 
     __rmul__ = __mul__
 
-    def __matmul__(self, other: "Operator") -> "Operator":
-        self._check_same_dim(other)
-        return Operator(self.n_qubits, self.matrix @ other.matrix)
-
     def _check_same_dim(self, other: "Operator") -> None:
         if not isinstance(other, Operator):
             raise TypeError(f"expected Operator, got {type(other).__name__}")
@@ -119,14 +115,6 @@ class PureState:
     @property
     def dim(self) -> int:
         return self.amplitudes.shape[0]
-
-    def overlap(self, other: "PureState") -> complex:
-        """<self|other>."""
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def fidelity(self, other: "PureState") -> float:
-        """|<self|other>|^2, insensitive to global phase."""
-        return float(abs(self.overlap(other)) ** 2)
 
     def tensor(self, other: "PureState") -> "PureState":
         return PureState(self.n_qubits + other.n_qubits,

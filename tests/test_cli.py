@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -111,6 +112,8 @@ def test_trap_check_table(capsys):
     ["--j", "1e12"],
     ["--omega", "1e12", "--j", "1e12"],
     ["--omega", "1e-6", "--j", "1e-6"],
+    ["--j", "1e-12"],
+    ["--omega", "1e-12", "--j", "1e-12"],
 ])
 def test_trap_check_verdict_is_scale_free(capsys, rates):
     # the residuals grow with J and omega*J; the verdict must not
@@ -292,7 +295,17 @@ def test_rates_at_the_ceiling_run(capsys, args):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("value", ["1.000001e12", "1e200", "1e308"])
+@pytest.mark.parametrize("args", _AT_CEILING)
+def test_rates_at_the_floor_run(capsys, args):
+    # the floor is 1 / RATE_CEILING = 1e-12
+    code, out, err = run_cli(["1e-12" if a == "1e12" else a for a in args], capsys)
+    assert code == 0
+    assert err == "" and out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value", ["1.000001e12", "1e200", "1e308",
+                                   "1e-13", "1e-170", "5e-324"])
 @pytest.mark.parametrize("args", _AT_CEILING)
 def test_rates_above_the_ceiling_are_parameter_errors(capsys, args, value):
     args = [value if a == "1e12" else a for a in args]
@@ -328,9 +341,19 @@ def test_separable_runs_at_the_row_ceiling(capsys):
     ["trap-check", "--output", "{dir}"],
     ["trap-check", "--config", "{dir}"],
     ["trap-check", "--output", "{dir}/missing/out.csv"],
-], ids=["output-is-a-directory", "config-is-a-directory", "output-in-a-missing-directory"])
+    ["trap-scan", "--samples", "1000000", "--output", "{dir}/missing/out.csv"],
+    ["selftest", "--output", "{dir}"],
+    ["trap-check", "--output", "{dir}/plain.txt/out.csv"],
+], ids=["output-is-a-directory", "config-is-a-directory", "output-in-a-missing-directory",
+        "scan-output-in-a-missing-directory", "selftest-output-is-a-directory",
+        "output-under-a-file"])
 def test_unusable_paths_are_parameter_errors(tmp_path, capsys, args):
+    # the paths are checked before any work: a million-sample scan and the
+    # whole acceptance suite would take seconds
+    (tmp_path / "plain.txt").write_text("")
+    start = time.perf_counter()
     code, out, err = run_cli([a.format(dir=tmp_path) for a in args], capsys)
+    assert time.perf_counter() - start < 0.3
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")

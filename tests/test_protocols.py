@@ -9,12 +9,11 @@ from numpy.testing import assert_allclose
 
 from qbat import dynamics
 from qbat.dynamics import evolve_static, sample_trajectory
-from qbat.model import SystemSpec, charge, ergotropy, qubit_energy_term
+from qbat.model import charge, ergotropy, qubit_energy_term
 from qbat.protocols import (
     BellLabel,
     CellAction,
     NCellPlan,
-    SeparableParams,
     SwitchGate,
     bell_charge_closed_form,
     bell_state,
@@ -24,7 +23,6 @@ from qbat.protocols import (
     cell_state_after_action,
     discharge_time,
     ncell_plan_energy,
-    separable_state,
     separable_sweep,
     single_particle_baseline,
     single_particle_transfer_time,
@@ -34,7 +32,7 @@ from qbat.protocols import (
     trapping_check,
     trapping_uniqueness_scan,
 )
-from qbat.qalg import DensityMatrix, embed, expectation, ket
+from qbat.qalg import DensityMatrix, PureState, embed, expectation, ket
 
 from conftest import I2, kron, raw_bare, raw_cell_coupling
 
@@ -99,24 +97,31 @@ def test_blocking_constraint_state_is_singlet():
     assert np.abs(solved.entries - singlet.entries).max() <= 1e-15
 
 
-def test_blocking_conditions_probes(spec):
+def test_blocking_conditions_probes():
     singlet = bell_state(BellLabel(1, 1)).density()
-    ca, cb, max_ec = blocking_conditions(singlet, spec)
+    ca, cb, max_ec = blocking_conditions(singlet.entries)
     assert ca and cb and max_ec <= 1e-12
 
     # the maximally mixed battery keeps only half the transferable energy
     # moving (ergotropy zero) and fails the zero-current condition
     mixed = DensityMatrix(2, np.eye(4) / 4)
-    ca, cb, _ = blocking_conditions(mixed, spec)
+    ca, cb, _ = blocking_conditions(mixed.entries)
     assert not (ca and cb)
     assert not cb
     pair_h = embed(qubit_energy_term(1.0), [0], 2) + embed(qubit_energy_term(1.0), [1], 2)
     assert ergotropy(mixed, pair_h) == pytest.approx(0.0, abs=1e-12)
 
     releasing = bell_state(BellLabel(1, 0)).density()
-    ca, cb, max_ec = blocking_conditions(releasing, spec)
+    ca, cb, max_ec = blocking_conditions(releasing.entries)
     assert ca and not cb
-    assert max_ec > 1.0  # full-release current amplitude is order omega*J
+    assert max_ec == pytest.approx(4 * math.sqrt(2))  # full-release peak, in hbar*omega*J
+
+    # one call tests a whole (..., 4, 4) stack, element by element
+    stack = np.stack([singlet.entries, mixed.entries, releasing.entries]).reshape(3, 1, 4, 4)
+    ca, cb, max_ec = blocking_conditions(stack)
+    assert ca.shape == cb.shape == max_ec.shape == (3, 1)
+    assert ca.ravel().tolist() == [True, True, True]
+    assert cb.ravel().tolist() == [True, False, False]
 
 
 @settings(max_examples=50, deadline=None)
@@ -124,17 +129,16 @@ def test_blocking_conditions_probes(spec):
 def test_blocking_conditions_on_vacuum_singlet_span(p, size, phase):
     # g vanishes on span{|00>, singlet}, so every state there carries no
     # current; only condition (1), rho11 == rho44 = 0, removes the |00> weight p
-    spec = SystemSpec(1.3, 0.7)
     basis = np.stack([ket("00").amplitudes, bell_state(BellLabel(1, 1)).amplitudes], axis=1)
     coherence = size * math.sqrt(p * (1.0 - p)) * np.exp(1j * phase)
     rho = basis @ np.array([[p, coherence], [np.conj(coherence), 1.0 - p]]) @ basis.conj().T
-    ca, cb, max_ec = blocking_conditions(DensityMatrix(2, rho), spec)
+    ca, cb, max_ec = blocking_conditions(DensityMatrix(2, rho).entries)
     assert cb and max_ec <= 1e-14
     assert ca == (p <= 1e-9)
 
 
-def test_uniqueness_scan_clean(spec):
-    report = trapping_uniqueness_scan(2000, tol=1e-3, seed=11, spec=spec)
+def test_uniqueness_scan_clean():
+    report = trapping_uniqueness_scan(2000, tol=1e-3, seed=11)
     assert report.constraint_trace_distance <= 1e-10
     assert report.n_counterexamples == 0
     assert report.n_samples == 2000
@@ -163,16 +167,20 @@ def test_uniqueness_scan_is_independent_of_chunk_size(monkeypatch):
     assert default.n_pass_available == 1
 
 
+def _fidelity(a, b):
+    return abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
+
+
 def test_switch_gate_maps_between_bell_states():
     stored = bell_with_empty_hub(BellLabel(1, 1))
     half = switch_gate(SwitchGate.HALF_ON_QUBIT2, stored)
-    assert half.fidelity(bell_with_empty_hub(BellLabel(0, 1))) == pytest.approx(1.0)
+    assert _fidelity(half, bell_with_empty_hub(BellLabel(0, 1))) == pytest.approx(1.0)
     half1 = switch_gate(SwitchGate.HALF_ON_QUBIT1, stored)
-    assert half1.fidelity(bell_with_empty_hub(BellLabel(0, 1))) == pytest.approx(1.0)
+    assert _fidelity(half1, bell_with_empty_hub(BellLabel(0, 1))) == pytest.approx(1.0)
     full = switch_gate(SwitchGate.FULL_ON_QUBIT1, stored)
-    assert full.fidelity(bell_with_empty_hub(BellLabel(1, 0))) == pytest.approx(1.0)
+    assert _fidelity(full, bell_with_empty_hub(BellLabel(1, 0))) == pytest.approx(1.0)
     full2 = switch_gate(SwitchGate.FULL_ON_QUBIT2, stored)
-    assert full2.fidelity(bell_with_empty_hub(BellLabel(1, 0))) == pytest.approx(1.0)
+    assert _fidelity(full2, bell_with_empty_hub(BellLabel(1, 0))) == pytest.approx(1.0)
 
 
 def test_switch_gate_release_levels(spec, hs):
@@ -208,34 +216,44 @@ def test_switch_gate_dimension_check():
         switch_gate(SwitchGate.FULL_ON_QUBIT1, ket("01"))
 
 
-def _separable_law(params, spec):
+def _product_battery(b1, b2, t1=0.0, t2=0.0):
+    """(a1|0> + b1 e^{i t1}|1>) x (a2|0> + b2 e^{i t2}|1>), a_n = sqrt(1 - b_n^2)."""
+    return np.kron([math.sqrt(1 - b1**2), b1 * np.exp(1j * t1)],
+                   [math.sqrt(1 - b2**2), b2 * np.exp(1j * t2)])
+
+
+def _separable_law(amps, spec):
     """Peak hub charge 2*hbar*omega * g of a product battery state."""
-    return spec.full_cell_energy * float(transfer_fraction(separable_state(params).density().entries))
+    return spec.full_cell_energy * float(transfer_fraction(np.outer(amps, amps.conj())))
 
 
 def test_separable_closed_form_values(spec):
-    assert _separable_law(SeparableParams(1.0, 1.0), spec) == pytest.approx(2.0)
-    assert _separable_law(SeparableParams(0.0, 0.0), spec) == pytest.approx(0.0)
-    even = SeparableParams(1 / math.sqrt(2), 1 / math.sqrt(2))
+    assert _separable_law(_product_battery(1.0, 1.0), spec) == pytest.approx(2.0)
+    assert _separable_law(_product_battery(0.0, 0.0), spec) == pytest.approx(0.0)
+    even = _product_battery(1 / math.sqrt(2), 1 / math.sqrt(2))
     assert _separable_law(even, spec) == pytest.approx(1.5)  # 0.75 * E0
     rng = np.random.default_rng(3)
     for _ in range(6):
-        p = SeparableParams(rng.uniform(0, 1), rng.uniform(0, 1),
-                            rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
-        cross = p.beta1 * p.beta2 * p.alpha1 * p.alpha2 * math.cos(p.theta1 - p.theta2)
-        polynomial = cross + (p.beta1**2 + p.beta2**2) / 2
-        assert _separable_law(p, spec) == pytest.approx(2.0 * polynomial, abs=1e-14)
+        (b1, b2), (t1, t2) = rng.uniform(0, 1, size=2), rng.uniform(0, 2 * math.pi, size=2)
+        cross = b1 * b2 * math.sqrt((1 - b1**2) * (1 - b2**2))
+        populations = (b1**2 + b2**2) / 2
+        law = _separable_law(_product_battery(b1, b2, t1, t2), spec)
+        assert law == pytest.approx(2.0 * (cross * math.cos(t1 - t2) + populations), abs=1e-14)
+        # the phases enter only through cos(t1 - t2), so the optimum is at t1 == t2
+        at_equal = _separable_law(_product_battery(b1, b2, t1, t1), spec)
+        assert at_equal == pytest.approx(2.0 * (cross + populations), abs=1e-14)
+        assert at_equal >= law - 1e-14
 
 
 def test_separable_closed_form_matches_simulation(spec, hs):
     rng = np.random.default_rng(5)
     taud = discharge_time(spec)
     for _ in range(6):
-        params = SeparableParams(rng.uniform(0, 1), rng.uniform(0, 1),
-                                 rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
-        psi0 = separable_state(params).tensor(ket("0"))
+        (b1, b2), (t1, t2) = rng.uniform(0, 1, size=2), rng.uniform(0, 2 * math.pi, size=2)
+        amps = _product_battery(b1, b2, t1, t2)
+        psi0 = PureState(2, amps).tensor(ket("0"))
         simulated = charge(evolve_static(hs.h_charging, psi0, taud), hs)
-        assert simulated == pytest.approx(_separable_law(params, spec), abs=1e-9)
+        assert simulated == pytest.approx(_separable_law(amps, spec), abs=1e-9)
 
 
 def test_separable_sweep_bound(spec):
@@ -313,13 +331,6 @@ def test_switch_gates_commute_with_hub_term(hs):
 def test_trapping_check_requires_positive_tol(hs):
     with pytest.raises(ValueError):
         trapping_check(hs.h_charging, hs, ket("000"), tol=0.0)
-
-
-def test_separable_params_range():
-    with pytest.raises(ValueError):
-        SeparableParams(1.2, 0.5)
-    with pytest.raises(ValueError):
-        SeparableParams(0.5, -0.1)
 
 
 def test_uniqueness_scan_requires_samples():

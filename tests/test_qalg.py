@@ -22,7 +22,7 @@ def test_pauli_definitions():
     assert_allclose(pauli("x").matrix, X)
     assert_allclose(pauli("y").matrix, Y)
     assert_allclose(pauli("z").matrix, Z)
-    assert_allclose((pauli("x") @ pauli("y")).matrix, 1j * Z)
+    assert_allclose(pauli("x").matrix @ pauli("y").matrix, 1j * Z)
     w, _ = np.linalg.eigh(pauli("z").matrix)
     assert_allclose(w, [-1.0, 1.0])
 
@@ -148,9 +148,9 @@ def _as_state(vals, dim, n_qubits):
 @settings(max_examples=30, deadline=None)
 @given(_hermitian_ops(1), _hermitian_ops(1))
 def test_embed_is_multiplicative(a, b):
-    left = embed(a, [1], 3) @ embed(b, [1], 3)
+    left = embed(a, [1], 3).matrix @ embed(b, [1], 3).matrix
     right = embed(Operator(1, a.matrix @ b.matrix), [1], 3)
-    assert np.abs(left.matrix - right.matrix).max() <= 1e-12
+    assert np.abs(left - right.matrix).max() <= 1e-12
 
 
 @settings(max_examples=30, deadline=None)

@@ -16,7 +16,6 @@ from .adiabatic import (
     Schedule,
     SweepPoint,
     adiabatic_decomposition,
-    adiabatic_ec,
     adiabatic_rate_prediction,
     build_ht,
     min_sector_gap,

@@ -311,8 +311,8 @@ def ac9_adiabatic_stability(seed: int = 42) -> CriterionResult:
 def ac10_adiabatic_rate_formula(seed: int = 42) -> CriterionResult:
     """Single-eigenspace data predicts exactly zero; two branches oscillate."""
     spec = AdiabaticSpec(tau=8.0, schedule=Schedule.SIN_SQUARED)
-    single = adiabatic.adiabatic_ec(spec, adiabatic.storage_state(), n_samples=512)
-    single_pred = np.asarray(single.extra["ec_adiabatic"])
+    single_pred = adiabatic.adiabatic_rate_prediction(
+        adiabatic.adiabatic_decomposition(spec, adiabatic.storage_state()))
     exactly_zero = bool(np.all(single_pred == 0.0))
 
     sector = adiabatic._EXCITATION_SECTORS[1]
@@ -321,7 +321,7 @@ def ac10_adiabatic_rate_formula(seed: int = 42) -> CriterionResult:
     amplitudes[sector] = (v[0][:, 0] + v[0][:, -1]) / math.sqrt(2)  # sector ground + top
     psi_two = PureState(3, amplitudes)
 
-    decomp = adiabatic.adiabatic_decomposition(spec, psi_two, n_samples=512)
+    decomp = adiabatic.adiabatic_decomposition(spec, psi_two)
     prediction = adiabatic.adiabatic_rate_prediction(decomp)
     occ = np.nonzero(decomp.occupied)[0]
     if len(occ) != 2:

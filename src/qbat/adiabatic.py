@@ -7,8 +7,8 @@ spanned by the discharged state |00>|1> and the unreachable |11>|0>.  The
 three-qubit parity (product of z on all qubits) commutes with the drive at
 every instant, which forbids transitions into the unreachable ground state;
 slow driving therefore empties the cell into the hub with no energy backflow.
-The drive also conserves the excitation number, so it is stepped separately
-in each excitation sector: the stored singlet runs as a 3x3 real problem.
+The drive also conserves the excitation number, so the stored singlet is
+stepped in its one-excitation block alone, a 3x3 real problem.
 The instantaneous eigen-branches are taken in the same sectors, where no two
 levels cross before the end of the drive.
 """
@@ -32,6 +32,8 @@ from .qalg import Operator, PureState, embed, ket, max_abs, pauli, tensor
 # adiabatic --jtau 16384 --samples 2 exactly, about 3 s of stepping on a
 # 2-core machine.  Checked before any stepping.
 MAX_STEPS = 2**22
+SWEEP_SAMPLES = 257  # uniform sample times of each sweep run
+_DECOMPOSITION_SAMPLES = 512  # uniform sample times of each adiabatic decomposition
 
 
 class Schedule(Enum):
@@ -140,22 +142,20 @@ def forbidden_state() -> PureState:
 
 @dataclass(frozen=True)
 class ParityCheckReport:
-    """Commutation of the drive with the parity operator, plus sector labels.
+    """Commutation of the drive with the parity operator.
 
-    Only relative parities are physically meaningful: the initial and target
-    states share a sector, the forbidden state sits in the other one.
+    ``passed`` also requires the stored and target states to share a parity
+    sector and the forbidden state to sit in the other one; only relative
+    parities are physically meaningful.
     """
 
     max_commutator_norm: float
-    parity_initial: float
-    parity_target: float
-    parity_forbidden: float
     passed: bool
 
 
 def parity_check(spec: AdiabaticSpec) -> ParityCheckReport:
-    """Largest |[H(s), parity]| over 33 uniform s (passes at <= 1e-12), plus
-    the parities of the stored, target and forbidden states."""
+    """Largest |[H(s), parity]| over 33 uniform s (passes at <= 1e-12), and
+    the parity sectors of the stored, target and forbidden states."""
     parity = parity_operator()
     stack = _ht_stack(spec, np.linspace(0.0, 1.0, 33))
     worst = max_abs(stack @ parity.matrix - parity.matrix @ stack)
@@ -167,9 +167,6 @@ def parity_check(spec: AdiabaticSpec) -> ParityCheckReport:
     opposite = abs(p_init + p_forbidden) <= 1e-9
     return ParityCheckReport(
         max_commutator_norm=worst,
-        parity_initial=p_init,
-        parity_target=p_target,
-        parity_forbidden=p_forbidden,
         passed=worst <= 1e-12 and same and opposite,
     )
 
@@ -187,9 +184,10 @@ class DischargeReport:
 
     ``final_charge`` is in hbar*omega, ``min_gap_sector`` in hbar*J and
     ``ec_tail`` (the largest |energy current| over the last tenth of the run)
-    in hbar*omega*J.  ``leakage_forbidden`` reads 0 by excitation-number
-    conservation (the stored cell is stepped in its one-excitation block,
-    which |110> lies outside); AC-9's full 8-dim runs measure leakage.
+    in hbar*omega*J; ``series`` adds the channels ``fidelity_target``,
+    ``leakage_forbidden`` and ``parity``.  Leakage is a structural zero: the
+    cell is stepped in its one-excitation block, which |110> lies outside;
+    AC-9's full 8-dim runs measure it.
     """
 
     final_charge: float
@@ -197,7 +195,6 @@ class DischargeReport:
     leakage_forbidden: float
     min_gap_sector: float
     ec_tail: float
-    parity_drift: float
     series: TimeSeries
 
     def __post_init__(self):
@@ -234,38 +231,28 @@ def _drive_states(spec: AdiabaticSpec, amplitudes: np.ndarray, n_samples: int,
                             n_steps, n_steps // (n_samples - 1))
 
 
-def _drive_channels(spec: AdiabaticSpec, psi0: PureState, omega: float, n_samples: int):
-    """Drive ``psi0`` and sample it uniformly: (times, states, charge, current).
-
-    ``psi0`` is stepped once in each excitation sector it occupies, and the
-    sector states are scattered into the (n_samples, 8) state array.  A drive
-    over MAX_STEPS raises ValueError before the first sector is stepped.  The
-    charge is the hub energy above its empty state, the current the
-    expectation of (1/i)[H0_hub, H(t)] at each sample time, summed part by
-    part because it is linear in the weights of the interpolation parts.
-    """
-    hs = hamiltonian_set(SystemSpec(omega, spec.j_coupling))
-    times = np.linspace(0.0, spec.tau, n_samples)
-    states = np.zeros((n_samples, 8), dtype=complex)
-    for sector in _EXCITATION_SECTORS:
-        amplitudes = psi0.amplitudes[sector]
-        if np.any(amplitudes):
-            states[:, sector] = _drive_states(spec, amplitudes, n_samples, sector)
-    charge_channel = _observable_rows(states, hs.h0_hub) - hs.e_empty
-    currents = [_observable_rows(states, ec_operator(hs.h0_hub, h))
-                for h in interpolation_parts(spec)]
-    ec_channel = sum(w * c for w, c in zip(_part_weights(spec, times / spec.tau), currents))
-    return times, states, charge_channel, ec_channel
-
-
 def run_discharge(spec: AdiabaticSpec, omega: float = 1.0,
                   n_samples: int = 513) -> DischargeReport:
-    """Drive the stored cell through the interpolation and report the outcome."""
-    times, states, charge_channel, ec_channel = _drive_channels(
-        spec, storage_state(), omega, n_samples)
-    parity_channel = _observable_rows(states, parity_operator())
-    fidelity_channel = np.abs(states @ target_state().amplitudes.conj()) ** 2
-    leakage_channel = np.abs(states @ forbidden_state().amplitudes.conj()) ** 2
+    """Drive the stored cell through the interpolation and report the outcome.
+
+    Only its one-excitation block {|001>, |010>, |100>} is stepped, and every
+    channel is evaluated on those (n_samples, 3) states.  The current is
+    <(1/i)[H0_hub, H(t)]>, summed part by part since it is linear in the
+    weights of the interpolation parts.  A drive over MAX_STEPS raises
+    ValueError before any stepping.
+    """
+    sector = _EXCITATION_SECTORS[1]
+    block = np.ix_(sector, sector)
+    hs = hamiltonian_set(SystemSpec(omega, spec.j_coupling))
+    times = np.linspace(0.0, spec.tau, n_samples)
+    states = _drive_states(spec, storage_state().amplitudes[sector], n_samples, sector)
+    charge_channel = _observable_rows(states, hs.h0_hub.matrix[block]) - hs.e_empty
+    currents = [_observable_rows(states, ec_operator(hs.h0_hub, h).matrix[block])
+                for h in interpolation_parts(spec)]
+    ec_channel = sum(w * c for w, c in zip(_part_weights(spec, times / spec.tau), currents))
+    parity_channel = _observable_rows(states, parity_operator().matrix[block])
+    fidelity_channel = np.abs(states @ target_state().amplitudes[sector].conj()) ** 2
+    leakage_channel = np.zeros(n_samples)
 
     tail = np.abs(ec_channel[times >= 0.9 * spec.tau])
     series = TimeSeries(times, charge_channel, ec_channel, extra={
@@ -279,7 +266,6 @@ def run_discharge(spec: AdiabaticSpec, omega: float = 1.0,
         leakage_forbidden=float(leakage_channel[-1]),
         min_gap_sector=min_sector_gap(spec),
         ec_tail=float(tail.max()),
-        parity_drift=float(np.abs(parity_channel - parity_channel[0]).max()),
         series=series,
     )
 
@@ -291,7 +277,6 @@ class SweepPoint:
 
     jtau: float
     schedule: Schedule
-    final_charge: float
     ratio_to_cmax: float
     leakage_forbidden: float
     ec_tail: float
@@ -303,17 +288,16 @@ def sweep_tau(tau_values, omega: float = 1.0, *, j_coupling: float = 1.0,
 
     Returns one SweepPoint per (tau, schedule) pair, ordered by the input tau
     list and then ``Schedule``'s order regardless of execution order.  Each
-    run is recorded at 257 uniform times.  tau = 0 is the sudden limit:
-    nothing evolves and nothing is transferred.  A sweep whose jobs take more
-    than MAX_STEPS drive steps in total raises ValueError before the first
-    job starts.
+    run is recorded at SWEEP_SAMPLES uniform times.  tau = 0 is the sudden
+    limit: nothing evolves and nothing is transferred.  A sweep whose jobs
+    take more than MAX_STEPS drive steps in total raises ValueError before
+    the first job starts.
     """
     if len(tau_values) == 0:
         raise ValueError("tau_values must not be empty")
-    n_samples = 257
     cmax = 2.0 * omega
     jobs = [(float(tau), schedule) for tau in tau_values for schedule in Schedule]
-    steps = sum(_drive_steps(AdiabaticSpec(tau, j_coupling, schedule), n_samples)
+    steps = sum(_drive_steps(AdiabaticSpec(tau, j_coupling, schedule), SWEEP_SAMPLES)
                 for tau, schedule in jobs if tau != 0.0)
     if steps > MAX_STEPS:
         raise ValueError(f"the sweep needs {steps} drive steps in total, "
@@ -322,13 +306,12 @@ def sweep_tau(tau_values, omega: float = 1.0, *, j_coupling: float = 1.0,
     def _one(job):
         tau, schedule = job
         if tau == 0.0:
-            return SweepPoint(0.0, schedule, 0.0, 0.0, 0.0, 0.0)
+            return SweepPoint(0.0, schedule, 0.0, 0.0, 0.0)
         spec = AdiabaticSpec(tau=tau, j_coupling=j_coupling, schedule=schedule)
-        report = run_discharge(spec, omega, n_samples=n_samples)
+        report = run_discharge(spec, omega, n_samples=SWEEP_SAMPLES)
         return SweepPoint(
             jtau=spec.jtau,
             schedule=schedule,
-            final_charge=report.final_charge,
             ratio_to_cmax=report.final_charge / cmax,
             leakage_forbidden=report.leakage_forbidden,
             ec_tail=report.ec_tail,
@@ -409,12 +392,12 @@ def _sector_branches(spec: AdiabaticSpec, s_values: np.ndarray, sector):
     return w, v
 
 
-def adiabatic_decomposition(spec: AdiabaticSpec, psi0: PureState, omega: float = 1.0,
-                            n_samples: int = 1024) -> AdiabaticDecomposition:
-    """All eigen-branches of the drive, joined sector by sector as 1 + 3 + 3 + 1
-    branches, and the initial-state coefficients."""
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
+def adiabatic_decomposition(spec: AdiabaticSpec, psi0: PureState,
+                            omega: float = 1.0) -> AdiabaticDecomposition:
+    """All eigen-branches of the drive at _DECOMPOSITION_SAMPLES uniform times,
+    joined sector by sector as 1 + 3 + 3 + 1 branches, and the initial-state
+    coefficients."""
+    n_samples = _DECOMPOSITION_SAMPLES
     times = np.linspace(0.0, spec.tau, n_samples)
     energies = np.empty((8, n_samples))          # (n_branches, nt)
     vectors = np.zeros((n_samples, 8, 8))        # (nt, 8, n_branches)
@@ -483,20 +466,3 @@ def adiabatic_rate_prediction(decomp: AdiabaticDecomposition) -> np.ndarray:
                     * decomp.hub_elements[m, n]) / 1j
             prediction += term.real
     return prediction
-
-
-def adiabatic_ec(spec: AdiabaticSpec, psi0: PureState, omega: float = 1.0,
-                 n_samples: int = 1024) -> TimeSeries:
-    """Exact energy current along the drive next to its adiabatic-limit prediction.
-
-    The ``ec`` channel is the exact expectation along the integrated
-    evolution; the extra channel ``ec_adiabatic`` holds the tracked-eigenbasis
-    prediction, which is identically zero whenever the initial state occupies
-    a single (possibly degenerate) eigenspace.
-    """
-    decomp = adiabatic_decomposition(spec, psi0, omega, n_samples)
-    prediction = adiabatic_rate_prediction(decomp)
-
-    times, _, charge_channel, ec_exact = _drive_channels(spec, psi0, omega, n_samples)
-    return TimeSeries(times, charge_channel, ec_exact,
-                      extra={"ec_adiabatic": prediction})

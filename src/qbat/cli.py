@@ -200,13 +200,17 @@ def build_parser() -> argparse.ArgumentParser:
 # Subcommand handlers; each returns the rows to emit.
 
 
-def _check_run(name: str, duration_jt: float, samples: int) -> None:
-    """Reject a run length (in units of 1/J) or a sample count up front."""
+def _check_run(name: str, duration_jt: float, samples: int, j_coupling: float) -> None:
+    """Reject a run length (in units of 1/J), a sample count, or a sample
+    spacing below the smallest normal float in Jt or in 1/J, up front."""
     if not 0 < duration_jt < math.inf:
         raise ValueError(f"{name} must be finite and > 0, got {duration_jt}")
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
     _check_rows(f"samples {samples}", samples)
+    if min(duration_jt, duration_jt / j_coupling) / (samples - 1) < np.finfo(float).tiny:
+        raise ValueError(f"{name}: a run of Jt = {duration_jt:g} at J = {j_coupling:g} spaces "
+                         f"its {samples} samples below the smallest normal float")
 
 
 def _check_rows(request: str, rows: int) -> None:
@@ -235,7 +239,7 @@ def _cmd_discharge(cfg: RunConfig, args) -> list:
     if args.gate is not None:
         psi0 = switch_gate(SwitchGate.from_kind(args.gate, args.gate_qubit), psi0)
     tmax_jt = args.tmax if args.tmax is not None else 2 * discharge_time(spec) * spec.j_coupling
-    _check_run("tmax", tmax_jt, args.samples)
+    _check_run("tmax", tmax_jt, args.samples, spec.j_coupling)
     series = dynamics.sample_trajectory(hs.h_charging, psi0, tmax_jt / spec.j_coupling,
                                         args.samples, hs)
     return _series_rows(series, spec)
@@ -299,7 +303,7 @@ def _cmd_single_particle(cfg: RunConfig, args) -> list:
     spec = cfg.spec
     t_sp = protocols.single_particle_transfer_time(spec)
     tmax_jt = args.tmax if args.tmax is not None else 2 * t_sp * spec.j_coupling
-    _check_run("tmax", tmax_jt, args.samples)
+    _check_run("tmax", tmax_jt, args.samples, spec.j_coupling)
     series = single_particle_trajectory(spec, tmax_jt / spec.j_coupling, args.samples)
     closed = [protocols.single_particle_baseline(t, spec) / spec.full_cell_energy
               for t in series.times]
@@ -317,7 +321,7 @@ def _cmd_ncell(cfg: RunConfig, args) -> list:
 
 
 def _cmd_adiabatic(cfg: RunConfig, args) -> list:
-    _check_run("jtau", args.jtau, args.samples)
+    _check_run("jtau", args.jtau, args.samples, cfg.j_coupling)
     spec = AdiabaticSpec(tau=args.jtau / cfg.j_coupling, j_coupling=cfg.j_coupling,
                          schedule=Schedule(args.schedule))
     series = adiabatic.run_discharge(spec, omega=cfg.omega, n_samples=args.samples).series
@@ -335,6 +339,9 @@ def _cmd_sweep_tau(cfg: RunConfig, args) -> list:
     if args.jtau_from < 0 or args.jtau_to < args.jtau_from:
         raise ValueError("sweep range requires 0 <= from <= to")
     jtaus = np.linspace(args.jtau_from, args.jtau_to, args.points)
+    if np.any(jtaus > 0):
+        _check_run("from" if args.jtau_from > 0 else "to", float(np.min(jtaus[jtaus > 0])),
+                   adiabatic.SWEEP_SAMPLES, cfg.j_coupling)
     points = adiabatic.sweep_tau(jtaus / cfg.j_coupling, omega=cfg.omega,
                                  j_coupling=cfg.j_coupling, max_workers=_max_workers())
     unit_p = cfg.omega * cfg.j_coupling

@@ -151,9 +151,10 @@ def evolve_timedep(h_stack: HStack, psi0: PureState, tau: float, n_steps: int) -
     return PureState(psi0.n_qubits, states[-1])
 
 
-def _observable_rows(states: np.ndarray, op: Operator) -> np.ndarray:
-    """Real expectation of a hermitian op over a (n_samples, dim) state stack."""
-    vals = np.einsum("ki,ij,kj->k", states.conj(), op.matrix, states)
+def _observable_rows(states: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """Real expectation of a hermitian (d, d) matrix over a (n_samples, d) state
+    stack: an operator's ``matrix``, or its block on the states' basis."""
+    vals = np.einsum("ki,ij,kj->k", states.conj(), op, states)
     return vals.real
 
 
@@ -171,8 +172,8 @@ def sample_trajectory(h: Operator, psi0: PureState, t_final: float, n_samples: i
         raise ValueError(f"t_final must be > 0, got {t_final}")
     times = np.linspace(0.0, t_final, n_samples)
     states = _spectral(h, psi0.amplitudes, times)
-    charge_channel = _observable_rows(states, hs.h0_hub) - hs.e_empty
-    ec_channel = _observable_rows(states, ec_operator(hs.h0_hub, h))
+    charge_channel = _observable_rows(states, hs.h0_hub.matrix) - hs.e_empty
+    ec_channel = _observable_rows(states, ec_operator(hs.h0_hub, h).matrix)
     fidelity = np.abs(states @ psi0.amplitudes.conj()) ** 2
     return TimeSeries(times, charge_channel, ec_channel,
                       extra={"fidelity_initial": fidelity})

@@ -313,7 +313,6 @@ class SeparableSweepResult:
     beta_grid: np.ndarray
     surface_over_e0: np.ndarray
     argmax: tuple
-    max_over_e0: float
 
 
 def separable_sweep(grid_n: int, spec: SystemSpec = SystemSpec(), *,
@@ -352,7 +351,6 @@ def separable_sweep(grid_n: int, spec: SystemSpec = SystemSpec(), *,
         beta_grid=betas,
         surface_over_e0=surface,
         argmax=(float(betas[i]), float(betas[j])),
-        max_over_e0=float(surface[i, j]),
     )
 
 

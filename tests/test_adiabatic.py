@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from qbat import dynamics
+from qbat import adiabatic, dynamics
 from qbat.adiabatic import (
     _EXCITATION_SECTORS,
     AdiabaticDecomposition,
@@ -13,12 +13,10 @@ from qbat.adiabatic import (
     Schedule,
     _align_group,
     _degenerate_groups,
-    _drive_channels,
     _drive_states,
     _ht_stack,
     _sector_branches,
     adiabatic_decomposition,
-    adiabatic_ec,
     adiabatic_rate_prediction,
     build_ht,
     forbidden_state,
@@ -91,10 +89,12 @@ def test_parity_check():
     report = parity_check(AdiabaticSpec(tau=3.0))
     assert report.passed
     assert report.max_commutator_norm <= 1e-12
-    assert report.parity_initial == pytest.approx(report.parity_target, abs=1e-9)
-    assert report.parity_forbidden == pytest.approx(-report.parity_initial, abs=1e-9)
     pi_z = parity_operator()
     assert np.abs(pi_z.matrix @ pi_z.matrix - np.eye(8)).max() <= 1e-15
+    p_init, p_target, p_forbidden = (np.vdot(psi.amplitudes, pi_z.matrix @ psi.amplitudes).real
+                                     for psi in (storage_state(), target_state(), forbidden_state()))
+    assert p_init == pytest.approx(p_target, abs=1e-9)
+    assert p_forbidden == pytest.approx(-p_init, abs=1e-9)
 
 
 def test_parity_commutes_at_spot_values():
@@ -115,7 +115,6 @@ def test_run_discharge_adiabatic_limit():
     assert report.final_charge >= 0.999 * 2.0
     assert report.fidelity_target >= 0.999
     assert report.leakage_forbidden <= 1e-10
-    assert report.parity_drift <= 1e-10
     assert report.min_gap_sector > 0.5
 
 
@@ -152,18 +151,17 @@ def test_sweep_saturates_for_all_schedules():
 
 def test_decomposition_coefficients_complete():
     spec = AdiabaticSpec(tau=4.0)
-    decomp = adiabatic_decomposition(spec, storage_state(), n_samples=128)
+    decomp = adiabatic_decomposition(spec, storage_state())
     assert abs(np.sum(np.abs(decomp.coefficients) ** 2) - 1.0) <= 1e-10
     assert decomp.min_tracking_overlap.min() >= 0.99
 
 
 def test_rate_prediction_zero_for_single_eigenspace():
     spec = AdiabaticSpec(tau=6.0, schedule=Schedule.SIN_SQUARED)
-    series = adiabatic_ec(spec, storage_state(), n_samples=256)
-    prediction = np.asarray(series.extra["ec_adiabatic"])
+    prediction = adiabatic_rate_prediction(adiabatic_decomposition(spec, storage_state()))
     assert np.all(prediction == 0.0)
     # exact current still fluctuates at finite speed but stays modest
-    assert np.abs(series.ec).max() < 1.0
+    assert np.abs(run_discharge(spec, n_samples=256).series.ec).max() < 1.0
 
 
 def _two_branch_state(spec):
@@ -180,7 +178,7 @@ def _two_branch_state(spec):
 def test_rate_prediction_two_branch_oscillates():
     spec = AdiabaticSpec(tau=8.0, schedule=Schedule.SIN_SQUARED)
     psi0 = _two_branch_state(spec)
-    decomp = adiabatic_decomposition(spec, psi0, n_samples=512)
+    decomp = adiabatic_decomposition(spec, psi0)
     prediction = adiabatic_rate_prediction(decomp)
     assert np.abs(prediction).max() > 1e-3
     # oscillation frequency tracks the branch gap: count sign changes
@@ -195,7 +193,7 @@ def test_rate_prediction_two_branch_oscillates():
 def test_rate_prediction_matches_manual_two_level_sum():
     spec = AdiabaticSpec(tau=8.0, schedule=Schedule.SIN_SQUARED)
     psi0 = _two_branch_state(spec)
-    decomp = adiabatic_decomposition(spec, psi0, n_samples=512)
+    decomp = adiabatic_decomposition(spec, psi0)
     prediction = adiabatic_rate_prediction(decomp)
     m, n = (int(i) for i in np.nonzero(decomp.occupied)[0])
     w_term = (np.conj(decomp.coefficients[m]) * decomp.coefficients[n]
@@ -206,12 +204,8 @@ def test_rate_prediction_matches_manual_two_level_sum():
 
 
 def test_exact_current_tail_shrinks_with_slower_driving():
-    tails = []
-    for jtau in (50.0, 200.0):
-        series = adiabatic_ec(AdiabaticSpec(tau=jtau, schedule=Schedule.SIN_SQUARED),
-                              storage_state(), n_samples=512)
-        tail = np.abs(series.ec[series.times >= 0.9 * jtau]).max()
-        tails.append(tail)
+    tails = [run_discharge(AdiabaticSpec(tau=jtau, schedule=Schedule.SIN_SQUARED),
+                           n_samples=512).ec_tail for jtau in (50.0, 200.0)]
     assert tails[1] < tails[0]
 
 
@@ -270,38 +264,38 @@ def test_run_discharge_uses_the_dynamics_stepper():
     assert report.leakage_forbidden == pytest.approx(leakage, abs=1e-12)
 
 
-def test_drive_channels_step_every_excitation_sector():
-    # a random state occupies all four excitation sectors; stepping each
-    # sector on its own matches the drive over all eight states
-    rng = np.random.default_rng(3)
-    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-    psi0 = PureState(3, amps / np.linalg.norm(amps))
-    spec = AdiabaticSpec(tau=12.0, schedule=Schedule.SMOOTHSTEP)
-    _, states, _, _ = _drive_channels(spec, psi0, 1.0, 97)
-    full = _drive_states(spec, psi0.amplitudes, 97)
-    assert np.abs(states - full).max() <= 1e-12
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.floats(0.5, 20.0), st.sampled_from(list(Schedule)), st.integers(8, 64))
 def test_discharge_invariants_property(jtau, schedule, samples_per_jt):
     n_samples = math.ceil(samples_per_jt * jtau) + 1
     spec = AdiabaticSpec(tau=jtau, schedule=schedule)
-    report = run_discharge(spec, n_samples=n_samples)
-    series = report.series
+    series = run_discharge(spec, n_samples=n_samples).series
     # the drive conserves excitation number: stepped over all eight states,
     # the stored singlet never leaves the one-excitation block
-    # {|001>, |010>, |100>}, and the reduced drive, which steps only that
-    # block, gives the same states (measured <= 1.2e-13)
-    _, states, _, _ = _drive_channels(spec, storage_state(), 1.0, n_samples)
+    # {|001>, |010>, |100>}
     full = _drive_states(spec, storage_state().amplitudes, n_samples)
     outside = np.abs(np.delete(full, [0b001, 0b010, 0b100], axis=1)) ** 2
     assert outside.sum(axis=1).max() <= 1e-20
-    assert np.abs(full - states).max() <= 1e-11
     # every midpoint step is unitary (norm drift measured <= 1.1e-13)
-    assert np.abs(np.linalg.norm(states, axis=1) - 1.0).max() <= 1e-12
-    assert report.parity_drift <= 1e-12
-    assert np.max(series.extra["leakage_forbidden"]) <= 1e-10
+    assert np.abs(np.linalg.norm(full, axis=1) - 1.0).max() <= 1e-12
+    # oracle: the channels of the block drive equal those of the 8x8
+    # operators on the full run, with the current's operator (1/i)[H0_hub, H(t)]
+    # formed at each sample time
+    hs = hamiltonian_set(SystemSpec())
+    h0 = hs.h0_hub.matrix
+    h = _ht_stack(spec, series.times / spec.tau)
+    oracle = {
+        "charge": dynamics._observable_rows(full, h0) - hs.e_empty,
+        "ec": np.einsum("ki,kij,kj->k", full.conj(), (h0 @ h - h @ h0) / 1j, full).real,
+        "parity": dynamics._observable_rows(full, parity_operator().matrix),
+        "fidelity_target": np.abs(full @ target_state().amplitudes.conj()) ** 2,
+    }
+    channels = {"charge": series.charge, "ec": series.ec, **series.extra}
+    for name, expected in oracle.items():
+        assert np.abs(channels[name] - expected).max() <= 1e-12, name
+    assert np.all(series.extra["leakage_forbidden"] == 0.0)
+    parity = series.extra["parity"]
+    assert np.abs(parity - parity[0]).max() <= 1e-12
     assert np.all(series.extra["fidelity_target"] + series.extra["leakage_forbidden"]
                   <= 1.0 + 1e-12)
     # dC/dt = <P>: the trapezoid integral of the current reproduces the charge
@@ -440,8 +434,9 @@ def test_sector_branches_match_the_parity_block_tracker(schedule, jtau, log_j, n
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=8) + 1j * rng.normal(size=8)
     psi0 = PureState(3, amps / np.linalg.norm(amps))
-    prediction = adiabatic_rate_prediction(adiabatic_decomposition(spec, psi0,
-                                                                   n_samples=n_samples))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(adiabatic, "_DECOMPOSITION_SAMPLES", n_samples)
+        prediction = adiabatic_rate_prediction(adiabatic_decomposition(spec, psi0))
     oracle = adiabatic_rate_prediction(_parity_block_decomposition(spec, psi0, n_samples))
     assert np.abs(prediction - oracle).max() <= 1e-12 * j
     assert abs(min_sector_gap(spec) - _parity_block_gap(spec)) <= 1e-12 * j

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from qbat import adiabatic
+from qbat import adiabatic, dynamics
 from qbat.adiabatic import MAX_STEPS, AdiabaticSpec, _drive_steps
 from qbat.cli import MAX_ROWS, main
 
@@ -265,8 +265,18 @@ def test_readme_quickstart():
     ["trap-check", "--tol", "nan"],
     ["trap-check", "--tol", "inf"],
     ["trap-scan", "--samples", "20", "--tol", "nan"],
+    # sample spacings below the smallest normal float, in Jt or in 1/J
+    ["discharge", "--bell", "10", "--tmax", "1e-320", "--samples", "65536"],
+    ["sweep-tau", "--from", "0", "--to", "1e-321", "--points", "2"],
+    ["adiabatic", "--jtau", "1e-322", "--samples", "65536", "--j", "1e-6"],
 ])
-def test_non_finite_values_are_parameter_errors(capsys, args):
+def test_non_finite_values_are_parameter_errors(capsys, monkeypatch, args):
+    # rejected before any propagation or stepping
+    def unreached(*_args, **_kwargs):
+        raise AssertionError("a rejected run reached the propagators")
+
+    monkeypatch.setattr(adiabatic, "_midpoint_states", unreached)
+    monkeypatch.setattr(dynamics, "_spectral", unreached)
     code, out, err = run_cli(args, capsys)
     assert code == 2
     assert out == ""

@@ -259,7 +259,7 @@ def test_separable_closed_form_matches_simulation(spec, hs):
 def test_separable_sweep_bound(spec):
     sweep = separable_sweep(41, spec, seed=9)
     assert sweep.argmax == (1.0, 1.0)
-    assert sweep.max_over_e0 == pytest.approx(1.0)
+    assert sweep.surface_over_e0[-1, -1] == pytest.approx(1.0)
     interior = sweep.surface_over_e0.copy()
     interior[-1, -1] = -np.inf
     assert interior.max() <= 1.0 - 1e-4

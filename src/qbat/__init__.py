@@ -17,7 +17,6 @@ from .adiabatic import (
     SweepPoint,
     adiabatic_decomposition,
     adiabatic_rate_prediction,
-    build_ht,
     min_sector_gap,
     parity_check,
     parity_operator,
@@ -29,7 +28,6 @@ from .dynamics import (
     collective_dephasing_fixpoint,
     evolve_static,
     evolve_timedep,
-    propagator,
     sample_trajectory,
 )
 from .model import (

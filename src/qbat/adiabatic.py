@@ -113,13 +113,6 @@ def _ht_stack(spec: AdiabaticSpec, s_values: np.ndarray,
                for w, h in zip(_part_weights(spec, s_values), interpolation_parts(spec)))
 
 
-def build_ht(spec: AdiabaticSpec, s: float) -> Operator:
-    """Drive Hamiltonian at progress s in [0, 1]."""
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"s must lie in [0, 1], got {s}")
-    return Operator(3, _ht_stack(spec, np.array([s], dtype=float))[0], hermitian=True)
-
-
 def parity_operator() -> Operator:
     """Three-qubit parity, the product of z on every qubit."""
     return tensor(pauli("z"), pauli("z"), pauli("z"))
@@ -184,22 +177,16 @@ class DischargeReport:
 
     ``final_charge`` is in hbar*omega, ``min_gap_sector`` in hbar*J and
     ``ec_tail`` (the largest |energy current| over the last tenth of the run)
-    in hbar*omega*J; ``series`` adds the channels ``fidelity_target``,
-    ``leakage_forbidden`` and ``parity``.  Leakage is a structural zero: the
-    cell is stepped in its one-excitation block, which |110> lies outside;
+    in hbar*omega*J; ``series`` adds the channels ``fidelity_target`` and
+    ``parity``.  No leakage into |110> is recorded: the cell is stepped in
+    its one-excitation block, which |110> lies outside, so it is exactly 0;
     AC-9's full 8-dim runs measure it.
     """
 
     final_charge: float
-    fidelity_target: float
-    leakage_forbidden: float
     min_gap_sector: float
     ec_tail: float
     series: TimeSeries
-
-    def __post_init__(self):
-        if self.fidelity_target + self.leakage_forbidden > 1.0 + 1e-9:
-            raise ValueError("target fidelity and forbidden leakage exceed unity")
 
 
 def _drive_steps(spec: AdiabaticSpec, n_samples: int) -> int:
@@ -252,18 +239,14 @@ def run_discharge(spec: AdiabaticSpec, omega: float = 1.0,
     ec_channel = sum(w * c for w, c in zip(_part_weights(spec, times / spec.tau), currents))
     parity_channel = _observable_rows(states, parity_operator().matrix[block])
     fidelity_channel = np.abs(states @ target_state().amplitudes[sector].conj()) ** 2
-    leakage_channel = np.zeros(n_samples)
 
     tail = np.abs(ec_channel[times >= 0.9 * spec.tau])
     series = TimeSeries(times, charge_channel, ec_channel, extra={
         "fidelity_target": fidelity_channel,
-        "leakage_forbidden": leakage_channel,
         "parity": parity_channel,
     })
     return DischargeReport(
         final_charge=float(charge_channel[-1]),
-        fidelity_target=float(fidelity_channel[-1]),
-        leakage_forbidden=float(leakage_channel[-1]),
         min_gap_sector=min_sector_gap(spec),
         ec_tail=float(tail.max()),
         series=series,
@@ -272,13 +255,12 @@ def run_discharge(spec: AdiabaticSpec, omega: float = 1.0,
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """Final-state summary for one (Jtau, schedule) pair; ``leakage_forbidden``
-    reads 0 by excitation-number conservation, as in DischargeReport."""
+    """Final-state summary for one (Jtau, schedule) pair: the final charge
+    over 2*hbar*omega and DischargeReport's ``ec_tail``."""
 
     jtau: float
     schedule: Schedule
     ratio_to_cmax: float
-    leakage_forbidden: float
     ec_tail: float
 
 
@@ -287,11 +269,11 @@ def sweep_tau(tau_values, omega: float = 1.0, *, j_coupling: float = 1.0,
     """Final transferred charge against total run time, for every schedule.
 
     Returns one SweepPoint per (tau, schedule) pair, ordered by the input tau
-    list and then ``Schedule``'s order regardless of execution order.  Each
-    run is recorded at SWEEP_SAMPLES uniform times.  tau = 0 is the sudden
-    limit: nothing evolves and nothing is transferred.  A sweep whose jobs
-    take more than MAX_STEPS drive steps in total raises ValueError before
-    the first job starts.
+    list and then ``Schedule``'s order, whatever order the ``max_workers``
+    threads finish in.  Each run is recorded at SWEEP_SAMPLES uniform times.
+    tau = 0 is the sudden limit: nothing evolves and nothing is transferred.
+    A sweep whose jobs take more than MAX_STEPS drive steps in total raises
+    ValueError before the first job starts.
     """
     if len(tau_values) == 0:
         raise ValueError("tau_values must not be empty")
@@ -306,21 +288,18 @@ def sweep_tau(tau_values, omega: float = 1.0, *, j_coupling: float = 1.0,
     def _one(job):
         tau, schedule = job
         if tau == 0.0:
-            return SweepPoint(0.0, schedule, 0.0, 0.0, 0.0)
+            return SweepPoint(0.0, schedule, 0.0, 0.0)
         spec = AdiabaticSpec(tau=tau, j_coupling=j_coupling, schedule=schedule)
         report = run_discharge(spec, omega, n_samples=SWEEP_SAMPLES)
         return SweepPoint(
             jtau=spec.jtau,
             schedule=schedule,
             ratio_to_cmax=report.final_charge / cmax,
-            leakage_forbidden=report.leakage_forbidden,
             ec_tail=report.ec_tail,
         )
 
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(_one, jobs))
-    return [_one(job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+        return list(pool.map(_one, jobs))
 
 
 @dataclass(frozen=True, eq=False)

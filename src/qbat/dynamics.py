@@ -77,11 +77,6 @@ def _spectral(h: Operator, x: np.ndarray, times) -> np.ndarray:
     return out.reshape((h.dim, -1) + x.shape[1:]).swapaxes(0, 1)
 
 
-def propagator(h: Operator, t: float) -> Operator:
-    """exp(-i H t) computed through the eigendecomposition of H."""
-    return Operator(h.n_qubits, _spectral(h, np.eye(h.dim), [t])[0], unitary=True)
-
-
 def evolve_static(h: Operator, psi0: PureState, t: float) -> PureState:
     """exp(-i H t)|psi0> for constant H, exact to machine precision."""
     return PureState(psi0.n_qubits, _spectral(h, psi0.amplitudes, [t])[0])

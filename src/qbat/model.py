@@ -65,22 +65,21 @@ class SystemSpec:
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianSet:
-    """Bare Hamiltonian pieces and the coupling on the cell's space."""
+    """Bare Hamiltonian pieces and the coupling on the cell's space;
+    ``h0_total`` and ``e_empty`` are derived from the diagonal bare terms."""
 
     h0_battery: Operator
     h0_hub: Operator
-    h0_total: Operator
     h_charging: Operator
-    e_empty: float
 
-    def __post_init__(self):
-        total = self.h0_battery.matrix + self.h0_hub.matrix
-        if max_abs(self.h0_total.matrix - total) > 1e-12:
-            raise ValueError("h0_total must equal h0_battery + h0_hub entrywise")
-        ground = float(np.linalg.eigvalsh(self.h0_hub.matrix).min())
-        if abs(ground - self.e_empty) > 1e-9 * max(1.0, abs(self.e_empty)):
-            raise ValueError(
-                f"e_empty {self.e_empty} does not match hub ground energy {ground}")
+    @property
+    def h0_total(self) -> Operator:
+        return self.h0_battery + self.h0_hub
+
+    @property
+    def e_empty(self) -> float:
+        """Hub ground energy, the smallest diagonal entry of ``h0_hub``."""
+        return float(self.h0_hub.matrix.diagonal().real.min())
 
 
 def qubit_energy_term(omega: float) -> Operator:
@@ -111,10 +110,8 @@ def hamiltonian_set(spec: SystemSpec) -> HamiltonianSet:
     """Bare battery and hub Hamiltonians plus the charging Hamiltonian, all on
     the cell's space; ``e_empty`` is the hub ground energy, -hbar*omega."""
     term = qubit_energy_term(spec.omega)
-    h_b = embed(term, [0], 3) + embed(term, [1], 3)
-    h_a = embed(term, [2], 3)
-    return HamiltonianSet(h0_battery=h_b, h0_hub=h_a, h0_total=h_b + h_a,
-                          h_charging=charging_hamiltonian(spec), e_empty=-spec.omega)
+    return HamiltonianSet(h0_battery=embed(term, [0], 3) + embed(term, [1], 3),
+                          h0_hub=embed(term, [2], 3), h_charging=charging_hamiltonian(spec))
 
 
 def ec_operator(h0_hub: Operator, h_int: Operator) -> Operator:

@@ -189,22 +189,17 @@ def blocking_conditions(rho: np.ndarray):
 
 @dataclass(frozen=True)
 class UniquenessScanReport:
-    """Result of scanning density matrices for further energy-blocking states."""
+    """Result of scanning density matrices for further energy-blocking states;
+    each family draws ``n_samples`` states (see trapping_uniqueness_scan)."""
 
     constraint_trace_distance: float
     n_samples: int
     n_pass_available: int
     n_pass_zero_ec: int
     n_pass_both: int
-    counterexamples: tuple
-    n_unrestricted: int
+    n_counterexamples: int
     n_unrestricted_pass_both: int
-    unrestricted_counterexamples: tuple
-    seed: int
-
-    @property
-    def n_counterexamples(self) -> int:
-        return len(self.counterexamples)
+    n_unrestricted_counterexamples: int
 
 
 def trapping_uniqueness_scan(n_random: int, tol: float = 1e-3, *,
@@ -213,7 +208,7 @@ def trapping_uniqueness_scan(n_random: int, tol: float = 1e-3, *,
 
     Samples ``n_random`` states from the restricted family (diagonal plus a
     real rho23 coherence), tests the available-energy and zero-current
-    conditions, and records any state passing both that is farther than
+    conditions, and counts any state passing both that is farther than
     ``tol`` in trace distance from the singlet projector.  An additional
     unrestricted random-density-matrix scan is run and reported rather than
     asserted empty; it draws as many states as the restricted one.  The
@@ -233,17 +228,15 @@ def trapping_uniqueness_scan(n_random: int, tol: float = 1e-3, *,
     coherence_rng, re_rng, im_rng = map(np.random.default_rng,
                                         np.random.SeedSequence(seed).spawn(3))
 
-    def _scan(rho_batch: np.ndarray, start: int, counters: list) -> np.ndarray:
+    def _scan(rho_batch: np.ndarray) -> np.ndarray:
         pass_ca, pass_cb, _ = blocking_conditions(rho_batch)
         both = pass_ca & pass_cb
-        for idx in np.nonzero(both)[0]:
-            dist = trace_distance(DensityMatrix(2, rho_batch[idx]), singlet)
-            if dist > tol:
-                counters.append((start + int(idx), float(dist)))
-        return np.array([pass_ca.sum(), pass_cb.sum(), both.sum()])
+        far = sum(trace_distance(DensityMatrix(2, rho), singlet) > tol
+                  for rho in rho_batch[both])
+        return np.array([pass_ca.sum(), pass_cb.sum(), both.sum(), far])
 
-    tally = np.zeros((2, 3), dtype=int)  # per family: passes available, zero ec, both
-    counters = ([], [])
+    # per family: passes available, zero ec, both, and counterexamples
+    tally = np.zeros((2, 4), dtype=int)
     for start in range(0, n_random, dynamics._CHUNK):
         m = min(dynamics._CHUNK, n_random - start)
         # Restricted family: Dirichlet diagonal, real rho23 bounded by positivity.
@@ -252,25 +245,23 @@ def trapping_uniqueness_scan(n_random: int, tol: float = 1e-3, *,
         batch[:, range(4), range(4)] = diags
         batch[:, 1, 2] = batch[:, 2, 1] = (coherence_rng.uniform(-1.0, 1.0, size=m)
                                            * np.sqrt(diags[:, 1] * diags[:, 2]))
-        tally[0] += _scan(batch, start, counters[0])
+        tally[0] += _scan(batch)
         # Unrestricted scan: Ginibre-random density matrices.
         ginibre = re_rng.normal(size=(m, 4, 4)) + 1j * im_rng.normal(size=(m, 4, 4))
         wish = ginibre @ ginibre.conj().transpose(0, 2, 1)
         wish /= np.einsum("naa->n", wish).real[:, None, None]
-        tally[1] += _scan(wish, start, counters[1])
+        tally[1] += _scan(wish)
 
-    (n_ca, n_cb, n_both), (_, _, n_unres_both) = tally.tolist()
+    (n_ca, n_cb, n_both, n_far), (_, _, n_unres_both, n_unres_far) = tally.tolist()
     return UniquenessScanReport(
         constraint_trace_distance=float(solved_distance),
         n_samples=n_random,
         n_pass_available=n_ca,
         n_pass_zero_ec=n_cb,
         n_pass_both=n_both,
-        counterexamples=tuple(counters[0]),
-        n_unrestricted=n_random,
+        n_counterexamples=n_far,
         n_unrestricted_pass_both=n_unres_both,
-        unrestricted_counterexamples=tuple(counters[1]),
-        seed=seed,
+        n_unrestricted_counterexamples=n_unres_far,
     )
 
 
@@ -372,12 +363,9 @@ def single_particle_system(spec: SystemSpec):
     The battery qubit is site 0, the hub site 1.
     """
     term = qubit_energy_term(spec.omega)
-    h_b = embed(term, [0], 2)
-    h_a = embed(term, [1], 2)
     xy = tensor(pauli("x"), pauli("x")) + tensor(pauli("y"), pauli("y"))
-    h_int = spec.j_coupling * xy
-    return HamiltonianSet(h0_battery=h_b, h0_hub=h_a, h0_total=h_b + h_a,
-                          h_charging=h_int, e_empty=-spec.omega)
+    return HamiltonianSet(h0_battery=embed(term, [0], 2), h0_hub=embed(term, [1], 2),
+                          h_charging=spec.j_coupling * xy)
 
 
 def single_particle_trajectory(spec: SystemSpec, t_final: float,
@@ -411,8 +399,8 @@ class CellAction(Enum):
 class NCellPlan:
     """Per-cell actions for an independent-cell battery bank.
 
-    Cells are uncoupled, so each cell is simulated as its own three-qubit
-    block; the transferable quantum is half a cell, hbar*omega.
+    Cells are uncoupled, so each cell evolves as its own three-qubit block;
+    the transferable quantum is half a cell, hbar*omega.
     """
 
     actions: tuple
@@ -445,14 +433,14 @@ def cell_state_after_action(action: CellAction) -> PureState:
 def ncell_plan_energy(plan: NCellPlan, spec: SystemSpec):
     """Energy delivered by each cell at the transfer time, plus the total.
 
-    Each cell is simulated independently as a three-qubit block.  Holds
-    deliver nothing, half actions one quantum (hbar*omega), full actions two.
+    Cells are uncoupled and identical, so each distinct action is simulated
+    once as a three-qubit block.  Holds deliver nothing, half actions one
+    quantum (hbar*omega), full actions two.
     """
     hs = hamiltonian_set(spec)
     taud = discharge_time(spec)
-    per_cell = []
-    for action in plan.actions:
-        psi = cell_state_after_action(action)
-        final = evolve_static(hs.h_charging, psi, taud)
-        per_cell.append(charge(final, hs))
-    return float(sum(per_cell)), tuple(float(c) for c in per_cell)
+    delivered = {action: float(charge(evolve_static(hs.h_charging,
+                                                    cell_state_after_action(action), taud), hs))
+                 for action in set(plan.actions)}
+    per_cell = tuple(delivered[action] for action in plan.actions)
+    return float(sum(per_cell)), per_cell

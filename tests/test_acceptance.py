@@ -9,10 +9,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import qbat
+from qbat import acceptance
 
 CRITERIA = [f"AC-{i}" for i in range(1, 14)]
 
@@ -52,3 +54,17 @@ def test_selftest_reports_every_criterion(selftest):
 def test_selftest_exit_code(selftest):
     proc, _ = selftest
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_ac11_measures_the_stepper(monkeypatch):
+    # a stepper that grows every state by 1e-6 must fail AC-11's unitarity
+    # check, so that check is made on the stepper's own propagator
+    stepper = acceptance.evolve_timedep
+
+    def growing(*args, **kwargs):
+        return SimpleNamespace(amplitudes=stepper(*args, **kwargs).amplitudes * (1 + 1e-6))
+
+    assert acceptance.ac11_integrator().passed
+    monkeypatch.setattr(acceptance, "evolve_timedep", growing)
+    result = acceptance.ac11_integrator()
+    assert not result.passed, result.details

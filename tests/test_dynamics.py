@@ -16,7 +16,6 @@ from qbat.dynamics import (
     collective_dephasing_fixpoint,
     evolve_static,
     evolve_timedep,
-    propagator,
     sample_trajectory,
 )
 from qbat.model import SystemSpec, hamiltonian_set
@@ -63,13 +62,6 @@ def test_evolve_static_requires_hermitian():
     bad = Operator(1, np.array([[0, 1], [0, 0]], dtype=complex))
     with pytest.raises(ValueError):
         evolve_static(bad, ket("0"), 1.0)
-
-
-def test_propagator_unitary(hs):
-    u = propagator(hs.h_charging, 0.83)
-    assert u.unitary
-    defect = u.matrix.conj().T @ u.matrix - np.eye(8)
-    assert np.abs(defect).max() <= 1e-10
 
 
 def test_evolve_timedep_constant_matches_static(hs):

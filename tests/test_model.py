@@ -12,7 +12,7 @@ from qbat.model import (
     hamiltonian_set,
     qubit_energy_term,
 )
-from qbat.protocols import BellLabel, bell_state, bell_with_empty_hub
+from qbat.protocols import BellLabel, bell_state, bell_with_empty_hub, single_particle_system
 from qbat.qalg import (
     DensityMatrix,
     PureState,
@@ -132,14 +132,16 @@ def test_charge_additivity_over_cells(hs):
         assert total == pytest.approx(parts, abs=1e-10)
 
 
-def test_hamiltonian_set_invariant_enforced(hs):
-    from qbat.model import HamiltonianSet
-    with pytest.raises(ValueError):
-        HamiltonianSet(h0_battery=hs.h0_battery, h0_hub=hs.h0_hub,
-                       h0_total=hs.h0_battery, h_charging=hs.h_charging, e_empty=hs.e_empty)
-    with pytest.raises(ValueError):
-        HamiltonianSet(h0_battery=hs.h0_battery, h0_hub=hs.h0_hub,
-                       h0_total=hs.h0_total, h_charging=hs.h_charging, e_empty=0.5)
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-12.0, 12.0), st.floats(-12.0, 12.0))
+def test_derived_hamiltonian_set_fields_property(log_omega, log_j):
+    # e_empty and h0_total are derived from the bare terms, for the cell and
+    # for the single-particle baseline, across the whole rate band
+    spec = SystemSpec(10.0**log_omega, 10.0**log_j)
+    for hs in (hamiltonian_set(spec), single_particle_system(spec)):
+        ground = np.linalg.eigvalsh(hs.h0_hub.matrix).min()
+        assert abs(hs.e_empty - ground) <= 1e-12 * abs(ground)
+        assert np.array_equal(hs.h0_total.matrix, hs.h0_battery.matrix + hs.h0_hub.matrix)
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from qbat import dynamics
+from qbat import dynamics, protocols
 from qbat.dynamics import evolve_static, sample_trajectory
 from qbat.model import charge, ergotropy, qubit_energy_term
 from qbat.protocols import (
@@ -142,7 +143,34 @@ def test_uniqueness_scan_clean():
     assert report.constraint_trace_distance <= 1e-10
     assert report.n_counterexamples == 0
     assert report.n_samples == 2000
-    assert report.n_unrestricted == 2000
+    assert report.n_unrestricted_counterexamples == 0
+
+
+@pytest.mark.parametrize("tol", [0.7, 0.85])
+def test_uniqueness_scan_counts_counterexamples(monkeypatch, tol):
+    # with every state passing both conditions, each family's counterexamples
+    # are exactly its states farther than tol from the singlet, counted here
+    # from the eigenvalues of rho - singlet over chunks of 128 states
+    batches = []
+
+    def everything_passes(rho):
+        batches.append(rho.copy())
+        ones = np.ones(rho.shape[:-2], dtype=bool)
+        return ones, ones, np.zeros(rho.shape[:-2])
+
+    monkeypatch.setattr(dynamics, "_CHUNK", 128)
+    monkeypatch.setattr(protocols, "blocking_conditions", everything_passes)
+    report = trapping_uniqueness_scan(300, tol=tol, seed=5)
+    singlet = bell_state(BellLabel(1, 1)).density().entries
+    counts = []
+    for family in (batches[0::2], batches[1::2]):
+        rho = np.concatenate(family)
+        assert rho.shape == (300, 4, 4)
+        distance = 0.5 * np.abs(np.linalg.eigvalsh(rho - singlet)).sum(axis=1)
+        counts.append(int(np.sum(distance > tol)))
+    assert report.n_pass_both == report.n_unrestricted_pass_both == 300
+    assert (report.n_counterexamples, report.n_unrestricted_counterexamples) == tuple(counts)
+    assert all(0 < c < 300 for c in counts)
 
 
 def test_uniqueness_scan_memory_is_bounded(monkeypatch):
@@ -300,6 +328,24 @@ def test_ncell_all_full_and_all_hold(spec, hs):
     series = sample_trajectory(hs.h_charging, cell_state_after_action(CellAction.HOLD),
                                2 * discharge_time(spec), 32, hs)
     assert np.abs(series.ec).max() <= 1e-12
+
+
+def test_ncell_simulates_each_distinct_action_once(monkeypatch, spec):
+    reference = dict(zip((CellAction.FULL, CellAction.HALF, CellAction.HOLD),
+                         ncell_plan_energy(NCellPlan.parse("f,H,h"), spec)[1]))
+    calls = Counter()
+
+    def counted(*args):
+        calls["evolve_static"] += 1
+        return evolve_static(*args)
+
+    monkeypatch.setattr(protocols, "evolve_static", counted)
+    plan = NCellPlan.parse(",".join((["hold", "half", "full", "h", "H", "f", "F"] * 429)[:3000]))
+    assert len(plan.actions) == 3000
+    total, per_cell = ncell_plan_energy(plan, spec)
+    assert calls["evolve_static"] <= 3
+    assert per_cell == tuple(reference[action] for action in plan.actions)
+    assert total == pytest.approx(sum(per_cell), abs=1e-9)
 
 
 def test_two_cells_factorize(spec, hs):

@@ -355,6 +355,8 @@ def _cmd_sweep_tau(cfg: RunConfig, args) -> list:
 
 
 def _cmd_selftest(cfg: RunConfig, args) -> int:
+    if cfg.spec != SystemSpec():
+        raise ValueError("selftest runs at omega = J = 1; give no other rate by flag or config")
     results = acceptance.run_all(seed=cfg.seed)
     for result in results:
         print(result.line)

@@ -66,8 +66,6 @@ def _spectral(h: Operator, x: np.ndarray, times) -> np.ndarray:
     coefficients rather than on a formed unitary, so t = 0 returns x to
     within the eigenbasis round trip.
     """
-    if not h.hermitian:
-        raise ValueError("exact propagation requires a hermitian-flagged Hamiltonian")
     if x.shape[0] != h.dim:
         raise ValueError(f"dimension mismatch: operator {h.dim}, state {x.shape[0]}")
     w, v = np.linalg.eigh(h.matrix)

@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from . import dynamics
-from .dynamics import evolve_static, sample_trajectory
+from .dynamics import TimeSeries, evolve_static, sample_trajectory
 from .model import (
     HamiltonianSet,
     SystemSpec,
@@ -369,7 +369,7 @@ def single_particle_system(spec: SystemSpec):
 
 
 def single_particle_trajectory(spec: SystemSpec, t_final: float,
-                               n_samples: int) -> "TimeSeries":
+                               n_samples: int) -> TimeSeries:
     """Simulated charge/current channels for the one-qubit battery."""
     hs = single_particle_system(spec)
     return sample_trajectory(hs.h_charging, ket("10"), t_final, n_samples, hs)

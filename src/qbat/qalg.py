@@ -1,4 +1,4 @@
-"""Dense operator/state algebra on small multi-qubit Hilbert spaces.
+"""Dense hermitian-operator and state algebra on small multi-qubit spaces.
 
 Conventions used throughout the package:
 
@@ -21,7 +21,6 @@ import numpy as np
 MAX_QUBITS = 12
 
 HERMITIAN_ATOL = 1e-12
-UNITARY_ATOL = 1e-10
 NORM_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 EIG_FLOOR = -1e-10
@@ -49,16 +48,13 @@ def max_abs(matrix: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """A dense complex matrix acting on ``n_qubits`` qubits.
+    """A dense hermitian matrix acting on ``n_qubits`` qubits.
 
-    ``hermitian`` and ``unitary`` record the constructor's intent and are
-    verified on construction (max-norm tolerances 1e-12 and 1e-10).
+    The constructor rejects a matrix with max|A - A^dagger| > 1e-12.
     """
 
     n_qubits: int
     matrix: np.ndarray
-    hermitian: bool = False
-    unitary: bool = False
 
     def __post_init__(self):
         mat = _frozen_array(self.matrix)
@@ -66,12 +62,8 @@ class Operator:
             raise ValueError(f"operator matrix must be square, got {mat.shape}")
         _check_n_qubits(self.n_qubits, mat.shape[0])
         object.__setattr__(self, "matrix", mat)
-        if self.hermitian and max_abs(mat - mat.conj().T) > HERMITIAN_ATOL:
-            raise ValueError("operator flagged hermitian violates A == A^dagger")
-        if self.unitary:
-            defect = mat.conj().T @ mat - np.eye(mat.shape[0])
-            if max_abs(defect) > UNITARY_ATOL:
-                raise ValueError("operator flagged unitary violates U^dagger U == 1")
+        if max_abs(mat - mat.conj().T) > HERMITIAN_ATOL:
+            raise ValueError("operator matrix is not hermitian within 1e-12")
 
     @property
     def dim(self) -> int:
@@ -79,12 +71,10 @@ class Operator:
 
     def __add__(self, other: "Operator") -> "Operator":
         self._check_same_dim(other)
-        return Operator(self.n_qubits, self.matrix + other.matrix,
-                        hermitian=self.hermitian and other.hermitian)
+        return Operator(self.n_qubits, self.matrix + other.matrix)
 
-    def __mul__(self, scalar: complex) -> "Operator":
-        keep = self.hermitian and float(np.imag(scalar)) == 0.0
-        return Operator(self.n_qubits, self.matrix * scalar, hermitian=keep)
+    def __mul__(self, scalar: float) -> "Operator":
+        return Operator(self.n_qubits, self.matrix * scalar)
 
     __rmul__ = __mul__
 
@@ -166,7 +156,7 @@ def pauli(axis: str) -> Operator:
     key = str(axis).lower()
     if key not in _PAULI_MATRICES:
         raise ValueError(f"unknown Pauli axis {axis!r}; expected one of i, x, y, z")
-    return Operator(1, _PAULI_MATRICES[key], hermitian=True, unitary=True)
+    return Operator(1, _PAULI_MATRICES[key])
 
 
 def tensor(*ops: Operator) -> Operator:
@@ -175,12 +165,10 @@ def tensor(*ops: Operator) -> Operator:
         raise ValueError("tensor() requires at least one operator")
     mat = np.array([[1.0 + 0j]])
     n = 0
-    herm = all(op.hermitian for op in ops)
-    unit = all(op.unitary for op in ops)
     for op in ops:
         mat = np.kron(mat, op.matrix)
         n += op.n_qubits
-    return Operator(n, mat, hermitian=herm, unitary=unit)
+    return Operator(n, mat)
 
 
 def ket(bits: str) -> PureState:
@@ -213,31 +201,22 @@ def embed(op: Operator, target_sites: Sequence[int], n_total: int) -> Operator:
     inv = np.argsort(order)
     axes = list(inv) + [n_total + int(i) for i in inv]
     mat = np.transpose(tensor_form, axes).reshape(2**n_total, 2**n_total)
-    return Operator(n_total, mat, hermitian=op.hermitian, unitary=op.unitary)
+    return Operator(n_total, mat)
 
 
-def expectation(op: Operator, state: State):
-    """<psi|A|psi> or tr(A rho).
+def expectation(op: Operator, state: State) -> float:
+    """<psi|A|psi> or tr(A rho) of the hermitian ``op``.
 
-    For a hermitian-flagged operator the imaginary part must be below 1e-10
-    (raises otherwise) and the real part is returned as a float; otherwise the
-    complex value is returned.
+    The value is real; its real part is returned, and the imaginary part
+    left by rounding (which grows with the operator's scale) is dropped.
     """
-    if isinstance(state, PureState):
-        if state.dim != op.dim:
-            raise ValueError(f"dimension mismatch: operator {op.dim}, state {state.dim}")
-        value = complex(np.vdot(state.amplitudes, op.matrix @ state.amplitudes))
-    elif isinstance(state, DensityMatrix):
-        if state.dim != op.dim:
-            raise ValueError(f"dimension mismatch: operator {op.dim}, state {state.dim}")
-        value = complex(np.trace(op.matrix @ state.entries))
-    else:
+    if not isinstance(state, (PureState, DensityMatrix)):
         raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
-    if op.hermitian:
-        if abs(value.imag) > 1e-10:
-            raise ValueError(f"hermitian expectation has imaginary part {value.imag}")
-        return float(value.real)
-    return value
+    if state.dim != op.dim:
+        raise ValueError(f"dimension mismatch: operator {op.dim}, state {state.dim}")
+    if isinstance(state, PureState):
+        return float(np.vdot(state.amplitudes, op.matrix @ state.amplitudes).real)
+    return float(np.trace(op.matrix @ state.entries).real)
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:

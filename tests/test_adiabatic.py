@@ -224,7 +224,7 @@ def test_ec_operator_at_closed_form():
     for s in (0.0, 0.3, 0.5, 0.9, 1.0):
         f = float(schedule_value(spec.schedule, s))
         expected = (1 - f) * f * 2.0 * (kron(I2, Y, X) - kron(I2, X, Y))
-        p_hat = ec_operator(hs.h0_hub, Operator(3, _ht(spec, s), hermitian=True))
+        p_hat = ec_operator(hs.h0_hub, Operator(3, _ht(spec, s)))
         assert np.abs(p_hat.matrix - expected).max() <= 1e-12
 
 

@@ -440,3 +440,17 @@ def test_selftest_json_rows_carry_elapsed(tmp_path, capsys, monkeypatch):
     (row,) = json.loads(path.read_text())
     assert row["criterion"] == "AC-12"
     assert 0.0 <= row["elapsed_s"] < 60.0
+
+
+@pytest.mark.parametrize("flags, config", [(["--omega", "5"], None), ([], {"j_coupling": 2})])
+def test_selftest_rejects_rates(tmp_path, capsys, monkeypatch, flags, config):
+    # selftest sets its own omega and J, so a given rate, by flag or by
+    # qbat.json, is a parameter error raised before any criterion runs
+    from qbat import acceptance
+    monkeypatch.setattr(acceptance, "run_all", lambda seed: pytest.fail("criteria ran"))
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "qbat.json").write_text(json.dumps(config))
+    code, out, err = run_cli(["selftest", *flags], capsys)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")

@@ -42,12 +42,10 @@ def test_embed_examples():
 
 
 def test_embed_respects_site_order():
-    # an operator |0><1| (x) |1><0| embedded with swapped sites acts swapped
-    lower = Operator(2, np.kron(np.array([[0, 1], [0, 0]]), np.array([[0, 0], [1, 0]])))
-    direct = embed(lower, [0, 1], 2)
-    swapped = embed(lower, [1, 0], 2)
-    assert_allclose(direct.matrix @ ket("10").amplitudes, ket("01").amplitudes)
-    assert_allclose(swapped.matrix @ ket("01").amplitudes, ket("10").amplitudes)
+    # z (x) x embedded with swapped sites puts its z factor on qubit 1
+    zx = tensor(pauli("z"), pauli("x"))
+    assert_allclose(embed(zx, [0, 1], 2).matrix, kron(Z, X))
+    assert_allclose(embed(zx, [1, 0], 2).matrix, kron(X, Z))
 
 
 def test_embed_validates_sites():
@@ -70,12 +68,6 @@ def test_expectation_examples(hs):
     assert expectation(hs.h_charging, singlet_hub) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_expectation_flags_imaginary_part():
-    op = Operator(1, np.array([[0, 1], [0, 0]], dtype=complex))  # not hermitian
-    value = expectation(op, PureState(1, np.array([1, 1]) / np.sqrt(2)))
-    assert isinstance(value, complex)
-
-
 def test_eigh_battery_pair_ground():
     # XY pair: hand-built matrix has spectrum {-2J, 0, 0, +2J}; the singlet
     # combination spans the ground level
@@ -89,9 +81,9 @@ def test_eigh_battery_pair_ground():
     assert abs(np.vdot(v[:, 0], singlet)) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_hermitian_flag_validated():
-    with pytest.raises(ValueError):
-        Operator(1, np.array([[0, 1], [0, 0]], dtype=complex), hermitian=True)
+def test_operator_rejects_non_hermitian():
+    with pytest.raises(ValueError, match="^operator matrix is not hermitian within 1e-12$"):
+        Operator(1, np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 def test_pure_state_norm_validated():
@@ -125,7 +117,7 @@ def _hermitian_ops(n_qubits):
 
 def _as_hermitian(vals, dim, n_qubits):
     raw = vals[:dim * dim].reshape(dim, dim) + 1j * vals[dim * dim:].reshape(dim, dim)
-    return Operator(n_qubits, (raw + raw.conj().T) / 2, hermitian=True)
+    return Operator(n_qubits, (raw + raw.conj().T) / 2)
 
 
 def _states(n_qubits):
@@ -148,9 +140,10 @@ def _as_state(vals, dim, n_qubits):
 @settings(max_examples=30, deadline=None)
 @given(_hermitian_ops(1), _hermitian_ops(1))
 def test_embed_is_multiplicative(a, b):
-    left = embed(a, [1], 3).matrix @ embed(b, [1], 3).matrix
-    right = embed(Operator(1, a.matrix @ b.matrix), [1], 3)
-    assert np.abs(left - right.matrix).max() <= 1e-12
+    # on the anticommutator, since the plain product ab is not hermitian
+    ea, eb = embed(a, [1], 3).matrix, embed(b, [1], 3).matrix
+    right = embed(Operator(1, a.matrix @ b.matrix + b.matrix @ a.matrix), [1], 3)
+    assert np.abs(ea @ eb + eb @ ea - right.matrix).max() <= 1e-12
 
 
 @settings(max_examples=30, deadline=None)

@@ -7,8 +7,8 @@ formats are byte-identical across platforms for identical inputs.
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import io
 import json
 import sys
 from typing import Mapping, Sequence
@@ -28,32 +28,20 @@ def _json_value(value):
     return float(f"{float(value):.15g}")
 
 
-def rows_to_csv(rows: Sequence[Mapping]) -> str:
-    if not rows:
-        return "\n"
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(rows[0].keys())
-    for row in rows:
-        writer.writerow(v if isinstance(v, str) else format_number(v)
-                        for v in row.values())
-    return buffer.getvalue()
-
-
-def rows_to_json(rows: Sequence[Mapping]) -> str:
-    payload = [{k: _json_value(v) for k, v in row.items()} for row in rows]
-    return json.dumps(payload, indent=2) + "\n"
-
-
 def write_rows(rows: Sequence[Mapping], fmt: str, path: str) -> None:
-    if fmt == "csv":
-        text = rows_to_csv(rows)
-    elif fmt == "json":
-        text = rows_to_json(rows)
-    else:
+    """Stream ``rows`` as CSV or JSON into the file ``path``, or stdout for "-"."""
+    if fmt not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {fmt!r}")
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+    with contextlib.ExitStack() as stack:
+        handle = sys.stdout if path == "-" else stack.enter_context(
+            open(path, "w", encoding="utf-8", newline="\n"))
+        if fmt == "csv":
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(rows[0].keys() if rows else ())
+            for row in rows:
+                writer.writerow(v if isinstance(v, str) else format_number(v)
+                                for v in row.values())
+        else:
+            json.dump([{k: _json_value(v) for k, v in row.items()} for row in rows],
+                      handle, indent=2)
+            handle.write("\n")

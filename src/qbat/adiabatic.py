@@ -23,15 +23,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import STEPS_PER_UNIT_JT, TimeSeries, _midpoint_states, _observable_rows
+from .dynamics import STEPS_PER_UNIT_JT, TimeSeries, _observable_rows, _stepped_states
 from .model import SystemSpec, check_rate, ec_operator, hamiltonian_set
 from .protocols import BellLabel, bell_with_empty_hub
 from .qalg import Operator, PureState, embed, ket, max_abs, pauli, tensor
 
-# Most midpoint steps one drive, or one sweep over all its jobs, may take:
-# adiabatic --jtau 16384 --samples 2 exactly, about 3 s of stepping on a
+# Most drive steps one drive, or one sweep over all its jobs, may demand:
+# adiabatic --jtau 16384 --samples 2 exactly, under 1 s of stepping on a
 # 2-core machine.  Checked before any stepping.
-MAX_STEPS = 2**22
+MAX_STEPS = 2**17
 SWEEP_SAMPLES = 257  # uniform sample times of each sweep run
 _DECOMPOSITION_SAMPLES = 512  # uniform sample times of each adiabatic decomposition
 
@@ -189,23 +189,26 @@ class DischargeReport:
     series: TimeSeries
 
 
+def _step_demand(spec: AdiabaticSpec) -> int:
+    """Fewest steps of one drive, ceil(STEPS_PER_UNIT_JT * Jtau), or MAX_STEPS + 1
+    for any larger demand (which also keeps math.ceil away from inf)."""
+    return math.ceil(min(STEPS_PER_UNIT_JT * spec.jtau, MAX_STEPS + 1))
+
+
 def _drive_steps(spec: AdiabaticSpec, n_samples: int) -> int:
-    """Midpoint steps of one drive recorded at ``n_samples`` uniform times.
+    """Steps of one drive recorded at ``n_samples`` uniform times.
 
     Every segment between samples takes the same whole number of steps, at
-    least STEPS_PER_UNIT_JT per unit Jt in total.  Fewer than two samples or
-    more than MAX_STEPS steps raise ValueError.
+    least ``_step_demand`` in total.  Fewer than two samples or a demand over
+    MAX_STEPS raise ValueError.
     """
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
-    per_unit = STEPS_PER_UNIT_JT * spec.jtau
+    demand = _step_demand(spec)
+    if demand > MAX_STEPS:
+        raise ValueError(f"Jtau = {spec.jtau:g} needs more than {MAX_STEPS} drive steps")
     segments = n_samples - 1
-    if per_unit <= MAX_STEPS:  # also keeps math.ceil away from inf
-        steps = math.ceil(math.ceil(per_unit) / segments) * segments
-        if steps <= MAX_STEPS:
-            return steps
-    raise ValueError(f"Jtau = {spec.jtau:g} at {n_samples} samples needs more than "
-                     f"{MAX_STEPS} drive steps")
+    return math.ceil(demand / segments) * segments
 
 
 def _drive_states(spec: AdiabaticSpec, amplitudes: np.ndarray, n_samples: int,
@@ -214,8 +217,8 @@ def _drive_states(spec: AdiabaticSpec, amplitudes: np.ndarray, n_samples: int,
     drive, returning the (n_samples, len(sector)) states at uniform times,
     after ``_drive_steps`` steps whatever the sector."""
     n_steps = _drive_steps(spec, n_samples)
-    return _midpoint_states(lambda s: _ht_stack(spec, s, sector), amplitudes, spec.tau,
-                            n_steps, n_steps // (n_samples - 1))
+    return _stepped_states(lambda s: _ht_stack(spec, s, sector), amplitudes, spec.tau,
+                           n_steps, n_steps // (n_samples - 1))
 
 
 def run_discharge(spec: AdiabaticSpec, omega: float = 1.0,
@@ -272,18 +275,17 @@ def sweep_tau(tau_values, omega: float = 1.0, *, j_coupling: float = 1.0,
     list and then ``Schedule``'s order, whatever order the ``max_workers``
     threads finish in.  Each run is recorded at SWEEP_SAMPLES uniform times.
     tau = 0 is the sudden limit: nothing evolves and nothing is transferred.
-    A sweep whose jobs take more than MAX_STEPS drive steps in total raises
-    ValueError before the first job starts.
+    A sweep whose jobs demand more than MAX_STEPS drive steps in total (see
+    ``_step_demand``) raises ValueError before the first job starts.
     """
     if len(tau_values) == 0:
         raise ValueError("tau_values must not be empty")
     cmax = 2.0 * omega
     jobs = [(float(tau), schedule) for tau in tau_values for schedule in Schedule]
-    steps = sum(_drive_steps(AdiabaticSpec(tau, j_coupling, schedule), SWEEP_SAMPLES)
-                for tau, schedule in jobs if tau != 0.0)
-    if steps > MAX_STEPS:
-        raise ValueError(f"the sweep needs {steps} drive steps in total, "
-                         f"more than {MAX_STEPS}")
+    demand = sum(_step_demand(AdiabaticSpec(tau, j_coupling, schedule))
+                 for tau, schedule in jobs if tau != 0.0)
+    if demand > MAX_STEPS:
+        raise ValueError(f"the sweep needs more than {MAX_STEPS} drive steps in total")
 
     def _one(job):
         tau, schedule = job

@@ -14,7 +14,6 @@ from enum import Enum
 
 import numpy as np
 
-from . import dynamics
 from .dynamics import TimeSeries, evolve_static, sample_trajectory
 from .model import (
     HamiltonianSet,
@@ -35,6 +34,10 @@ from .qalg import (
     tensor,
     trace_distance,
 )
+
+# States the uniqueness scan draws and tests at a time: (2048, 4, 4) complex
+# batches, so its memory does not grow with the sample count.
+_SCAN_CHUNK = 2**11
 
 # Releasing projector Q = |T><T| + |11><11| of the empty-hub discharge law,
 # T = (|01> + |10>)/sqrt(2); see transfer_fraction.
@@ -215,7 +218,7 @@ def trapping_uniqueness_scan(n_random: int, tol: float = 1e-3, *,
     family's Dirichlet diagonals come from ``default_rng(seed)``; its rho23
     factors and the Ginibre matrices' real and imaginary parts come from
     three streams spawned from ``SeedSequence(seed)``.  Each stream is drawn
-    and tested in chunks of ``dynamics._CHUNK``, so memory does not grow with
+    and tested in chunks of ``_SCAN_CHUNK``, so memory does not grow with
     ``n_random`` and the report does not depend on the chunk size.
     """
     if n_random < 1:
@@ -237,8 +240,8 @@ def trapping_uniqueness_scan(n_random: int, tol: float = 1e-3, *,
 
     # per family: passes available, zero ec, both, and counterexamples
     tally = np.zeros((2, 4), dtype=int)
-    for start in range(0, n_random, dynamics._CHUNK):
-        m = min(dynamics._CHUNK, n_random - start)
+    for start in range(0, n_random, _SCAN_CHUNK):
+        m = min(_SCAN_CHUNK, n_random - start)
         # Restricted family: Dirichlet diagonal, real rho23 bounded by positivity.
         diags = diagonal_rng.dirichlet(np.ones(4), size=m)
         batch = np.zeros((m, 4, 4), dtype=complex)

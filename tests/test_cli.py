@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from qbat import adiabatic, dynamics
-from qbat.adiabatic import MAX_STEPS, AdiabaticSpec, _drive_steps
+from qbat.adiabatic import MAX_STEPS, AdiabaticSpec, _drive_steps, _step_demand
 from qbat.cli import MAX_ROWS, main
+from qbat.dynamics import STEPS_PER_UNIT_JT
 
 
 def run_cli(args, capsys):
@@ -275,7 +276,7 @@ def test_non_finite_values_are_parameter_errors(capsys, monkeypatch, args):
     def unreached(*_args, **_kwargs):
         raise AssertionError("a rejected run reached the propagators")
 
-    monkeypatch.setattr(adiabatic, "_midpoint_states", unreached)
+    monkeypatch.setattr(adiabatic, "_stepped_states", unreached)
     monkeypatch.setattr(dynamics, "_spectral", unreached)
     code, out, err = run_cli(args, capsys)
     assert code == 2
@@ -396,24 +397,28 @@ def test_config_rates_may_be_json_integers(tmp_path, capsys):
     (["sweep-tau", "--from", "0", "--to", "16.01", "--points", "2"], True),
 ], ids=["adiabatic-at", "adiabatic-above", "sweep-tau-at", "sweep-tau-above"])
 def test_drive_steps_at_and_above_the_ceiling(capsys, monkeypatch, args, over):
-    # a ceiling of 3 * 256 * 16 steps stands in for MAX_STEPS to keep the runs
-    # at it short: one drive at Jtau = 48, or a sweep's three drives at 16
-    monkeypatch.setattr(adiabatic, "MAX_STEPS", 3 * 256 * 16)
+    # a ceiling of 3 * 16 units of Jtau stands in for MAX_STEPS to keep the
+    # runs at it short: one drive at Jtau = 48, or a sweep's three drives at 16
+    ceiling = 3 * STEPS_PER_UNIT_JT * 16
+    monkeypatch.setattr(adiabatic, "MAX_STEPS", ceiling)
     code, out, err = run_cli(args, capsys)
     if over:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
-        assert f"more than {3 * 256 * 16}" in err
+        assert f"more than {ceiling}" in err
     else:
         assert code == 0 and err == "" and out
 
 
 def test_max_steps_rejects_long_drives_up_front(capsys):
     # adiabatic --jtau 16384 --samples 2 takes exactly MAX_STEPS steps, and a
-    # sweep to 5461 stays within them; one unit of Jtau more is rejected
-    # before any stepping, as is a run time whose step count overflows
-    assert _drive_steps(AdiabaticSpec(tau=16384.0), 2) == MAX_STEPS == 2**22
-    assert len(adiabatic.Schedule) * _drive_steps(AdiabaticSpec(tau=5461.0), 257) <= MAX_STEPS
+    # sweep to 5461 demands no more, though its runs round up to 3 * 43,776
+    # steps; one unit of Jtau more is rejected before any stepping, as is a
+    # run time whose step count overflows
+    assert _drive_steps(AdiabaticSpec(tau=16384.0), 2) == MAX_STEPS == 2**17
+    sweep_demand = [len(adiabatic.Schedule) * _step_demand(AdiabaticSpec(tau=jtau))
+                    for jtau in (5461.0, 5462.0)]
+    assert sweep_demand[0] <= MAX_STEPS < sweep_demand[1]
     for args in (["adiabatic", "--jtau", "16385", "--samples", "2"],
                  ["sweep-tau", "--from", "0", "--to", "5462", "--points", "2"],
                  ["adiabatic", "--jtau", "1e308"],

@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from qbat import dynamics, protocols
+from qbat import protocols
 from qbat.dynamics import evolve_static, sample_trajectory
 from qbat.model import charge, ergotropy, qubit_energy_term
 from qbat.protocols import (
@@ -158,7 +158,7 @@ def test_uniqueness_scan_counts_counterexamples(monkeypatch, tol):
         ones = np.ones(rho.shape[:-2], dtype=bool)
         return ones, ones, np.zeros(rho.shape[:-2])
 
-    monkeypatch.setattr(dynamics, "_CHUNK", 128)
+    monkeypatch.setattr(protocols, "_SCAN_CHUNK", 128)
     monkeypatch.setattr(protocols, "blocking_conditions", everything_passes)
     report = trapping_uniqueness_scan(300, tol=tol, seed=5)
     singlet = bell_state(BellLabel(1, 1)).density().entries
@@ -174,7 +174,7 @@ def test_uniqueness_scan_counts_counterexamples(monkeypatch, tol):
 
 
 def test_uniqueness_scan_memory_is_bounded(monkeypatch):
-    monkeypatch.setattr(dynamics, "_CHUNK", 512)
+    monkeypatch.setattr(protocols, "_SCAN_CHUNK", 512)
     trapping_uniqueness_scan(2000, seed=3)  # warm up: first-call allocations
     peaks = []
     for n in (2000, 20_000):
@@ -190,7 +190,7 @@ def test_uniqueness_scan_memory_is_bounded(monkeypatch):
 def test_uniqueness_scan_is_independent_of_chunk_size(monkeypatch):
     # seed 1908 has the one restricted draw passing the available-energy test
     default = trapping_uniqueness_scan(100_000, seed=1908)
-    monkeypatch.setattr(dynamics, "_CHUNK", 4099)  # does not divide the sample count
+    monkeypatch.setattr(protocols, "_SCAN_CHUNK", 4099)  # does not divide the sample count
     assert trapping_uniqueness_scan(100_000, seed=1908) == default
     assert default.n_pass_available == 1
 

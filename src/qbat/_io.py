@@ -1,17 +1,22 @@
 """Reproducible CSV/JSON emission.
 
-Numbers are written with 15 significant digits, '.' decimal separator and
-'\\n' line endings; the JSON form carries the same rounded values so both
-formats are byte-identical across platforms for identical inputs.
+Tables ({name: column}) are written by column, each float ndarray column in
+one ``.15g`` pass: 15 significant digits, '.' decimal separator, '\\n' line
+endings.  The CSV is byte for byte what ``csv.writer(lineterminator="\\n")``
+writes; the JSON carries the same rounded values.  Output is identical across
+platforms for identical inputs.
 """
 
 from __future__ import annotations
 
 import contextlib
-import csv
 import json
 import sys
-from typing import Mapping, Sequence
+from typing import Mapping
+
+import numpy as np
+
+_CHUNK_ROWS = 1024  # CSV rows formatted and written at a time
 
 
 def format_number(value) -> str:
@@ -22,26 +27,41 @@ def format_number(value) -> str:
     return f"{float(value):.15g}"
 
 
-def _json_value(value):
-    if isinstance(value, bool) or isinstance(value, int) or isinstance(value, str):
-        return value
-    return float(f"{float(value):.15g}")
+def _csv_field(text: str) -> str:
+    """``text`` under csv.writer's minimal quoting with a '\\n' line end."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
-def write_rows(rows: Sequence[Mapping], fmt: str, path: str) -> None:
-    """Stream ``rows`` as CSV or JSON into the file ``path``, or stdout for "-"."""
+def _cells(column, fmt: str) -> list:
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        text = map("{:.15g}".format, column.tolist())
+        return list(text) if fmt == "csv" else list(map(float, text))
+    if fmt == "csv":
+        return [_csv_field(v) if isinstance(v, str) else format_number(v) for v in column]
+    return [v if isinstance(v, (int, str)) else float(format_number(v)) for v in column]
+
+
+def write_rows(table: Mapping, fmt: str, path: str) -> None:
+    """Write ``table`` as CSV or JSON rows into the file ``path``, or stdout for
+    "-".  Columns of differing length raise ValueError before any output."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {fmt!r}")
-    with contextlib.ExitStack() as stack:
-        handle = sys.stdout if path == "-" else stack.enter_context(
-            open(path, "w", encoding="utf-8", newline="\n"))
-        if fmt == "csv":
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(rows[0].keys() if rows else ())
-            for row in rows:
-                writer.writerow(v if isinstance(v, str) else format_number(v)
-                                for v in row.values())
-        else:
-            json.dump([{k: _json_value(v) for k, v in row.items()} for row in rows],
-                      handle, indent=2)
+    n_rows, *ragged = {len(column) for column in table.values()} or {0}
+    if ragged:
+        raise ValueError("table columns differ in length")
+    # csv.writer writes a row of one empty field as "" to tell it from no field
+    empty_row = '""' if len(table) == 1 else ""
+    with (contextlib.nullcontext(sys.stdout) if path == "-"
+          else open(path, "w", encoding="utf-8", newline="\n")) as handle:
+        if fmt == "json":
+            rows = zip(*(_cells(column, fmt) for column in table.values()), strict=True)
+            json.dump([dict(zip(table, row)) for row in rows], handle, indent=2)
             handle.write("\n")
+            return
+        handle.write((",".join(map(_csv_field, table)) or empty_row) + "\n")
+        for start in range(0, n_rows, _CHUNK_ROWS):
+            rows = zip(*(_cells(column[start:start + _CHUNK_ROWS], fmt)
+                         for column in table.values()), strict=True)
+            handle.write("".join((",".join(row) or empty_row) + "\n" for row in rows))

@@ -197,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ----------------------------------------------------------------------
-# Subcommand handlers; each returns the rows to emit.
+# Subcommand handlers; each returns the table to emit, {name: column}.
 
 
 def _check_run(name: str, duration_jt: float, samples: int, j_coupling: float) -> None:
@@ -219,20 +219,15 @@ def _check_rows(request: str, rows: int) -> None:
         raise ValueError(f"{request} gives {rows} output rows, more than {MAX_ROWS}")
 
 
-def _series_rows(series, spec: SystemSpec, **extra) -> list:
+def _series_table(series, spec: SystemSpec, **extra) -> dict:
     """One row per sample: time in 1/J, charge in E0 = 2 hbar*omega, current in
     hbar*omega*J, then the ``extra`` columns in the order given."""
-    e0 = spec.full_cell_energy
-    unit_p = spec.omega * spec.j_coupling
-    rows = [{"t_J": t * spec.j_coupling, "charge_over_E0": c / e0, "ec_hbar_omega_J": p / unit_p}
-            for t, c, p in zip(series.times, series.charge, series.ec)]
-    for name, values in extra.items():
-        for row, value in zip(rows, values):
-            row[name] = value
-    return rows
+    return {"t_J": series.times * spec.j_coupling,
+            "charge_over_E0": series.charge / spec.full_cell_energy,
+            "ec_hbar_omega_J": series.ec / (spec.omega * spec.j_coupling), **extra}
 
 
-def _cmd_discharge(cfg: RunConfig, args) -> list:
+def _cmd_discharge(cfg: RunConfig, args) -> dict:
     spec = cfg.spec
     hs = hamiltonian_set(spec)
     psi0 = bell_with_empty_hub(BellLabel.parse(args.bell))
@@ -242,64 +237,51 @@ def _cmd_discharge(cfg: RunConfig, args) -> list:
     _check_run("tmax", tmax_jt, args.samples, spec.j_coupling)
     series = dynamics.sample_trajectory(hs.h_charging, psi0, tmax_jt / spec.j_coupling,
                                         args.samples, hs)
-    return _series_rows(series, spec)
+    return _series_table(series, spec)
 
 
-def _cmd_trap_check(cfg: RunConfig, args) -> list:
+def _cmd_trap_check(cfg: RunConfig, args) -> dict:
     spec = cfg.spec
     hs = hamiltonian_set(spec)
-    states = [(f"bell_{n}{m}", bell_with_empty_hub(BellLabel(n, m)))
-              for n in (0, 1) for m in (0, 1)]
     from .qalg import ket
-    states.append(("empty_000", ket("000")))
+    states = [(f"bell_{n}{m}", bell_with_empty_hub(BellLabel(n, m)))
+              for n in (0, 1) for m in (0, 1)] + [("empty_000", ket("000"))]
+    unit_h, unit_p = spec.j_coupling, spec.omega * spec.j_coupling
+    names = ("state", "is_h_eigenstate", "h_eigenvalue_hbar_J", "ec_value_hbar_omega_J",
+             "residual_h_hbar_J", "residual_p_hbar_omega_J", "trapped")
     rows = []
     for label, psi in states:
-        report = trapping_check(hs.h_charging, hs, psi, tol=args.tol)
-        rows.append({
-            "state": label,
-            "is_h_eigenstate": report.is_h_eigenstate,
-            "h_eigenvalue_hbar_J": report.h_eigenvalue / spec.j_coupling,
-            "ec_value_hbar_omega_J": report.ec_value / (spec.omega * spec.j_coupling),
-            "residual_h_hbar_J": report.residual_h / spec.j_coupling,
-            "residual_p_hbar_omega_J": report.residual_p / (spec.omega * spec.j_coupling),
-            "trapped": report.trapped,
-        })
-    return rows
+        r = trapping_check(hs.h_charging, hs, psi, tol=args.tol)
+        rows.append((label, r.is_h_eigenstate, r.h_eigenvalue / unit_h, r.ec_value / unit_p,
+                     r.residual_h / unit_h, r.residual_p / unit_p, r.trapped))
+    return dict(zip(names, zip(*rows)))
 
 
-def _cmd_trap_scan(cfg: RunConfig, args) -> list:
+def _cmd_trap_scan(cfg: RunConfig, args) -> dict:
     if args.samples < 1:
         raise ValueError(f"samples must be >= 1, got {args.samples}")
     report = trapping_uniqueness_scan(args.samples, tol=args.tol, seed=cfg.seed)
-    return [
-        {"metric": "constraint_trace_distance", "value": report.constraint_trace_distance},
-        {"metric": "n_samples", "value": report.n_samples},
-        {"metric": "n_pass_available_energy", "value": report.n_pass_available},
-        {"metric": "n_pass_zero_ec", "value": report.n_pass_zero_ec},
-        {"metric": "n_pass_both", "value": report.n_pass_both},
-        {"metric": "n_counterexamples", "value": report.n_counterexamples},
-        {"metric": "n_unrestricted", "value": report.n_samples},
-        {"metric": "n_unrestricted_pass_both", "value": report.n_unrestricted_pass_both},
-        {"metric": "n_unrestricted_counterexamples",
-         "value": report.n_unrestricted_counterexamples},
-        {"metric": "seed", "value": cfg.seed},
-    ]
+    metrics = {"constraint_trace_distance": report.constraint_trace_distance,
+               "n_samples": report.n_samples, "n_pass_available_energy": report.n_pass_available,
+               "n_pass_zero_ec": report.n_pass_zero_ec, "n_pass_both": report.n_pass_both,
+               "n_counterexamples": report.n_counterexamples, "n_unrestricted": report.n_samples,
+               "n_unrestricted_pass_both": report.n_unrestricted_pass_both,
+               "n_unrestricted_counterexamples": report.n_unrestricted_counterexamples,
+               "seed": cfg.seed}
+    return {"metric": list(metrics), "value": list(metrics.values())}
 
 
-def _cmd_separable(cfg: RunConfig, args) -> list:
+def _cmd_separable(cfg: RunConfig, args) -> dict:
     if args.grid < 2:
         raise ValueError(f"grid must be >= 2, got {args.grid}")
     _check_rows(f"grid {args.grid}", args.grid**2)
     sweep = separable_sweep(args.grid, cfg.spec, seed=cfg.seed)
-    rows = []
-    for i, b1 in enumerate(sweep.beta_grid):
-        for j, b2 in enumerate(sweep.beta_grid):
-            rows.append({"beta1": float(b1), "beta2": float(b2),
-                         "cmax_over_E0": float(sweep.surface_over_e0[i, j])})
-    return rows
+    return {"beta1": np.repeat(sweep.beta_grid, args.grid),
+            "beta2": np.tile(sweep.beta_grid, args.grid),
+            "cmax_over_E0": sweep.surface_over_e0.ravel()}
 
 
-def _cmd_single_particle(cfg: RunConfig, args) -> list:
+def _cmd_single_particle(cfg: RunConfig, args) -> dict:
     spec = cfg.spec
     t_sp = protocols.single_particle_transfer_time(spec)
     tmax_jt = args.tmax if args.tmax is not None else 2 * t_sp * spec.j_coupling
@@ -307,30 +289,29 @@ def _cmd_single_particle(cfg: RunConfig, args) -> list:
     series = single_particle_trajectory(spec, tmax_jt / spec.j_coupling, args.samples)
     closed = [protocols.single_particle_baseline(t, spec) / spec.full_cell_energy
               for t in series.times]
-    return _series_rows(series, spec, closed_form_over_E0=closed)
+    return _series_table(series, spec, closed_form_over_E0=closed)
 
 
-def _cmd_ncell(cfg: RunConfig, args) -> list:
+def _cmd_ncell(cfg: RunConfig, args) -> dict:
     plan = NCellPlan.parse(args.plan)
     _check_rows(f"a plan of {len(plan.actions)} cells", len(plan.actions) + 1)
     total, per_cell = protocols.ncell_plan_energy(plan, cfg.spec)
-    rows = [{"cell": str(i), "action": action.value, "energy_hbar_omega": energy / cfg.omega}
-            for i, (action, energy) in enumerate(zip(plan.actions, per_cell))]
-    rows.append({"cell": "total", "action": "", "energy_hbar_omega": total / cfg.omega})
-    return rows
+    return {"cell": [*map(str, range(len(per_cell))), "total"],
+            "action": [*(action.value for action in plan.actions), ""],
+            "energy_hbar_omega": np.array([*per_cell, total]) / cfg.omega}
 
 
-def _cmd_adiabatic(cfg: RunConfig, args) -> list:
+def _cmd_adiabatic(cfg: RunConfig, args) -> dict:
     _check_run("jtau", args.jtau, args.samples, cfg.j_coupling)
     spec = AdiabaticSpec(tau=args.jtau / cfg.j_coupling, j_coupling=cfg.j_coupling,
                          schedule=Schedule(args.schedule))
     series = adiabatic.run_discharge(spec, omega=cfg.omega, n_samples=args.samples).series
-    return _series_rows(series, cfg.spec, fidelity_target=series.extra["fidelity_target"],
-                        leakage_forbidden=[0.0] * args.samples,
-                        parity=series.extra["parity"])
+    return _series_table(series, cfg.spec, fidelity_target=series.extra["fidelity_target"],
+                         leakage_forbidden=np.zeros(args.samples),
+                         parity=series.extra["parity"])
 
 
-def _cmd_sweep_tau(cfg: RunConfig, args) -> list:
+def _cmd_sweep_tau(cfg: RunConfig, args) -> dict:
     if args.points < 1:
         raise ValueError(f"points must be >= 1, got {args.points}")
     _check_rows(f"points {args.points}", args.points * len(Schedule))
@@ -345,13 +326,11 @@ def _cmd_sweep_tau(cfg: RunConfig, args) -> list:
     points = adiabatic.sweep_tau(jtaus / cfg.j_coupling, omega=cfg.omega,
                                  j_coupling=cfg.j_coupling, max_workers=_max_workers())
     unit_p = cfg.omega * cfg.j_coupling
-    return [{
-        "tau_J": pt.jtau,
-        "schedule": pt.schedule.value,
-        "leakage_forbidden": 0.0,
-        "ec_tail_hbar_omega_J": pt.ec_tail / unit_p,
-        "final_charge_over_E0": pt.ratio_to_cmax,
-    } for pt in points]
+    return {"tau_J": [pt.jtau for pt in points],
+            "schedule": [pt.schedule.value for pt in points],
+            "leakage_forbidden": np.zeros(len(points)),
+            "ec_tail_hbar_omega_J": [pt.ec_tail / unit_p for pt in points],
+            "final_charge_over_E0": [pt.ratio_to_cmax for pt in points]}
 
 
 def _cmd_selftest(cfg: RunConfig, args) -> int:
@@ -361,9 +340,9 @@ def _cmd_selftest(cfg: RunConfig, args) -> int:
     for result in results:
         print(result.line)
     if cfg.output != "-":
-        rows = [{"criterion": r.name, "passed": r.passed, "description": r.description,
-                 "details": r.details, "elapsed_s": r.elapsed} for r in results]
-        write_rows(rows, cfg.format, cfg.output)
+        names = ("criterion", "passed", "description", "details", "elapsed_s")
+        rows = ((r.name, r.passed, r.description, r.details, r.elapsed) for r in results)
+        write_rows(dict(zip(names, zip(*rows))), cfg.format, cfg.output)
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -391,8 +370,7 @@ def main(argv=None) -> int:
             _check_writable(cfg.output)
         if args.command == "selftest":
             return _cmd_selftest(cfg, args)
-        rows = _HANDLERS[args.command](cfg, args)
-        write_rows(rows, cfg.format, cfg.output)
+        write_rows(_HANDLERS[args.command](cfg, args), cfg.format, cfg.output)
         return 0
     except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

@@ -33,7 +33,7 @@ from qbat.dynamics import STEPS_PER_UNIT_JT, evolve_timedep
 from qbat.model import SystemSpec, charge, ec_operator, hamiltonian_set
 from qbat.qalg import Operator, PureState
 
-from conftest import I2, X, Y, Z, kron
+from oracles import I2, X, Y, Z, kron
 
 
 def test_schedule_endpoints_exact():

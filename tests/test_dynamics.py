@@ -21,7 +21,7 @@ from qbat.model import SystemSpec, hamiltonian_set
 from qbat.protocols import BellLabel, bell_state, bell_with_empty_hub
 from qbat.qalg import DensityMatrix, Operator, PureState, embed, expectation, ket, pauli
 
-from conftest import I2, X, Y, Z, kron
+from oracles import I2, X, Y, Z, kron
 
 
 TAUD = math.pi / (4 * math.sqrt(2))

@@ -1,0 +1,96 @@
+"""The column writer against the row writer it replaced.
+
+``_reference_write`` is the earlier writer, kept here as the oracle: one
+``csv.writer(lineterminator="\\n")`` row per table row with ``format_number``
+cells, and a ``json.dump`` of one dict per row.  ``qbat._io.write_rows`` must
+write the same bytes for every table of one row or more.  (A table with
+columns but no rows is not compared: the row writer had no row to take the
+header from, so it wrote an empty line.)
+"""
+
+import csv
+import json
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from qbat import _io
+
+
+def _format_number(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    return f"{float(value):.15g}"
+
+
+def _json_value(value):
+    if isinstance(value, bool) or isinstance(value, int) or isinstance(value, str):
+        return value
+    return float(f"{float(value):.15g}")
+
+
+def _reference_write(rows, fmt, path):
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        if fmt == "csv":
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(rows[0].keys() if rows else ())
+            for row in rows:
+                writer.writerow(v if isinstance(v, str) else _format_number(v)
+                                for v in row.values())
+        else:
+            json.dump([{k: _json_value(v) for k, v in row.items()} for row in rows],
+                      handle, indent=2)
+            handle.write("\n")
+
+
+EDGE_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308)
+TEXT = st.text(alphabet=st.sampled_from(["a", " ", ",", '"', "\n", "\r", "é"]), max_size=4)
+CELLS = st.one_of(st.integers(-10**20, 10**20), st.booleans(), TEXT,
+                  st.floats(), st.sampled_from(EDGE_FLOATS))
+
+
+@st.composite
+def tables(draw):
+    n_rows = draw(st.integers(1, 12))
+    names = draw(st.lists(TEXT, min_size=1, max_size=4, unique=True))
+    float_cells = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))
+    table = {}
+    for name in names:
+        if draw(st.booleans()):
+            table[name] = np.array(draw(st.lists(float_cells, min_size=n_rows, max_size=n_rows)))
+        else:
+            table[name] = draw(st.lists(CELLS, min_size=n_rows, max_size=n_rows))
+    return table
+
+
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("io")
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=tables(), chunk_rows=st.integers(1, 5))
+@example(table={"": [""]}, chunk_rows=1)
+@example(table={"s": ["", "a\rb", 'x"y', "a,b", "l\nm"], "x": np.array(EDGE_FLOATS[:5])},
+         chunk_rows=2)
+def test_writer_matches_the_row_writer(out_dir, table, chunk_rows):
+    rows = [dict(zip(table, row)) for row in zip(*table.values())]
+    for fmt in ("csv", "json"):
+        with mock.patch.object(_io, "_CHUNK_ROWS", chunk_rows):
+            _io.write_rows(table, fmt, str(out_dir / f"new.{fmt}"))
+        _reference_write(rows, fmt, out_dir / f"old.{fmt}")
+        assert (out_dir / f"new.{fmt}").read_bytes() == (out_dir / f"old.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_ragged_table_raises_before_output(tmp_path, fmt):
+    path = tmp_path / "out"
+    for table in ({"a": np.zeros(3), "b": [1, 2]}, {"a": [], "b": np.zeros(2049)}):
+        with pytest.raises(ValueError, match="differ in length"):
+            _io.write_rows(table, fmt, str(path))
+        assert not path.exists()

@@ -21,7 +21,7 @@ from qbat.qalg import (
     ket,
 )
 
-from conftest import I2, X, Y, kron, raw_bare, raw_cell_coupling
+from oracles import I2, X, Y, kron, raw_bare, raw_cell_coupling
 
 
 def test_spec_validation():

@@ -35,7 +35,7 @@ from qbat.protocols import (
 )
 from qbat.qalg import DensityMatrix, PureState, embed, expectation, ket
 
-from conftest import I2, kron, raw_bare, raw_cell_coupling
+from oracles import I2, kron, raw_bare, raw_cell_coupling
 
 TAUD = math.pi / (4 * math.sqrt(2))
 

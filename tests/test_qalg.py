@@ -15,7 +15,7 @@ from qbat.qalg import (
     trace_distance,
 )
 
-from conftest import X, Y, Z, kron
+from oracles import X, Y, Z, kron
 
 
 def test_pauli_definitions():

@@ -308,8 +308,8 @@ def sweep_tau(tau_values, omega: float = 1.0, *, j_coupling: float = 1.0,
 class AdiabaticDecomposition:
     """Tracked instantaneous eigensystem along one drive.
 
-    Branches are taken per excitation sector in ascending energy order, which
-    no level crossing disturbs (see ``_sector_branches``).  ``phases``
+    Branches are taken per occupied excitation sector in ascending energy order,
+    which no level crossing disturbs (see ``_sector_branches``).  ``phases``
     accumulate the dynamic phase (trapezoid integral of the energies) plus the
     discrete geometric phase obtained from the overlap product along the path,
     so any per-sample eigenvector gauge is consistent with the stored vectors.
@@ -319,8 +319,7 @@ class AdiabaticDecomposition:
     coefficients: np.ndarray       # (n_branches,) overlaps <E_n(0)|psi0>
     energies: np.ndarray           # (n_branches, n_samples)
     phases: np.ndarray             # (n_branches, n_samples)
-    hub_elements: np.ndarray       # (n_branches, n_branches, n_samples)
-    eigenspace_labels: np.ndarray  # (n_branches,) grouping of degenerate E_n(0)
+    hub_elements: np.ndarray       # (n_branches, n_branches, n_samples), hbar*omega
     occupied: np.ndarray           # (n_branches,) bool
     min_tracking_overlap: np.ndarray  # (n_branches,)
 
@@ -373,21 +372,19 @@ def _sector_branches(spec: AdiabaticSpec, s_values: np.ndarray, sector):
     return w, v
 
 
-def adiabatic_decomposition(spec: AdiabaticSpec, psi0: PureState,
-                            omega: float = 1.0) -> AdiabaticDecomposition:
-    """All eigen-branches of the drive at _DECOMPOSITION_SAMPLES uniform times,
-    joined sector by sector as 1 + 3 + 3 + 1 branches, and the initial-state
-    coefficients."""
-    n_samples = _DECOMPOSITION_SAMPLES
-    times = np.linspace(0.0, spec.tau, n_samples)
-    energies = np.empty((8, n_samples))          # (n_branches, nt)
-    vectors = np.zeros((n_samples, 8, 8))        # (nt, 8, n_branches)
-    first = 0
+def adiabatic_decomposition(spec: AdiabaticSpec, psi0: PureState) -> AdiabaticDecomposition:
+    """Eigen-branches of the drive at _DECOMPOSITION_SAMPLES uniform times in
+    the excitation sectors where ``psi0`` has weight above 1e-12, joined sector
+    by sector, and the initial-state coefficients."""
+    times = np.linspace(0.0, spec.tau, _DECOMPOSITION_SAMPLES)
+    energies, vectors = [], []
     for sector in _EXCITATION_SECTORS:
-        branches = slice(first, first + len(sector))
-        w, vectors[:, sector, branches] = _sector_branches(spec, times / spec.tau, sector)
-        energies[branches] = w.T
-        first += len(sector)
+        if np.sum(np.abs(psi0.amplitudes[sector]) ** 2) > 1e-12:
+            w, v = _sector_branches(spec, times / spec.tau, sector)
+            energies.append(w.T)
+            vectors.append(np.eye(8)[:, sector] @ v)  # exact zeros off the sector
+    energies = np.concatenate(energies)          # (n_branches, nt)
+    vectors = np.concatenate(vectors, axis=2)    # (nt, 8, n_branches)
     overlaps = np.einsum("kin,kin->kn", vectors[:-1], vectors[1:])
 
     coefficients = vectors[0].T @ psi0.amplitudes
@@ -401,12 +398,8 @@ def adiabatic_decomposition(spec: AdiabaticSpec, psi0: PureState,
     geo[:, 1:] = -np.cumsum(np.angle(overlaps).T, axis=1)
     phases = dyn + geo
 
-    h0a = hamiltonian_set(SystemSpec(omega, spec.j_coupling)).h0_hub.matrix
+    h0a = hamiltonian_set(SystemSpec()).h0_hub.matrix
     hub_elements = np.einsum("kin,ij,kjm->nmk", vectors, h0a, vectors)
-
-    labels = np.empty(8, dtype=int)
-    for label, group in enumerate(_degenerate_groups(energies[:, 0], rtol=1e-9)):
-        labels[group] = label
 
     occupied = np.abs(coefficients) ** 2 > 1e-12
     return AdiabaticDecomposition(
@@ -415,7 +408,6 @@ def adiabatic_decomposition(spec: AdiabaticSpec, psi0: PureState,
         energies=energies,
         phases=phases,
         hub_elements=hub_elements,
-        eigenspace_labels=labels,
         occupied=occupied,
         min_tracking_overlap=np.abs(overlaps).min(axis=0),
     )
@@ -425,12 +417,12 @@ def adiabatic_rate_prediction(decomp: AdiabaticDecomposition) -> np.ndarray:
     """Energy current predicted by the adiabatic-limit formula.
 
     Sums c_n c_m* exp(i(phase_n - phase_m)) (E_n - E_m) <E_m|H0_hub|E_n> / i
-    over occupied branch pairs in distinct eigenspaces of the initial
-    Hamiltonian; with a single occupied eigenspace the sum is empty and the
-    result is exactly zero.
+    over pairs of occupied branches.  H0_hub conserves the excitation number,
+    so a pair from two sectors adds an exact zero, as does a branch paired
+    with itself; with a single occupied branch the result is exactly zero.
     """
     occ = np.nonzero(decomp.occupied)[0]
-    if len({int(decomp.eigenspace_labels[n]) for n in occ}) <= 1:
+    if len(occ) <= 1:
         return np.zeros_like(decomp.times)
     weak = occ[decomp.min_tracking_overlap[occ] < 0.7]
     if len(weak):
@@ -439,8 +431,6 @@ def adiabatic_rate_prediction(decomp: AdiabaticDecomposition) -> np.ndarray:
     prediction = np.zeros_like(decomp.times)
     for m in occ:
         for n in occ:
-            if decomp.eigenspace_labels[n] == decomp.eigenspace_labels[m]:
-                continue
             term = (np.conj(decomp.coefficients[m]) * decomp.coefficients[n]
                     * np.exp(1j * (decomp.phases[n] - decomp.phases[m]))
                     * (decomp.energies[n] - decomp.energies[m])

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -37,6 +36,8 @@ from .protocols import (
 CONFIG_FILE = "qbat.json"
 # Most output rows any command may produce; checked before any work is done.
 MAX_ROWS = 2**16
+# Longest run in units of 1/J, whose largest phase 2*sqrt(2)*Jt keeps an ulp below 1e-6 rad.
+MAX_JT = 1e9
 
 
 @dataclass(frozen=True)
@@ -122,8 +123,13 @@ def _max_workers() -> int:
     return workers
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # one line and exit 2 on any usage error, in subparsers too
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--omega", type=float, default=None,
                         help="qubit splitting (default 1.0)")
     common.add_argument("--j", type=float, default=None, dest="j",
@@ -137,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", default=None,
                         help=f"config file path (default ./{CONFIG_FILE} when present)")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qbat", description="Bell-pair quantum battery simulations")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -201,10 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_run(name: str, duration_jt: float, samples: int, j_coupling: float) -> None:
-    """Reject a run length (in units of 1/J), a sample count, or a sample
-    spacing below the smallest normal float in Jt or in 1/J, up front."""
-    if not 0 < duration_jt < math.inf:
-        raise ValueError(f"{name} must be finite and > 0, got {duration_jt}")
+    """Reject a run length (in units of 1/J) outside (0, MAX_JT], a sample count,
+    or a sample spacing below the smallest normal float in Jt or in 1/J, up front."""
+    if not 0 < duration_jt <= MAX_JT:
+        raise ValueError(f"{name} must be > 0 and at most MAX_JT = {MAX_JT:g}, got {duration_jt}")
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
     _check_rows(f"samples {samples}", samples)
@@ -315,10 +321,9 @@ def _cmd_sweep_tau(cfg: RunConfig, args) -> dict:
     if args.points < 1:
         raise ValueError(f"points must be >= 1, got {args.points}")
     _check_rows(f"points {args.points}", args.points * len(Schedule))
-    if not (math.isfinite(args.jtau_from) and math.isfinite(args.jtau_to)):
-        raise ValueError(f"sweep bounds must be finite, got {args.jtau_from} and {args.jtau_to}")
-    if args.jtau_from < 0 or args.jtau_to < args.jtau_from:
-        raise ValueError("sweep range requires 0 <= from <= to")
+    if not 0 <= args.jtau_from <= args.jtau_to <= MAX_JT:
+        raise ValueError(f"sweep range requires 0 <= from <= to <= MAX_JT = {MAX_JT:g}, "
+                         f"got {args.jtau_from} and {args.jtau_to}")
     jtaus = np.linspace(args.jtau_from, args.jtau_to, args.points)
     if np.any(jtaus > 0):
         _check_run("from" if args.jtau_from > 0 else "to", float(np.min(jtaus[jtaus > 0])),

@@ -21,12 +21,13 @@ CRITERIA = [f"AC-{i}" for i in range(1, 14)]
 
 @pytest.fixture(scope="session")
 def selftest():
-    # the child imports the same qbat as this process, installed or not
+    # the child imports the same qbat as this process, installed or not, and
+    # fails on any numpy RuntimeWarning
     src = str(Path(qbat.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-m", "qbat.cli", "selftest"],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "qbat.cli", "selftest"],
         capture_output=True, text=True, timeout=600, check=False, env=env,
     )
     lines = {}

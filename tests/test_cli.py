@@ -9,7 +9,7 @@ import pytest
 
 from qbat import adiabatic, dynamics
 from qbat.adiabatic import MAX_STEPS, AdiabaticSpec, _drive_steps, _step_demand
-from qbat.cli import MAX_ROWS, main
+from qbat.cli import MAX_JT, MAX_ROWS, main
 from qbat.dynamics import STEPS_PER_UNIT_JT
 
 
@@ -28,12 +28,23 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
 
 
+def _assert_one_line_usage_error(args, capsys):
+    # argparse's rejections print one error line and no usage block
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
 def test_missing_subcommand_is_usage_error(capsys):
-    assert main([]) == 2
+    for args in ([], ["discharge", "--bell"]):
+        _assert_one_line_usage_error(args, capsys)
 
 
 def test_unknown_flag_is_usage_error(capsys):
-    assert main(["discharge", "--bell", "10", "--bogus"]) == 2
+    for args in (["discharge", "--bell", "10", "--bogus"],
+                 ["discharge", "--bell", "10", "--tmax", "abc"],
+                 ["discharge", "--bell", "10", "--tmax", "-inf"]):
+        _assert_one_line_usage_error(args, capsys)
 
 
 def test_invalid_parameter_names_field(capsys):
@@ -270,6 +281,11 @@ def test_readme_quickstart():
     ["discharge", "--bell", "10", "--tmax", "1e-320", "--samples", "65536"],
     ["sweep-tau", "--from", "0", "--to", "1e-321", "--points", "2"],
     ["adiabatic", "--jtau", "1e-322", "--samples", "65536", "--j", "1e-6"],
+    # runs longer than MAX_JT
+    ["discharge", "--bell", "10", "--tmax", "1e308", "--samples", "3"],
+    ["single-particle", "--tmax", "1e308"],
+    ["adiabatic", "--jtau", "1e308"],
+    ["sweep-tau", "--from", "0", "--to", "1e308", "--points", "2"],
 ])
 def test_non_finite_values_are_parameter_errors(capsys, monkeypatch, args):
     # rejected before any propagation or stepping
@@ -303,6 +319,18 @@ def test_rates_at_the_ceiling_run(capsys, args):
     code, out, err = run_cli(args, capsys)
     assert code == 0
     assert err == "" and out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("args", [
+    ["discharge", "--bell", "10", "--tmax", "1e9", "--samples", "3"],
+    ["single-particle", "--tmax", "1e9", "--samples", "3"],
+])
+def test_runs_of_max_jt_run(capsys, args):
+    assert float(args[args.index("--tmax") + 1]) == MAX_JT
+    code, out, err = run_cli(args, capsys)
+    assert code == 0 and err == ""
+    assert len(parse_csv(out)) == 3
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -414,18 +442,21 @@ def test_max_steps_rejects_long_drives_up_front(capsys):
     # adiabatic --jtau 16384 --samples 2 takes exactly MAX_STEPS steps, and a
     # sweep to 5461 demands no more, though its runs round up to 3 * 43,776
     # steps; one unit of Jtau more is rejected before any stepping, as is a
-    # run time whose step count overflows
+    # run time whose step count overflows (which the CLI rejects sooner, as
+    # longer than MAX_JT)
     assert _drive_steps(AdiabaticSpec(tau=16384.0), 2) == MAX_STEPS == 2**17
     sweep_demand = [len(adiabatic.Schedule) * _step_demand(AdiabaticSpec(tau=jtau))
                     for jtau in (5461.0, 5462.0)]
     assert sweep_demand[0] <= MAX_STEPS < sweep_demand[1]
     for args in (["adiabatic", "--jtau", "16385", "--samples", "2"],
-                 ["sweep-tau", "--from", "0", "--to", "5462", "--points", "2"],
-                 ["adiabatic", "--jtau", "1e308"],
-                 ["sweep-tau", "--from", "0", "--to", "1e308", "--points", "2"]):
+                 ["sweep-tau", "--from", "0", "--to", "5462", "--points", "2"]):
         code, out, err = run_cli(args, capsys)
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and f"more than {MAX_STEPS}" in err
+    for run in (lambda: adiabatic.run_discharge(AdiabaticSpec(tau=1e308), n_samples=2),
+                lambda: adiabatic.sweep_tau([0.0, 1e308])):
+        with pytest.raises(ValueError, match=f"more than {MAX_STEPS}"):
+            run()
 
 
 def test_config_seed_must_be_integer(tmp_path, capsys):

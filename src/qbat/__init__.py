@@ -5,7 +5,7 @@ locked even while XY-coupled to a consumption hub; local Pauli gates release
 half or all of it, and a parity-protected adiabatic drive empties the cell
 with no energy backflow.  The package builds the operators, integrates the
 dynamics, and ships its guarantees as a runnable acceptance suite
-(``qbat selftest``).
+(``qbat selftest``).  It computes at hbar = omega = J = 1 (see ``qbat.model``).
 """
 
 from .adiabatic import (
@@ -31,8 +31,8 @@ from .dynamics import (
     sample_trajectory,
 )
 from .model import (
+    E0,
     HamiltonianSet,
-    SystemSpec,
     charge,
     charging_hamiltonian,
     ec_operator,
@@ -41,6 +41,8 @@ from .model import (
     qubit_energy_term,
 )
 from .protocols import (
+    DISCHARGE_TIME,
+    SINGLE_PARTICLE_TRANSFER_TIME,
     BellLabel,
     CellAction,
     NCellPlan,
@@ -50,12 +52,10 @@ from .protocols import (
     bell_charge_closed_form,
     bell_state,
     bell_with_empty_hub,
-    discharge_time,
     ncell_plan_energy,
     separable_sweep,
     single_particle_baseline,
     single_particle_trajectory,
-    single_particle_transfer_time,
     switch_gate,
     transfer_fraction,
     trapping_check,

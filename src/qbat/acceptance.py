@@ -17,25 +17,23 @@ import numpy as np
 from . import adiabatic, dynamics, model, protocols
 from .adiabatic import AdiabaticSpec, Schedule
 from .dynamics import evolve_static, evolve_timedep, sample_trajectory
-from .model import SystemSpec, charge, ergotropy, hamiltonian_set
+from .model import E0, charge, ergotropy, hamiltonian_set
 from .protocols import (
+    DISCHARGE_TIME,
+    SINGLE_PARTICLE_TRANSFER_TIME,
     BellLabel,
     CellAction,
     NCellPlan,
     SwitchGate,
     bell_charge_closed_form,
     bell_with_empty_hub,
-    discharge_time,
     ncell_plan_energy,
     separable_sweep,
     single_particle_system,
-    single_particle_transfer_time,
     switch_gate,
     trapping_uniqueness_scan,
 )
 from .qalg import PureState, embed, ket, trace_distance
-
-E0 = 2.0  # full cell energy at omega = 1
 
 
 @dataclass(frozen=True)
@@ -67,13 +65,12 @@ def _kron(*mats):
     return out
 
 
-def _oracle_cell(omega=1.0, j=1.0):
+def _oracle_cell():
     """Coupling Hamiltonian, hub bare Hamiltonian and empty energy, raw kron."""
-    h_c = j * (_kron(_X, _I2, _X) + _kron(_Y, _I2, _Y)
-               + _kron(_I2, _X, _X) + _kron(_I2, _Y, _Y))
-    bare = omega * np.diag([-1.0, 1.0]).astype(complex)
-    h0a = _kron(_I2, _I2, bare)
-    return h_c, h0a, -omega
+    h_c = (_kron(_X, _I2, _X) + _kron(_Y, _I2, _Y)
+           + _kron(_I2, _X, _X) + _kron(_I2, _Y, _Y))
+    h0a = _kron(_I2, _I2, np.diag([-1.0, 1.0]).astype(complex))
+    return h_c, h0a, -1.0
 
 
 def _oracle_bell(n, m):
@@ -89,16 +86,14 @@ def _oracle_bell(n, m):
 
 def ac1_bell_discharge_law(seed: int = 42) -> CriterionResult:
     """Simulated hub charge matches E0 * g * sin^2(2*sqrt(2)*J*t) per Bell state."""
-    spec = SystemSpec()
-    hs = hamiltonian_set(spec)
-    taud = discharge_time(spec)
+    hs = hamiltonian_set()
     worst = 0.0
     for n in (0, 1):
         for m in (0, 1):
             label = BellLabel(n, m)
             series = sample_trajectory(hs.h_charging, bell_with_empty_hub(label),
-                                       2 * taud, 64, hs)
-            closed = np.array([bell_charge_closed_form(label, t, spec) for t in series.times])
+                                       2 * DISCHARGE_TIME, 64, hs)
+            closed = np.array([bell_charge_closed_form(label, t) for t in series.times])
             worst = max(worst, float(np.abs(series.charge - closed).max()))
     return _result("AC-1", "Bell discharge law at 64 sample times",
                    worst <= 1e-9, f"max |C_sim - C_closed| = {worst:.3e} (tol 1e-9)")
@@ -109,7 +104,7 @@ def ac2_normalization_oracle(seed: int = 42) -> CriterionResult:
     h_c, h0a, e_emp = _oracle_cell()
     w, v = np.linalg.eigh(h_c)
     psi0 = _oracle_bell(1, 0)
-    taud = math.pi / (4 * math.sqrt(2))
+    taud = math.pi / (4 * math.sqrt(2))  # computed here, not taken from the library
 
     def oracle_charge(t):
         psi = v @ (np.exp(-1j * w * t) * (v.conj().T @ psi0))
@@ -117,7 +112,7 @@ def ac2_normalization_oracle(seed: int = 42) -> CriterionResult:
 
     at_taud = oracle_charge(taud)
     grid_peak = max(oracle_charge(t) for t in np.linspace(0.0, 2 * taud, 2048))
-    closed_peak = bell_charge_closed_form(BellLabel(1, 0), taud, SystemSpec())
+    closed_peak = bell_charge_closed_form(BellLabel(1, 0), taud)
     ok = (abs(at_taud - E0) <= 1e-10
           and grid_peak <= at_taud + 1e-10
           and abs(closed_peak - at_taud) <= 1e-10)
@@ -127,10 +122,9 @@ def ac2_normalization_oracle(seed: int = 42) -> CriterionResult:
 
 def ac3_trapping(seed: int = 42) -> CriterionResult:
     """The stored singlet keeps zero current and unit fidelity while coupled."""
-    spec = SystemSpec()
-    hs = hamiltonian_set(spec)
+    hs = hamiltonian_set()
     series = sample_trajectory(hs.h_charging, bell_with_empty_hub(BellLabel(1, 1)),
-                               2 * discharge_time(spec), 256, hs)
+                               2 * DISCHARGE_TIME, 256, hs)
     max_ec = float(np.abs(series.ec).max())
     min_fid = float(series.extra["fidelity_initial"].min())
     ok = max_ec <= 1e-12 and min_fid >= 1.0 - 1e-12
@@ -152,18 +146,16 @@ def ac4_uniqueness_scan(seed: int = 42) -> CriterionResult:
 
 def ac5_switch_gates(seed: int = 42) -> CriterionResult:
     """Phase gate releases the full charge, bit flip half, either qubit alike."""
-    spec = SystemSpec()
-    hs = hamiltonian_set(spec)
-    taud = discharge_time(spec)
+    hs = hamiltonian_set()
     stored = bell_with_empty_hub(BellLabel(1, 1))
 
     def peak(kind):
-        return charge(evolve_static(hs.h_charging, switch_gate(kind, stored), taud), hs)
+        return charge(evolve_static(hs.h_charging, switch_gate(kind, stored), DISCHARGE_TIME), hs)
 
     full_peak = peak(SwitchGate.FULL_ON_QUBIT1)
     half_peak = peak(SwitchGate.HALF_ON_QUBIT2)
 
-    times = np.linspace(0.0, 2 * taud, 64)
+    times = np.linspace(0.0, 2 * DISCHARGE_TIME, 64)
     worst_pair = 0.0
     for one, two in ((SwitchGate.FULL_ON_QUBIT1, SwitchGate.FULL_ON_QUBIT2),
                      (SwitchGate.HALF_ON_QUBIT1, SwitchGate.HALF_ON_QUBIT2)):
@@ -181,19 +173,18 @@ def ac5_switch_gates(seed: int = 42) -> CriterionResult:
 
 def ac6_baselines(seed: int = 42) -> CriterionResult:
     """Single-particle timing, sqrt(2) speedup, and the separable-state bound."""
-    spec = SystemSpec()
-    sp_hs = single_particle_system(spec)
-    t_sp = single_particle_transfer_time(spec)
+    sp_hs = single_particle_system()
+    t_sp = SINGLE_PARTICLE_TRANSFER_TIME
     sp_charge = charge(evolve_static(sp_hs.h_charging, ket("10"), t_sp), sp_hs)
-    ratio = t_sp / discharge_time(spec)
+    ratio = t_sp / DISCHARGE_TIME
 
-    sweep = separable_sweep(101, spec, seed=seed)
+    sweep = separable_sweep(101, seed=seed)
     surface = sweep.surface_over_e0.copy()
     at_corner = surface[-1, -1]
     surface[-1, -1] = -np.inf
     runner_up = float(surface.max())
 
-    battery_h = embed(model.qubit_energy_term(1.0), [0], 2) + embed(model.qubit_energy_term(1.0), [1], 2)
+    battery_h = embed(model.qubit_energy_term(), [0], 2) + embed(model.qubit_energy_term(), [1], 2)
     full_battery = ergotropy(ket("11").density(), battery_h)
 
     ok = (abs(sp_charge - E0) <= 1e-10
@@ -210,10 +201,9 @@ def ac6_baselines(seed: int = 42) -> CriterionResult:
 
 def ac7_frame_invariance(seed: int = 42) -> CriterionResult:
     """Charge curves agree between the lab frame and the co-moving frame."""
-    spec = SystemSpec()
-    hs = hamiltonian_set(spec)
+    hs = hamiltonian_set()
     psi0 = bell_with_empty_hub(BellLabel(1, 0))
-    t_final = 2 * discharge_time(spec)
+    t_final = 2 * DISCHARGE_TIME
     lab = sample_trajectory(hs.h0_total + hs.h_charging, psi0, t_final, 129, hs)
     rotating = sample_trajectory(hs.h_charging, psi0, t_final, 129, hs)
     worst = float(np.abs(lab.charge - rotating.charge).max())
@@ -223,10 +213,9 @@ def ac7_frame_invariance(seed: int = 42) -> CriterionResult:
 
 def ac8_ec_identity(seed: int = 42) -> CriterionResult:
     """Central differences of the charge reproduce the energy-current channel."""
-    spec = SystemSpec()
-    hs = hamiltonian_set(spec)
+    hs = hamiltonian_set()
     series = sample_trajectory(hs.h_charging, bell_with_empty_hub(BellLabel(1, 0)),
-                               2 * discharge_time(spec), 1024, hs)
+                               2 * DISCHARGE_TIME, 1024, hs)
     c = series.charge
     dt = series.times[1] - series.times[0]
     deriv = (-c[4:] + 8 * c[3:-1] - 8 * c[1:-3] + c[:-4]) / (12 * dt)
@@ -261,8 +250,7 @@ def ac9_adiabatic_stability(seed: int = 42) -> CriterionResult:
     def run(jtau, schedule):
         key = (jtau, schedule)
         if key not in cache:
-            spec = AdiabaticSpec(tau=jtau, schedule=schedule)
-            cache[key] = adiabatic.run_discharge(spec, omega=1.0, n_samples=samples(jtau))
+            cache[key] = adiabatic.run_discharge(AdiabaticSpec(jtau, schedule), samples(jtau))
         return cache[key]
 
     t_charge = None
@@ -277,7 +265,7 @@ def ac9_adiabatic_stability(seed: int = 42) -> CriterionResult:
 
     stored = adiabatic.storage_state().amplitudes
     forbidden = adiabatic.forbidden_state().amplitudes
-    full_runs = [adiabatic._drive_states(AdiabaticSpec(tau=t_charge, schedule=s), stored,
+    full_runs = [adiabatic._drive_states(AdiabaticSpec(t_charge, s), stored,
                                          samples(t_charge)) for s in Schedule]
     worst_leakage = float(np.max(np.abs(np.stack(full_runs) @ forbidden.conj()) ** 2))
 
@@ -295,9 +283,8 @@ def ac9_adiabatic_stability(seed: int = 42) -> CriterionResult:
     charges_ok = all(r.final_charge >= charge_floor for r in final)
     tails_ok = all(r.ec_tail <= tail_ceiling for r in final)
 
-    parity = adiabatic.parity_check(AdiabaticSpec(tau=t_joint))
-    ok = (charges_ok and tails_ok and worst_leakage <= 1e-10
-          and parity.max_commutator_norm <= 1e-12 and parity.passed)
+    parity = adiabatic.parity_check(AdiabaticSpec(t_joint))
+    ok = charges_ok and tails_ok and worst_leakage <= 1e-10 and parity.passed
     detail = (f"charge threshold Jtau = {t_charge:g}, joint threshold T* = {t_joint:g}; "
               f"at T*: min charge = {min(r.final_charge for r in final):.6f} "
               f"(floor {charge_floor}), max tail = {max(r.ec_tail for r in final):.6e} "
@@ -309,7 +296,7 @@ def ac9_adiabatic_stability(seed: int = 42) -> CriterionResult:
 
 def ac10_adiabatic_rate_formula(seed: int = 42) -> CriterionResult:
     """Single-eigenspace data predicts exactly zero; two branches oscillate."""
-    spec = AdiabaticSpec(tau=8.0, schedule=Schedule.SIN_SQUARED)
+    spec = AdiabaticSpec(8.0, Schedule.SIN_SQUARED)
     single_pred = adiabatic.adiabatic_rate_prediction(
         adiabatic.adiabatic_decomposition(spec, adiabatic.storage_state()))
     exactly_zero = bool(np.all(single_pred == 0.0))
@@ -345,20 +332,20 @@ def ac11_integrator(seed: int = 42) -> CriterionResult:
     """The stepper self-converges (at fourth order; the floor is 1.9), and the
     8x8 propagator it builds in 256 steps, one basis state per column, is
     unitary."""
-    spec = AdiabaticSpec(tau=4.0, schedule=Schedule.SIN_SQUARED)
+    spec = AdiabaticSpec(4.0, Schedule.SIN_SQUARED)
 
     def h_stack(s):
         return adiabatic._ht_stack(spec, s)
 
     psi0 = adiabatic.storage_state()
-    reference = evolve_timedep(h_stack, psi0, spec.tau, n_steps=4096).amplitudes
+    reference = evolve_timedep(h_stack, psi0, spec.jtau, n_steps=4096).amplitudes
     errors = []
     for n_steps in (128, 256):
-        approx = evolve_timedep(h_stack, psi0, spec.tau, n_steps=n_steps).amplitudes
+        approx = evolve_timedep(h_stack, psi0, spec.jtau, n_steps=n_steps).amplitudes
         errors.append(float(np.linalg.norm(approx - reference)))
     order = math.log2(errors[0] / errors[1])
 
-    u = np.stack([evolve_timedep(h_stack, ket(f"{k:03b}"), spec.tau, 256).amplitudes
+    u = np.stack([evolve_timedep(h_stack, ket(f"{k:03b}"), spec.jtau, 256).amplitudes
                   for k in range(8)], axis=1)
     worst_defect = float(np.abs(u.conj().T @ u - np.eye(8)).max())
     ok = order >= 1.9 and worst_defect <= 1e-10
@@ -381,27 +368,25 @@ def ac12_dephasing_fixpoint(seed: int = 42) -> CriterionResult:
 def ac13_ncell(seed: int = 42) -> CriterionResult:
     """Plans add per cell; a raw-numpy two-cell block evolves as the product of
     the library's per-cell evolutions, as ``ncell`` assumes, and its charge adds."""
-    spec = SystemSpec()
-    total, per_cell = ncell_plan_energy(NCellPlan.parse("f,H,h"), spec)
+    total, per_cell = ncell_plan_energy(NCellPlan.parse("f,H,h"))
     plan_ok = (abs(total - 3.0) <= 1e-9
                and abs(per_cell[0] - 2.0) <= 1e-9
                and abs(per_cell[1] - 1.0) <= 1e-9
                and abs(per_cell[2]) <= 1e-9)
 
-    taud = discharge_time(spec)
     cell_a = protocols.cell_state_after_action(CellAction.FULL)
     cell_b = protocols.cell_state_after_action(CellAction.HALF)
     h_c, h0a, e_emp = _oracle_cell()
     one = np.eye(8)
     w, v = np.linalg.eigh(np.kron(h_c, one) + np.kron(one, h_c))
-    joint = v @ (np.exp(-1j * w * taud) * (v.conj().T @ np.kron(cell_a.amplitudes,
-                                                                   cell_b.amplitudes)))
+    joint = v @ (np.exp(-1j * w * DISCHARGE_TIME)
+                 * (v.conj().T @ np.kron(cell_a.amplitudes, cell_b.amplitudes)))
     hub = np.kron(h0a, one) + np.kron(one, h0a)
     joint_charge = float(np.vdot(joint, hub @ joint).real) - 2 * e_emp
 
-    hs = hamiltonian_set(spec)
-    final_a = evolve_static(hs.h_charging, cell_a, taud)
-    final_b = evolve_static(hs.h_charging, cell_b, taud)
+    hs = hamiltonian_set()
+    final_a = evolve_static(hs.h_charging, cell_a, DISCHARGE_TIME)
+    final_b = evolve_static(hs.h_charging, cell_b, DISCHARGE_TIME)
     product = np.kron(final_a.amplitudes, final_b.amplitudes)
     state_gap = float(np.abs(joint - product).max())
     sum_charge = charge(final_a, hs) + charge(final_b, hs)

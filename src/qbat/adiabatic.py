@@ -19,12 +19,12 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
 from .dynamics import STEPS_PER_UNIT_JT, TimeSeries, _observable_rows, _stepped_states
-from .model import SystemSpec, check_rate, ec_operator, hamiltonian_set
+from .model import E0, ec_operator, hamiltonian_set
 from .protocols import BellLabel, bell_with_empty_hub
 from .qalg import Operator, PureState, embed, ket, max_abs, pauli, tensor
 
@@ -57,40 +57,28 @@ def schedule_value(schedule: Schedule, s):
 
 @dataclass(frozen=True)
 class AdiabaticSpec:
-    """One adiabatic discharge run: coupling, total time and schedule.
+    """One adiabatic discharge run: its dimensionless length J*tau (the drive
+    runs over times t in [0, jtau], in units of 1/J) and its schedule."""
 
-    ``j_coupling`` lies in the band ``model.check_rate`` accepts, like
-    ``SystemSpec``'s.
-    """
-
-    tau: float
-    j_coupling: float = 1.0
+    jtau: float
     schedule: Schedule = Schedule.LINEAR
 
     def __post_init__(self):
-        if not 0 < self.tau < math.inf:
-            raise ValueError(f"tau must be finite and > 0, got {self.tau}")
-        check_rate("j_coupling", self.j_coupling)
-
-    @property
-    def jtau(self) -> float:
-        return self.j_coupling * self.tau
+        if not 0 < self.jtau < math.inf:
+            raise ValueError(f"jtau must be finite and > 0, got {self.jtau}")
 
 
-@lru_cache(maxsize=8)
-def _interpolation_parts(j: float):
-    """The three interpolation Hamiltonians on (battery1, battery2, hub)."""
+@cache
+def interpolation_parts():
+    """The three interpolation Hamiltonians on (battery1, battery2, hub), in
+    units of hbar*J."""
     xx = tensor(pauli("x"), pauli("x"))
     yy = tensor(pauli("y"), pauli("y"))
     zz = tensor(pauli("z"), pauli("z"))
-    h_initial = j * (embed(xx, [0, 1], 3) + embed(yy, [0, 1], 3))
-    h_middle = h_initial + j * (embed(xx, [1, 2], 3) + embed(yy, [1, 2], 3))
-    h_final = j * (embed(zz, [0, 2], 3) + embed(zz, [1, 2], 3))
+    h_initial = embed(xx, [0, 1], 3) + embed(yy, [0, 1], 3)
+    h_middle = h_initial + (embed(xx, [1, 2], 3) + embed(yy, [1, 2], 3))
+    h_final = embed(zz, [0, 2], 3) + embed(zz, [1, 2], 3)
     return h_initial, h_middle, h_final
-
-
-def interpolation_parts(spec: AdiabaticSpec):
-    return _interpolation_parts(float(spec.j_coupling))
 
 
 def _part_weights(spec: AdiabaticSpec, s_values: np.ndarray):
@@ -110,7 +98,7 @@ def _ht_stack(spec: AdiabaticSpec, s_values: np.ndarray,
     ``s_values``, on the computational states ``sector`` (all eight by default)."""
     block = np.ix_(sector, sector)
     return sum(w[:, None, None] * h.matrix.real[block]
-               for w, h in zip(_part_weights(spec, s_values), interpolation_parts(spec)))
+               for w, h in zip(_part_weights(spec, s_values), interpolation_parts()))
 
 
 def parity_operator() -> Operator:
@@ -217,12 +205,11 @@ def _drive_states(spec: AdiabaticSpec, amplitudes: np.ndarray, n_samples: int,
     drive, returning the (n_samples, len(sector)) states at uniform times,
     after ``_drive_steps`` steps whatever the sector."""
     n_steps = _drive_steps(spec, n_samples)
-    return _stepped_states(lambda s: _ht_stack(spec, s, sector), amplitudes, spec.tau,
+    return _stepped_states(lambda s: _ht_stack(spec, s, sector), amplitudes, spec.jtau,
                            n_steps, n_steps // (n_samples - 1))
 
 
-def run_discharge(spec: AdiabaticSpec, omega: float = 1.0,
-                  n_samples: int = 513) -> DischargeReport:
+def run_discharge(spec: AdiabaticSpec, n_samples: int = 513) -> DischargeReport:
     """Drive the stored cell through the interpolation and report the outcome.
 
     Only its one-excitation block {|001>, |010>, |100>} is stepped, and every
@@ -233,17 +220,17 @@ def run_discharge(spec: AdiabaticSpec, omega: float = 1.0,
     """
     sector = _EXCITATION_SECTORS[1]
     block = np.ix_(sector, sector)
-    hs = hamiltonian_set(SystemSpec(omega, spec.j_coupling))
-    times = np.linspace(0.0, spec.tau, n_samples)
+    hs = hamiltonian_set()
+    times = np.linspace(0.0, spec.jtau, n_samples)
     states = _drive_states(spec, storage_state().amplitudes[sector], n_samples, sector)
     charge_channel = _observable_rows(states, hs.h0_hub.matrix[block]) - hs.e_empty
     currents = [_observable_rows(states, ec_operator(hs.h0_hub, h).matrix[block])
-                for h in interpolation_parts(spec)]
-    ec_channel = sum(w * c for w, c in zip(_part_weights(spec, times / spec.tau), currents))
+                for h in interpolation_parts()]
+    ec_channel = sum(w * c for w, c in zip(_part_weights(spec, times / spec.jtau), currents))
     parity_channel = _observable_rows(states, parity_operator().matrix[block])
     fidelity_channel = np.abs(states @ target_state().amplitudes[sector].conj()) ** 2
 
-    tail = np.abs(ec_channel[times >= 0.9 * spec.tau])
+    tail = np.abs(ec_channel[times >= 0.9 * spec.jtau])
     series = TimeSeries(times, charge_channel, ec_channel, extra={
         "fidelity_target": fidelity_channel,
         "parity": parity_channel,
@@ -267,38 +254,29 @@ class SweepPoint:
     ec_tail: float
 
 
-def sweep_tau(tau_values, omega: float = 1.0, *, j_coupling: float = 1.0,
-              max_workers: int = 1) -> list:
+def sweep_tau(jtau_values, *, max_workers: int = 1) -> list:
     """Final transferred charge against total run time, for every schedule.
 
-    Returns one SweepPoint per (tau, schedule) pair, ordered by the input tau
-    list and then ``Schedule``'s order, whatever order the ``max_workers``
+    Returns one SweepPoint per (Jtau, schedule) pair, ordered by the input
+    Jtau list and then ``Schedule``'s order, whatever order the ``max_workers``
     threads finish in.  Each run is recorded at SWEEP_SAMPLES uniform times.
-    tau = 0 is the sudden limit: nothing evolves and nothing is transferred.
+    Jtau = 0 is the sudden limit: nothing evolves and nothing is transferred.
     A sweep whose jobs demand more than MAX_STEPS drive steps in total (see
     ``_step_demand``) raises ValueError before the first job starts.
     """
-    if len(tau_values) == 0:
-        raise ValueError("tau_values must not be empty")
-    cmax = 2.0 * omega
-    jobs = [(float(tau), schedule) for tau in tau_values for schedule in Schedule]
-    demand = sum(_step_demand(AdiabaticSpec(tau, j_coupling, schedule))
-                 for tau, schedule in jobs if tau != 0.0)
+    if len(jtau_values) == 0:
+        raise ValueError("jtau_values must not be empty")
+    jobs = [(float(jtau), schedule) for jtau in jtau_values for schedule in Schedule]
+    demand = sum(_step_demand(AdiabaticSpec(*job)) for job in jobs if job[0] != 0.0)
     if demand > MAX_STEPS:
         raise ValueError(f"the sweep needs more than {MAX_STEPS} drive steps in total")
 
     def _one(job):
-        tau, schedule = job
-        if tau == 0.0:
+        jtau, schedule = job
+        if jtau == 0.0:
             return SweepPoint(0.0, schedule, 0.0, 0.0)
-        spec = AdiabaticSpec(tau=tau, j_coupling=j_coupling, schedule=schedule)
-        report = run_discharge(spec, omega, n_samples=SWEEP_SAMPLES)
-        return SweepPoint(
-            jtau=spec.jtau,
-            schedule=schedule,
-            ratio_to_cmax=report.final_charge / cmax,
-            ec_tail=report.ec_tail,
-        )
+        report = run_discharge(AdiabaticSpec(jtau, schedule), n_samples=SWEEP_SAMPLES)
+        return SweepPoint(jtau, schedule, report.final_charge / E0, report.ec_tail)
 
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
         return list(pool.map(_one, jobs))
@@ -356,9 +334,9 @@ def _sector_branches(spec: AdiabaticSpec, s_values: np.ndarray, sector):
     """Eigen-branches of the drive on the computational states ``sector``:
     energies (nt, d) and real eigenvectors (nt, d, d), in ascending order.
 
-    H(s) = J M(f(s)) with f monotone and f < 1 for s < 1, and on f in [0, 1)
-    both gaps of each three-state sector stay >= 1.5 J (1 - f), so ascending
-    order is branch order for every schedule and coupling.  The upper two
+    H(s) = M(f(s)) with f monotone and f < 1 for s < 1, and on f in [0, 1)
+    both gaps of each three-state sector stay >= 1.5 (1 - f) hbar*J, so
+    ascending order is branch order for every schedule.  The upper two
     levels of those sectors meet at s = 1, where the solver's mixture of each
     degenerate group is rotated onto the previous sample.
     """
@@ -376,11 +354,11 @@ def adiabatic_decomposition(spec: AdiabaticSpec, psi0: PureState) -> AdiabaticDe
     """Eigen-branches of the drive at _DECOMPOSITION_SAMPLES uniform times in
     the excitation sectors where ``psi0`` has weight above 1e-12, joined sector
     by sector, and the initial-state coefficients."""
-    times = np.linspace(0.0, spec.tau, _DECOMPOSITION_SAMPLES)
+    times = np.linspace(0.0, spec.jtau, _DECOMPOSITION_SAMPLES)
     energies, vectors = [], []
     for sector in _EXCITATION_SECTORS:
         if np.sum(np.abs(psi0.amplitudes[sector]) ** 2) > 1e-12:
-            w, v = _sector_branches(spec, times / spec.tau, sector)
+            w, v = _sector_branches(spec, times / spec.jtau, sector)
             energies.append(w.T)
             vectors.append(np.eye(8)[:, sector] @ v)  # exact zeros off the sector
     energies = np.concatenate(energies)          # (n_branches, nt)
@@ -398,7 +376,7 @@ def adiabatic_decomposition(spec: AdiabaticSpec, psi0: PureState) -> AdiabaticDe
     geo[:, 1:] = -np.cumsum(np.angle(overlaps).T, axis=1)
     phases = dyn + geo
 
-    h0a = hamiltonian_set(SystemSpec()).h0_hub.matrix
+    h0a = hamiltonian_set().h0_hub.matrix
     hub_elements = np.einsum("kin,ij,kjm->nmk", vectors, h0a, vectors)
 
     occupied = np.abs(coefficients) ** 2 > 1e-12

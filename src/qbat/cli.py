@@ -19,13 +19,14 @@ import numpy as np
 from . import acceptance, adiabatic, dynamics, protocols
 from ._io import write_rows
 from .adiabatic import AdiabaticSpec, Schedule
-from .model import SystemSpec, hamiltonian_set
+from .model import E0, hamiltonian_set
 from .protocols import (
+    DISCHARGE_TIME,
+    SINGLE_PARTICLE_TRANSFER_TIME,
     BellLabel,
     NCellPlan,
     SwitchGate,
     bell_with_empty_hub,
-    discharge_time,
     separable_sweep,
     single_particle_trajectory,
     switch_gate,
@@ -38,11 +39,16 @@ CONFIG_FILE = "qbat.json"
 MAX_ROWS = 2**16
 # Longest run in units of 1/J, whose largest phase 2*sqrt(2)*Jt keeps an ulp below 1e-6 rad.
 MAX_JT = 1e9
+# Largest accepted --omega and --j; its inverse is the smallest.  The library
+# computes at omega = J = 1 and every output column is in units of omega and
+# J, so a rate in this band is checked but changes no output.
+RATE_CEILING = 1e12
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Run-wide physical parameters and output selection."""
+    """Run-wide rates, seed and output selection; the rates set the units the
+    output is in, not its numbers."""
 
     omega: float = 1.0
     j_coupling: float = 1.0
@@ -55,17 +61,15 @@ class RunConfig:
             value = getattr(self, rate)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"{rate} must be a number, got {value!r}")
-        SystemSpec(self.omega, self.j_coupling)  # rejects a bad omega or j_coupling
+            if not 1 / RATE_CEILING <= value <= RATE_CEILING:  # NaN included
+                raise ValueError(f"{rate} must lie in [{1 / RATE_CEILING:g}, "
+                                 f"{RATE_CEILING:g}], got {value}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format!r}")
         if not isinstance(self.output, str) or not self.output:
             raise ValueError(f"output must be a non-empty path or '-', got {self.output!r}")
-
-    @property
-    def spec(self) -> SystemSpec:
-        return SystemSpec(self.omega, self.j_coupling)
 
 
 _CONFIG_FIELDS = tuple(f.name for f in fields(RunConfig))
@@ -131,9 +135,9 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--omega", type=float, default=None,
-                        help="qubit splitting (default 1.0)")
+                        help="qubit splitting, the unit of the output's energies (default 1.0)")
     common.add_argument("--j", type=float, default=None, dest="j",
-                        help="XY coupling strength (default 1.0)")
+                        help="XY coupling, the unit of the output's rates (default 1.0)")
     common.add_argument("--seed", type=int, default=None,
                         help="seed for randomized scans (default 42)")
     common.add_argument("--format", choices=("csv", "json"), default=None,
@@ -206,16 +210,16 @@ def build_parser() -> argparse.ArgumentParser:
 # Subcommand handlers; each returns the table to emit, {name: column}.
 
 
-def _check_run(name: str, duration_jt: float, samples: int, j_coupling: float) -> None:
+def _check_run(name: str, duration_jt: float, samples: int) -> None:
     """Reject a run length (in units of 1/J) outside (0, MAX_JT], a sample count,
-    or a sample spacing below the smallest normal float in Jt or in 1/J, up front."""
+    or a sample spacing below the smallest normal float, up front."""
     if not 0 < duration_jt <= MAX_JT:
         raise ValueError(f"{name} must be > 0 and at most MAX_JT = {MAX_JT:g}, got {duration_jt}")
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
     _check_rows(f"samples {samples}", samples)
-    if min(duration_jt, duration_jt / j_coupling) / (samples - 1) < np.finfo(float).tiny:
-        raise ValueError(f"{name}: a run of Jt = {duration_jt:g} at J = {j_coupling:g} spaces "
+    if duration_jt / (samples - 1) < np.finfo(float).tiny:
+        raise ValueError(f"{name}: a run of Jt = {duration_jt:g} spaces "
                          f"its {samples} samples below the smallest normal float")
 
 
@@ -225,41 +229,35 @@ def _check_rows(request: str, rows: int) -> None:
         raise ValueError(f"{request} gives {rows} output rows, more than {MAX_ROWS}")
 
 
-def _series_table(series, spec: SystemSpec, **extra) -> dict:
+def _series_table(series, **extra) -> dict:
     """One row per sample: time in 1/J, charge in E0 = 2 hbar*omega, current in
     hbar*omega*J, then the ``extra`` columns in the order given."""
-    return {"t_J": series.times * spec.j_coupling,
-            "charge_over_E0": series.charge / spec.full_cell_energy,
-            "ec_hbar_omega_J": series.ec / (spec.omega * spec.j_coupling), **extra}
+    return {"t_J": series.times, "charge_over_E0": series.charge / E0,
+            "ec_hbar_omega_J": series.ec, **extra}
 
 
 def _cmd_discharge(cfg: RunConfig, args) -> dict:
-    spec = cfg.spec
-    hs = hamiltonian_set(spec)
+    hs = hamiltonian_set()
     psi0 = bell_with_empty_hub(BellLabel.parse(args.bell))
     if args.gate is not None:
         psi0 = switch_gate(SwitchGate.from_kind(args.gate, args.gate_qubit), psi0)
-    tmax_jt = args.tmax if args.tmax is not None else 2 * discharge_time(spec) * spec.j_coupling
-    _check_run("tmax", tmax_jt, args.samples, spec.j_coupling)
-    series = dynamics.sample_trajectory(hs.h_charging, psi0, tmax_jt / spec.j_coupling,
-                                        args.samples, hs)
-    return _series_table(series, spec)
+    tmax = args.tmax if args.tmax is not None else 2 * DISCHARGE_TIME
+    _check_run("tmax", tmax, args.samples)
+    return _series_table(dynamics.sample_trajectory(hs.h_charging, psi0, tmax, args.samples, hs))
 
 
 def _cmd_trap_check(cfg: RunConfig, args) -> dict:
-    spec = cfg.spec
-    hs = hamiltonian_set(spec)
+    hs = hamiltonian_set()
     from .qalg import ket
     states = [(f"bell_{n}{m}", bell_with_empty_hub(BellLabel(n, m)))
               for n in (0, 1) for m in (0, 1)] + [("empty_000", ket("000"))]
-    unit_h, unit_p = spec.j_coupling, spec.omega * spec.j_coupling
     names = ("state", "is_h_eigenstate", "h_eigenvalue_hbar_J", "ec_value_hbar_omega_J",
              "residual_h_hbar_J", "residual_p_hbar_omega_J", "trapped")
     rows = []
     for label, psi in states:
         r = trapping_check(hs.h_charging, hs, psi, tol=args.tol)
-        rows.append((label, r.is_h_eigenstate, r.h_eigenvalue / unit_h, r.ec_value / unit_p,
-                     r.residual_h / unit_h, r.residual_p / unit_p, r.trapped))
+        rows.append((label, r.is_h_eigenstate, r.h_eigenvalue, r.ec_value,
+                     r.residual_h, r.residual_p, r.trapped))
     return dict(zip(names, zip(*rows)))
 
 
@@ -281,38 +279,34 @@ def _cmd_separable(cfg: RunConfig, args) -> dict:
     if args.grid < 2:
         raise ValueError(f"grid must be >= 2, got {args.grid}")
     _check_rows(f"grid {args.grid}", args.grid**2)
-    sweep = separable_sweep(args.grid, cfg.spec, seed=cfg.seed)
+    sweep = separable_sweep(args.grid, seed=cfg.seed)
     return {"beta1": np.repeat(sweep.beta_grid, args.grid),
             "beta2": np.tile(sweep.beta_grid, args.grid),
             "cmax_over_E0": sweep.surface_over_e0.ravel()}
 
 
 def _cmd_single_particle(cfg: RunConfig, args) -> dict:
-    spec = cfg.spec
-    t_sp = protocols.single_particle_transfer_time(spec)
-    tmax_jt = args.tmax if args.tmax is not None else 2 * t_sp * spec.j_coupling
-    _check_run("tmax", tmax_jt, args.samples, spec.j_coupling)
-    series = single_particle_trajectory(spec, tmax_jt / spec.j_coupling, args.samples)
-    closed = [protocols.single_particle_baseline(t, spec) / spec.full_cell_energy
-              for t in series.times]
-    return _series_table(series, spec, closed_form_over_E0=closed)
+    tmax = args.tmax if args.tmax is not None else 2 * SINGLE_PARTICLE_TRANSFER_TIME
+    _check_run("tmax", tmax, args.samples)
+    series = single_particle_trajectory(tmax, args.samples)
+    closed = [protocols.single_particle_baseline(t) / E0 for t in series.times]
+    return _series_table(series, closed_form_over_E0=closed)
 
 
 def _cmd_ncell(cfg: RunConfig, args) -> dict:
     plan = NCellPlan.parse(args.plan)
     _check_rows(f"a plan of {len(plan.actions)} cells", len(plan.actions) + 1)
-    total, per_cell = protocols.ncell_plan_energy(plan, cfg.spec)
+    total, per_cell = protocols.ncell_plan_energy(plan)
     return {"cell": [*map(str, range(len(per_cell))), "total"],
             "action": [*(action.value for action in plan.actions), ""],
-            "energy_hbar_omega": np.array([*per_cell, total]) / cfg.omega}
+            "energy_hbar_omega": np.array([*per_cell, total])}
 
 
 def _cmd_adiabatic(cfg: RunConfig, args) -> dict:
-    _check_run("jtau", args.jtau, args.samples, cfg.j_coupling)
-    spec = AdiabaticSpec(tau=args.jtau / cfg.j_coupling, j_coupling=cfg.j_coupling,
-                         schedule=Schedule(args.schedule))
-    series = adiabatic.run_discharge(spec, omega=cfg.omega, n_samples=args.samples).series
-    return _series_table(series, cfg.spec, fidelity_target=series.extra["fidelity_target"],
+    _check_run("jtau", args.jtau, args.samples)
+    spec = AdiabaticSpec(args.jtau, Schedule(args.schedule))
+    series = adiabatic.run_discharge(spec, n_samples=args.samples).series
+    return _series_table(series, fidelity_target=series.extra["fidelity_target"],
                          leakage_forbidden=np.zeros(args.samples),
                          parity=series.extra["parity"])
 
@@ -325,21 +319,20 @@ def _cmd_sweep_tau(cfg: RunConfig, args) -> dict:
         raise ValueError(f"sweep range requires 0 <= from <= to <= MAX_JT = {MAX_JT:g}, "
                          f"got {args.jtau_from} and {args.jtau_to}")
     jtaus = np.linspace(args.jtau_from, args.jtau_to, args.points)
-    if np.any(jtaus > 0):
-        _check_run("from" if args.jtau_from > 0 else "to", float(np.min(jtaus[jtaus > 0])),
-                   adiabatic.SWEEP_SAMPLES, cfg.j_coupling)
-    points = adiabatic.sweep_tau(jtaus / cfg.j_coupling, omega=cfg.omega,
-                                 j_coupling=cfg.j_coupling, max_workers=_max_workers())
-    unit_p = cfg.omega * cfg.j_coupling
+    shortest = float(np.min(jtaus[jtaus > 0], initial=np.inf))  # its samples are not output rows
+    if shortest / (adiabatic.SWEEP_SAMPLES - 1) < np.finfo(float).tiny:
+        raise ValueError(f"sweep-tau: a run of Jt = {shortest:g} spaces its "
+                         f"{adiabatic.SWEEP_SAMPLES} samples below the smallest normal float")
+    points = adiabatic.sweep_tau(jtaus, max_workers=_max_workers())
     return {"tau_J": [pt.jtau for pt in points],
             "schedule": [pt.schedule.value for pt in points],
             "leakage_forbidden": np.zeros(len(points)),
-            "ec_tail_hbar_omega_J": [pt.ec_tail / unit_p for pt in points],
+            "ec_tail_hbar_omega_J": [pt.ec_tail for pt in points],
             "final_charge_over_E0": [pt.ratio_to_cmax for pt in points]}
 
 
 def _cmd_selftest(cfg: RunConfig, args) -> int:
-    if cfg.spec != SystemSpec():
+    if (cfg.omega, cfg.j_coupling) != (1.0, 1.0):
         raise ValueError("selftest runs at omega = J = 1; give no other rate by flag or config")
     results = acceptance.run_all(seed=cfg.seed)
     for result in results:

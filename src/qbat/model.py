@@ -2,9 +2,11 @@
 
 A cell is a pair of non-interacting battery qubits B1, B2 that feed one hub
 qubit through an XY exchange coupling; the qubits are ordered (B1, B2, hub)
-in the package's big-endian basis.  Everything here is expressed with
-hbar = 1; energies are in units of hbar*omega (bare splittings) or hbar*J
-(couplings).
+in the package's big-endian basis.  Everything here is computed at
+hbar = omega = J = 1 (omega the qubit splitting, J the XY coupling): every
+result is a unit-rate result times a fixed power of omega and J, so
+energies are in hbar*omega, couplings in hbar*J, currents in hbar*omega*J
+and times in 1/J.
 """
 
 from __future__ import annotations
@@ -23,43 +25,8 @@ from .qalg import (
     tensor,
 )
 
-# Largest accepted omega and J; its inverse is the smallest.  Every command
-# runs without a numpy warning across that band (tests/test_cli.py runs each
-# at both ends); far beyond it the products the package forms, such as
-# omega*J or squared charges, overflow or underflow.
-RATE_CEILING = 1e12
-
-
-def check_rate(name: str, rate: float) -> None:
-    """Reject a rate outside [1/RATE_CEILING, RATE_CEILING], NaN included."""
-    if not 1 / RATE_CEILING <= rate <= RATE_CEILING:
-        raise ValueError(f"{name} must lie in [{1 / RATE_CEILING:g}, {RATE_CEILING:g}], "
-                         f"got {rate}")
-
-
-@dataclass(frozen=True)
-class SystemSpec:
-    """Physical parameters of the cell.
-
-    omega
-        Qubit splitting; the bare per-qubit Hamiltonian is
-        omega * (|1><1| - |0><0|), so |1> is the excited ("full") state.
-    j_coupling
-        XY exchange strength between each battery qubit and its hub qubit.
-        Both rates must lie in [1/RATE_CEILING, RATE_CEILING].
-    """
-
-    omega: float = 1.0
-    j_coupling: float = 1.0
-
-    def __post_init__(self):
-        check_rate("omega", self.omega)
-        check_rate("j_coupling", self.j_coupling)
-
-    @property
-    def full_cell_energy(self) -> float:
-        """Maximum energy the cell can hand to its hub qubit (2 hbar*omega)."""
-        return 2.0 * self.omega
+# Full cell energy 2*hbar*omega: the most one cell can hand its hub qubit.
+E0 = 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,36 +48,35 @@ class HamiltonianSet:
         return float(self.h0_hub.matrix.diagonal().real.min())
 
 
-def qubit_energy_term(omega: float) -> Operator:
-    """Single-qubit bare Hamiltonian omega * (|1><1| - |0><0|).
+def qubit_energy_term() -> Operator:
+    """Single-qubit bare Hamiltonian |1><1| - |0><0| (units of hbar*omega).
 
     Built from projectors rather than pauli("z") so the excited state is
     unambiguously |1> regardless of z-sign conventions.
     """
-    return Operator(1, np.diag([-omega, omega]).astype(complex))
+    return Operator(1, np.diag([-1.0, 1.0]).astype(complex))
 
 
-def charging_hamiltonian(spec: SystemSpec) -> Operator:
-    """XY coupling of both battery qubits to the hub:
+def charging_hamiltonian() -> Operator:
+    """XY coupling of both battery qubits to the hub, in units of hbar*J:
 
-        J * sum_{n=1,2} (x_Bn x_A + y_Bn y_A)
+        sum_{n=1,2} (x_Bn x_A + y_Bn y_A)
 
     This conserves the total excitation number, which underpins the
     closed-form discharge laws.
     """
     xx = tensor(pauli("x"), pauli("x"))
     yy = tensor(pauli("y"), pauli("y"))
-    j = spec.j_coupling
-    return (j * (embed(xx, [0, 2], 3) + embed(yy, [0, 2], 3))
-            + j * (embed(xx, [1, 2], 3) + embed(yy, [1, 2], 3)))
+    return (embed(xx, [0, 2], 3) + embed(yy, [0, 2], 3)
+            + (embed(xx, [1, 2], 3) + embed(yy, [1, 2], 3)))
 
 
-def hamiltonian_set(spec: SystemSpec) -> HamiltonianSet:
+def hamiltonian_set() -> HamiltonianSet:
     """Bare battery and hub Hamiltonians plus the charging Hamiltonian, all on
     the cell's space; ``e_empty`` is the hub ground energy, -hbar*omega."""
-    term = qubit_energy_term(spec.omega)
+    term = qubit_energy_term()
     return HamiltonianSet(h0_battery=embed(term, [0], 3) + embed(term, [1], 3),
-                          h0_hub=embed(term, [2], 3), h_charging=charging_hamiltonian(spec))
+                          h0_hub=embed(term, [2], 3), h_charging=charging_hamiltonian())
 
 
 def ec_operator(h0_hub: Operator, h_int: Operator) -> Operator:

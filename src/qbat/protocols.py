@@ -16,8 +16,8 @@ import numpy as np
 
 from .dynamics import TimeSeries, evolve_static, sample_trajectory
 from .model import (
+    E0,
     HamiltonianSet,
-    SystemSpec,
     charge,
     ec_operator,
     hamiltonian_set,
@@ -47,6 +47,11 @@ _RELEASING[1, 2] = _RELEASING[2, 1] = 0.5
 # Blocking conditions: rho11 == rho44 within _BLOCKING_TOL, and a current
 # below _BLOCKING_TOL * hbar*omega*J at all times.
 _BLOCKING_TOL = 1e-9
+
+# First time of full transfer: pi/(4*sqrt(2)*J) for the fully releasing Bell
+# state, and pi/(4J) for a one-qubit battery, slower by a factor sqrt(2).
+DISCHARGE_TIME = math.pi / (4.0 * math.sqrt(2.0))
+SINGLE_PARTICLE_TRANSFER_TIME = math.pi / 4.0
 
 
 @dataclass(frozen=True)
@@ -81,11 +86,6 @@ def bell_with_empty_hub(label: BellLabel) -> PureState:
     return bell_state(label).tensor(ket("0"))
 
 
-def discharge_time(spec: SystemSpec) -> float:
-    """First time of full transfer for the fully releasing Bell state: pi/(4*sqrt(2)*J)."""
-    return math.pi / (4.0 * math.sqrt(2.0) * spec.j_coupling)
-
-
 def transfer_fraction(rho) -> np.ndarray:
     """g(rho) = <T|rho|T> + <11|rho|11> for (..., 4, 4) battery density
     matrices, with T = (|01> + |10>)/sqrt(2).
@@ -97,11 +97,11 @@ def transfer_fraction(rho) -> np.ndarray:
     return np.einsum("ab,...ba->...", _RELEASING, rho).real
 
 
-def bell_charge_closed_form(label: BellLabel, t: float, spec: SystemSpec) -> float:
+def bell_charge_closed_form(label: BellLabel, t: float) -> float:
     """Closed-form hub charge of a Bell battery; g is 1/2 for the (0, m)
     states, 1 for (1, 0) and 0 for the singlet."""
     g = float(transfer_fraction(bell_state(label).density().entries))
-    return spec.full_cell_energy * g * math.sin(2.0 * math.sqrt(2.0) * spec.j_coupling * t) ** 2
+    return E0 * g * math.sin(2.0 * math.sqrt(2.0) * t) ** 2
 
 
 @dataclass(frozen=True)
@@ -127,8 +127,7 @@ def trapping_check(h_int: Operator, hs: HamiltonianSet, psi: PureState,
 
     ``tol`` is relative to the operators' scale: the eigen-residual of
     ``h_int`` is compared with tol * max|H|, the current and its residual
-    with tol * max|P_hat|, so the verdict does not depend on the units of
-    omega and J.
+    with tol * max|P_hat|.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
@@ -182,7 +181,7 @@ def blocking_conditions(rho: np.ndarray):
     hbar*omega*(2 + rho11 - rho44) == 2*hbar*omega, i.e. rho11 == rho44; the
     zero-current condition compares the current's peak over all times,
     max_abs_ec = 4*sqrt(2) * |transfer_fraction(rho)| in units of
-    hbar*omega*J, with 1e-9.  Neither depends on omega or J.
+    hbar*omega*J, with 1e-9.
     """
     max_ec = 4.0 * math.sqrt(2.0) * np.abs(transfer_fraction(rho))
     diag = np.einsum("...aa->...a", rho).real
@@ -309,8 +308,7 @@ class SeparableSweepResult:
     argmax: tuple
 
 
-def separable_sweep(grid_n: int, spec: SystemSpec = SystemSpec(), *,
-                    seed: int = 42) -> SeparableSweepResult:
+def separable_sweep(grid_n: int, *, seed: int = 42) -> SeparableSweepResult:
     """Scan the phase-optimized peak charge over [0, 1]^2.
 
     The peak charge at the transfer time is E0 * transfer_fraction of the
@@ -327,15 +325,14 @@ def separable_sweep(grid_n: int, spec: SystemSpec = SystemSpec(), *,
     pairs = np.einsum("ia,jb->ijab", qubits, qubits).reshape(grid_n, grid_n, 4)
     surface = transfer_fraction(pairs[..., :, None] * pairs[..., None, :])
 
-    hs = hamiltonian_set(spec)
-    taud = discharge_time(spec)
+    hs = hamiltonian_set()
     rng = np.random.default_rng(seed)
     flat = rng.choice(grid_n * grid_n, size=min(24, grid_n * grid_n), replace=False)
     for idx in flat:
         i, j = divmod(int(idx), grid_n)
         state = PureState(2, pairs[i, j]).tensor(ket("0"))
-        simulated = charge(evolve_static(hs.h_charging, state, taud), hs)
-        if abs(simulated - surface[i, j] * spec.full_cell_energy) > 1e-9 * spec.full_cell_energy:
+        simulated = charge(evolve_static(hs.h_charging, state, DISCHARGE_TIME), hs)
+        if abs(simulated - surface[i, j] * E0) > 1e-9 * E0:
             raise RuntimeError(
                 f"separable closed form disagrees with simulation at beta=({betas[i]}, {betas[j]})")
 
@@ -348,33 +345,26 @@ def separable_sweep(grid_n: int, spec: SystemSpec = SystemSpec(), *,
     )
 
 
-def single_particle_transfer_time(spec: SystemSpec) -> float:
-    """Full transfer time pi/(4J) for a one-qubit battery, slower than the
-    Bell cell by a factor sqrt(2)."""
-    return math.pi / (4.0 * spec.j_coupling)
-
-
-def single_particle_baseline(t: float, spec: SystemSpec) -> float:
+def single_particle_baseline(t: float) -> float:
     """Hub charge 2*hbar*omega*sin^2(2Jt) for a one-qubit battery in |1>
     coupled to the hub by one XY term."""
-    return spec.full_cell_energy * math.sin(2.0 * spec.j_coupling * t) ** 2
+    return E0 * math.sin(2.0 * t) ** 2
 
 
-def single_particle_system(spec: SystemSpec):
+def single_particle_system() -> HamiltonianSet:
     """Two-qubit model (battery, hub) for the single-particle baseline.
 
     The battery qubit is site 0, the hub site 1.
     """
-    term = qubit_energy_term(spec.omega)
+    term = qubit_energy_term()
     xy = tensor(pauli("x"), pauli("x")) + tensor(pauli("y"), pauli("y"))
     return HamiltonianSet(h0_battery=embed(term, [0], 2), h0_hub=embed(term, [1], 2),
-                          h_charging=spec.j_coupling * xy)
+                          h_charging=xy)
 
 
-def single_particle_trajectory(spec: SystemSpec, t_final: float,
-                               n_samples: int) -> TimeSeries:
+def single_particle_trajectory(t_final: float, n_samples: int) -> TimeSeries:
     """Simulated charge/current channels for the one-qubit battery."""
-    hs = single_particle_system(spec)
+    hs = single_particle_system()
     return sample_trajectory(hs.h_charging, ket("10"), t_final, n_samples, hs)
 
 
@@ -433,17 +423,16 @@ def cell_state_after_action(action: CellAction) -> PureState:
     return switch_gate(_GATE_FOR_ACTION[action], psi)
 
 
-def ncell_plan_energy(plan: NCellPlan, spec: SystemSpec):
+def ncell_plan_energy(plan: NCellPlan):
     """Energy delivered by each cell at the transfer time, plus the total.
 
     Cells are uncoupled and identical, so each distinct action is simulated
     once as a three-qubit block.  Holds deliver nothing, half actions one
     quantum (hbar*omega), full actions two.
     """
-    hs = hamiltonian_set(spec)
-    taud = discharge_time(spec)
-    delivered = {action: float(charge(evolve_static(hs.h_charging,
-                                                    cell_state_after_action(action), taud), hs))
+    hs = hamiltonian_set()
+    delivered = {action: float(charge(evolve_static(hs.h_charging, cell_state_after_action(action),
+                                                    DISCHARGE_TIME), hs))
                  for action in set(plan.actions)}
     per_cell = tuple(delivered[action] for action in plan.actions)
     return float(sum(per_cell)), per_cell

@@ -2,8 +2,8 @@
 
 Conventions used throughout the package:
 
-* hbar = 1; energies carry their unit (hbar*omega or hbar*J) in the docs of
-  whatever constructed them.
+* hbar = omega = J = 1 (see ``model``); energies carry their unit
+  (hbar*omega or hbar*J) in the docs of whatever constructed them.
 * Basis ordering is big-endian: qubit 0 is the most significant bit, so the
   computational basis index of |b0 b1 ... b_{n-1}> is sum_k b_k * 2**(n-1-k).
 * ``pauli("z")`` is the standard diag(+1, -1) in the (|0>, |1>) basis.  The

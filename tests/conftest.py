@@ -1,17 +1,12 @@
 import pytest
 
-from qbat.model import SystemSpec, hamiltonian_set
+from qbat.model import hamiltonian_set
 from qbat.model import ec_operator as _ec_operator
 
 
 @pytest.fixture(scope="session")
-def spec():
-    return SystemSpec()
-
-
-@pytest.fixture(scope="session")
-def hs(spec):
-    return hamiltonian_set(spec)
+def hs():
+    return hamiltonian_set()
 
 
 @pytest.fixture(scope="session")

@@ -15,11 +15,11 @@ def kron(*mats):
     return out
 
 
-def raw_cell_coupling(j=1.0):
-    """Coupling Hamiltonian of one cell built by hand: J sum (x x + y y)."""
-    return j * (kron(X, I2, X) + kron(Y, I2, Y) + kron(I2, X, X) + kron(I2, Y, Y))
+def raw_cell_coupling():
+    """Coupling Hamiltonian of one cell built by hand: sum (x x + y y)."""
+    return kron(X, I2, X) + kron(Y, I2, Y) + kron(I2, X, X) + kron(I2, Y, Y)
 
 
-def raw_bare(omega=1.0):
-    """Per-qubit bare term omega*(|1><1| - |0><0|)."""
-    return omega * np.diag([-1.0, 1.0]).astype(complex)
+def raw_bare():
+    """Per-qubit bare term |1><1| - |0><0|."""
+    return np.diag([-1.0, 1.0]).astype(complex)

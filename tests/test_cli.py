@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -6,8 +7,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from qbat import adiabatic, dynamics
+from qbat import adiabatic, cli, dynamics
 from qbat.adiabatic import MAX_STEPS, AdiabaticSpec, _drive_steps, _step_demand
 from qbat.cli import MAX_JT, MAX_ROWS, main
 from qbat.dynamics import STEPS_PER_UNIT_JT
@@ -254,13 +256,12 @@ def test_adiabatic_rejects_nonpositive_jtau(capsys):
 
 
 def test_readme_quickstart():
-    from qbat import (SystemSpec, hamiltonian_set, sample_trajectory,
-                      BellLabel, bell_with_empty_hub, discharge_time)
+    from qbat import (hamiltonian_set, sample_trajectory,
+                      BellLabel, bell_with_empty_hub, DISCHARGE_TIME)
 
-    spec = SystemSpec(omega=1.0, j_coupling=1.0)
-    hs = hamiltonian_set(spec)
+    hs = hamiltonian_set()
     series = sample_trajectory(hs.h_charging, bell_with_empty_hub(BellLabel(1, 0)),
-                               2 * discharge_time(spec), 257, hs)
+                               2 * DISCHARGE_TIME, 257, hs)
     assert series.charge.max() == pytest.approx(2.0, abs=1e-12)
 
 
@@ -277,7 +278,7 @@ def test_readme_quickstart():
     ["trap-check", "--tol", "nan"],
     ["trap-check", "--tol", "inf"],
     ["trap-scan", "--samples", "20", "--tol", "nan"],
-    # sample spacings below the smallest normal float, in Jt or in 1/J
+    # sample spacings below the smallest normal float
     ["discharge", "--bell", "10", "--tmax", "1e-320", "--samples", "65536"],
     ["sweep-tau", "--from", "0", "--to", "1e-321", "--points", "2"],
     ["adiabatic", "--jtau", "1e-322", "--samples", "65536", "--j", "1e-6"],
@@ -444,8 +445,8 @@ def test_max_steps_rejects_long_drives_up_front(capsys):
     # steps; one unit of Jtau more is rejected before any stepping, as is a
     # run time whose step count overflows (which the CLI rejects sooner, as
     # longer than MAX_JT)
-    assert _drive_steps(AdiabaticSpec(tau=16384.0), 2) == MAX_STEPS == 2**17
-    sweep_demand = [len(adiabatic.Schedule) * _step_demand(AdiabaticSpec(tau=jtau))
+    assert _drive_steps(AdiabaticSpec(16384.0), 2) == MAX_STEPS == 2**17
+    sweep_demand = [len(adiabatic.Schedule) * _step_demand(AdiabaticSpec(jtau))
                     for jtau in (5461.0, 5462.0)]
     assert sweep_demand[0] <= MAX_STEPS < sweep_demand[1]
     for args in (["adiabatic", "--jtau", "16385", "--samples", "2"],
@@ -453,7 +454,7 @@ def test_max_steps_rejects_long_drives_up_front(capsys):
         code, out, err = run_cli(args, capsys)
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and f"more than {MAX_STEPS}" in err
-    for run in (lambda: adiabatic.run_discharge(AdiabaticSpec(tau=1e308), n_samples=2),
+    for run in (lambda: adiabatic.run_discharge(AdiabaticSpec(1e308), n_samples=2),
                 lambda: adiabatic.sweep_tau([0.0, 1e308])):
         with pytest.raises(ValueError, match=f"more than {MAX_STEPS}"):
             run()
@@ -490,3 +491,148 @@ def test_selftest_rejects_rates(tmp_path, capsys, monkeypatch, flags, config):
     code, out, err = run_cli(["selftest", *flags], capsys)
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+# One short command line per subcommand except selftest.
+_EVERY_COMMAND = [
+    ["discharge", "--bell", "10", "--samples", "33"],
+    ["discharge", "--bell", "11", "--gate", "half", "--tmax", "2.5", "--samples", "9"],
+    ["trap-check"],
+    ["trap-scan", "--samples", "200"],
+    ["separable", "--grid", "5"],
+    ["single-particle", "--samples", "33"],
+    ["ncell", "--plan", "f,H,h"],
+    ["adiabatic", "--jtau", "20", "--samples", "65", "--schedule", "smoothstep"],
+    ["sweep-tau", "--from", "0", "--to", "8", "--points", "3"],
+]
+
+
+@pytest.mark.parametrize("rates", [["--omega", "3", "--j", "7"],
+                                   ["--omega", "1e12", "--j", "1e-12"],
+                                   ["--omega", "1e-12", "--j", "1e12"]],
+                         ids=["3-7", "omega-ceiling", "j-ceiling"])
+@pytest.mark.parametrize("args", _EVERY_COMMAND, ids=lambda args: args[0])
+def test_rates_change_no_output(capsys, args, rates):
+    # every output column is in units of omega and J, and the library computes
+    # at omega = J = 1, so a rate anywhere in the band changes no byte
+    for fmt in ("csv", "json"):
+        default = run_cli([*args, "--format", fmt], capsys)
+        assert default[0] == 0 and default[2] == ""
+        assert run_cli([*args, *rates, "--format", fmt], capsys) == default
+
+
+# The CLI contract: any command line either runs, writing at most MAX_ROWS
+# rows of finite numbers and no warning, or is rejected up front with exit 2,
+# one "error:" line and no output.  MAX_ROWS and MAX_STEPS are patched small
+# so that runs at and just over the ceilings stay short; 257 rows admit the
+# default sample count of discharge and single-particle.
+_ROWS, _STEPS = 257, 512
+_SPECIAL = ["0", "-1.5", "-3", "5e-324", "1e-320", "1e300", "1e308", "inf", "-inf", "Infinity",
+            "-Infinity", "nan", "abc",
+            str(_ROWS - 1), str(_ROWS + 1), str(_STEPS - 1), str(_STEPS + 1)]
+
+
+_PLANS = st.lists(st.sampled_from(["h", "H", "f", "F", "hold", "half", "full"]),
+                  min_size=1, max_size=5).map(",".join)
+_COMMON = {"--omega": st.floats(1e-12, 1e12), "--j": st.floats(1e-12, 1e12),
+           "--seed": st.integers(0, 2**32), "--format": st.sampled_from(["csv", "json"])}
+# Typical values of each subcommand's flags; REQUIRED flags are never left out.
+_COMMANDS = {
+    "discharge": {"--bell": st.sampled_from(["00", "01", "10", "11"]),
+                  "--gate": st.sampled_from(["half", "full"]),
+                  "--gate-qubit": st.sampled_from([1, 2]),
+                  "--tmax": st.floats(0.01, 10.0), "--samples": st.integers(2, _ROWS)},
+    "trap-check": {"--tol": st.sampled_from([1e-10, 1e-3])},
+    "trap-scan": {"--samples": st.integers(1, 50), "--tol": st.sampled_from([1e-3, 0.5])},
+    "separable": {"--grid": st.integers(2, 8)},
+    "single-particle": {"--tmax": st.floats(0.01, 10.0), "--samples": st.integers(2, _ROWS)},
+    "ncell": {"--plan": _PLANS},
+    "adiabatic": {"--jtau": st.floats(0.5, 20.0),
+                  "--schedule": st.sampled_from(["linear", "sin2", "smoothstep"]),
+                  "--samples": st.integers(2, _ROWS)},
+    "sweep-tau": {"--from": st.floats(0.0, 5.0), "--to": st.floats(0.0, 10.0),
+                  "--points": st.integers(1, 4)},
+}
+_REQUIRED = {"--bell", "--plan", "--jtau", "--from", "--to", "--points"}
+
+
+@st.composite
+def _command_lines(draw):
+    # up to two flags take an extreme or malformed value; the others a typical
+    # one, or none where the flag is optional
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    flags = {**_COMMANDS[command], **_COMMON}
+    odd = draw(st.one_of(st.just(set()), st.sets(st.sampled_from(sorted(flags)), max_size=2)))
+    argv = [command]
+    for flag, typical in flags.items():
+        if flag in odd:
+            special = _SPECIAL + [",".join(["f"] * (_ROWS - 1)), ",".join(["f"] * _ROWS)]
+            value = draw(st.sampled_from(special if flag == "--plan" else _SPECIAL))
+        elif flag in _REQUIRED or draw(st.booleans()):
+            value = draw(typical)
+        else:
+            continue
+        argv.append(f"{flag}={value}")  # one token, so "-inf" is a value
+    return argv
+
+
+def _at_and_over(argv, *values):
+    return [[*argv, value] for value in values]
+
+
+# Command lines exactly at and one unit over each patched ceiling.
+_CEILING_LINES = [
+    *_at_and_over(["discharge", "--bell=10"], f"--samples={_ROWS}", f"--samples={_ROWS + 1}"),
+    *_at_and_over(["single-particle"], f"--samples={_ROWS}", f"--samples={_ROWS + 1}"),
+    *_at_and_over(["adiabatic", "--samples=2"], f"--jtau={_STEPS // 8}",
+                  f"--jtau={_STEPS // 8 + 0.01}"),
+    *_at_and_over(["adiabatic", "--jtau=1"], f"--samples={_ROWS}", f"--samples={_ROWS + 1}"),
+    *_at_and_over(["separable"], "--grid=16", "--grid=17"),
+    *_at_and_over(["ncell"], "--plan=" + ",".join(["f"] * (_ROWS - 1)),
+                  "--plan=" + ",".join(["f"] * _ROWS)),
+    *_at_and_over(["sweep-tau", "--from=0", "--to=0"], f"--points={_ROWS // 3}",
+                  f"--points={_ROWS // 3 + 1}"),
+    # three runs at Jtau = 21.25 take 3 * 170 = 510 steps, at 21.26 513
+    *_at_and_over(["sweep-tau", "--from=0", "--points=2"], "--to=21.25", "--to=21.26"),
+]
+
+
+def _table(text, fmt):
+    if fmt == "json":
+        return [list(row.values()) for row in json.loads(text)]
+    return list(csv.reader(io.StringIO(text)))[1:]
+
+
+def _with_ceiling_lines(test):
+    for argv in _CEILING_LINES:
+        test = example(argv)(test)
+    return test
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=200, deadline=None)
+@_with_ceiling_lines
+@given(_command_lines())
+def test_cli_contract_property(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "MAX_ROWS", _ROWS)
+        patch.setattr(adiabatic, "MAX_STEPS", _STEPS)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2), err
+    if code == 2:
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        return
+    assert err == ""
+    rows = _table(out, "json" if "--format=json" in argv else "csv")
+    assert 1 <= len(rows) <= _ROWS
+    for row in rows:
+        for cell in row:
+            try:
+                number = float(cell)
+            except ValueError:  # a label such as "bell_00", "linear" or "true"
+                continue
+            assert math.isfinite(number), row

@@ -17,7 +17,6 @@ from qbat.dynamics import (
     evolve_timedep,
     sample_trajectory,
 )
-from qbat.model import SystemSpec, hamiltonian_set
 from qbat.protocols import BellLabel, bell_state, bell_with_empty_hub
 from qbat.qalg import DensityMatrix, Operator, PureState, embed, expectation, ket, pauli
 
@@ -184,12 +183,12 @@ def test_stepper_converges_at_fourth_order(case):
         psi0, tau = rng.normal(size=4) + 1j * rng.normal(size=4), 3.0
         psi0 /= np.linalg.norm(psi0)
     else:
-        spec = AdiabaticSpec(tau=4.0, schedule=Schedule.SIN_SQUARED)
+        spec = AdiabaticSpec(4.0, Schedule.SIN_SQUARED)
 
         def h_stack(s):
             return _ht_stack(spec, s)
 
-        psi0, tau = storage_state().amplitudes, spec.tau
+        psi0, tau = storage_state().amplitudes, spec.jtau
     final = {n: _stepped_states(h_stack, psi0, tau, n, n)[-1] for n in (32, 64, 1024)}
     errors = [np.linalg.norm(final[n] - final[1024]) for n in (32, 64)]
     assert math.log2(errors[0] / errors[1]) >= 3.9
@@ -228,23 +227,18 @@ def test_stepped_states_are_unitary_property(d, steps, chunk, tau, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(0.01, 3.0),
-       st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16))
-def test_frame_invariance_property(log_omega, log_j, t, parts):
+@given(st.floats(0.01, 3.0), st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16))
+def test_frame_invariance_property(hs, t, parts):
     # the lab frame (H0_total + H_c) and the frame co-moving with H0_total
     # (H_c alone) agree on charge and current, and exp(+i H0_total t) maps
-    # the lab state onto the co-moving one.  t is absolute, so the rounding
-    # of the lab eigenphases, about 1e-16 * omega * t, stays below the bound.
-    omega, j = 10.0**log_omega, 10.0**log_j
-    hs = hamiltonian_set(SystemSpec(omega, j))
+    # the lab state onto the co-moving one
     amp = np.array(parts[:8]) + 1j * np.array(parts[8:])
     assume(np.linalg.norm(amp) > 1e-3)
     psi0 = PureState(3, amp / np.linalg.norm(amp))
     lab = sample_trajectory(hs.h0_total + hs.h_charging, psi0, t, 9, hs)
     rotating = sample_trajectory(hs.h_charging, psi0, t, 9, hs)
-    tol = 1e-9 * max(1.0, omega * j)
-    assert np.abs(lab.charge - rotating.charge).max() <= tol
-    assert np.abs(lab.ec - rotating.ec).max() <= tol
+    assert np.abs(lab.charge - rotating.charge).max() <= 1e-9
+    assert np.abs(lab.ec - rotating.ec).max() <= 1e-9
     lab_state = evolve_static(hs.h0_total + hs.h_charging, psi0, t)
     back = evolve_static(hs.h0_total, lab_state, -t)
     assert np.abs(back.amplitudes - evolve_static(hs.h_charging, psi0, t).amplitudes).max() <= 1e-9
@@ -385,15 +379,15 @@ def test_default_stepping_is_converged(hs):
     # unit Jt to within 1e-8 in final state fidelity on a representative
     # driven run (measured 2.3e-13)
     from qbat.adiabatic import AdiabaticSpec, Schedule, _ht_stack
-    spec = AdiabaticSpec(tau=20.0, schedule=Schedule.SMOOTHSTEP)
+    spec = AdiabaticSpec(20.0, Schedule.SMOOTHSTEP)
 
     def h_stack(s):
         return _ht_stack(spec, s)
 
     psi0 = bell_with_empty_hub(BellLabel(1, 1))
-    base = evolve_timedep(h_stack, psi0, spec.tau,
-                          n_steps=math.ceil(STEPS_PER_UNIT_JT * spec.tau))
-    fine = _midpoint_oracle(h_stack, psi0.amplitudes, spec.tau, math.ceil(512 * spec.tau))
+    base = evolve_timedep(h_stack, psi0, spec.jtau,
+                          n_steps=math.ceil(STEPS_PER_UNIT_JT * spec.jtau))
+    fine = _midpoint_oracle(h_stack, psi0.amplitudes, spec.jtau, math.ceil(512 * spec.jtau))
     assert abs(abs(np.vdot(base.amplitudes, fine)) ** 2 - 1.0) <= 1e-8
 
 

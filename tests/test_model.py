@@ -5,14 +5,12 @@ from numpy.testing import assert_allclose
 
 from qbat.dynamics import evolve_static
 from qbat.model import (
-    SystemSpec,
     charge,
     ec_operator,
     ergotropy,
-    hamiltonian_set,
     qubit_energy_term,
 )
-from qbat.protocols import BellLabel, bell_state, bell_with_empty_hub, single_particle_system
+from qbat.protocols import BellLabel, bell_state, bell_with_empty_hub
 from qbat.qalg import (
     DensityMatrix,
     PureState,
@@ -24,22 +22,14 @@ from qbat.qalg import (
 from oracles import I2, X, Y, kron, raw_bare, raw_cell_coupling
 
 
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        SystemSpec(omega=0.0)
-    with pytest.raises(ValueError):
-        SystemSpec(j_coupling=-1.0)
-
-
 def test_qubit_energy_term_excited_state():
-    term = qubit_energy_term(1.0)
+    term = qubit_energy_term()
     w = np.linalg.eigvalsh(term.matrix)
     assert_allclose(w, [-1.0, 1.0])
     assert expectation(term, ket("1")) == pytest.approx(1.0)
 
 
-def test_bare_hamiltonian_structure(spec):
-    hs = hamiltonian_set(spec)
+def test_bare_hamiltonian_structure(hs):
     assert hs.e_empty == pytest.approx(-1.0)
     ground = np.linalg.eigvalsh(hs.h0_total.matrix).min()
     assert ground == pytest.approx(-3.0)
@@ -92,8 +82,8 @@ def test_charge_frame_invariance(hs):
         assert abs(np.vdot(back.amplitudes, rotating.amplitudes)) ** 2 == pytest.approx(1.0, abs=1e-9)
 
 
-def _battery_pair_h(omega=1.0):
-    term = qubit_energy_term(omega)
+def _battery_pair_h():
+    term = qubit_energy_term()
     return embed(term, [0], 2) + embed(term, [1], 2)
 
 
@@ -129,34 +119,6 @@ def test_charge_additivity_over_cells(hs):
         total = np.vdot(joint, two_hubs @ joint).real + 2.0
         parts = sum(charge(c, hs) for c in cells)
         assert total == pytest.approx(parts, abs=1e-10)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.floats(-12.0, 12.0), st.floats(-12.0, 12.0))
-def test_derived_hamiltonian_set_fields_property(log_omega, log_j):
-    # e_empty and h0_total are derived from the bare terms, for the cell and
-    # for the single-particle baseline, across the whole rate band
-    spec = SystemSpec(10.0**log_omega, 10.0**log_j)
-    for hs in (hamiltonian_set(spec), single_particle_system(spec)):
-        ground = np.linalg.eigvalsh(hs.h0_hub.matrix).min()
-        assert abs(hs.e_empty - ground) <= 1e-12 * abs(ground)
-        assert np.array_equal(hs.h0_total.matrix, hs.h0_battery.matrix + hs.h0_hub.matrix)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.floats(-12.0, 12.0), st.floats(-12.0, 12.0), st.integers(0, 2**31 - 1))
-def test_charge_across_the_rate_band_property(log_omega, log_j, seed):
-    # the rounding of <a|H0_hub|a> leaves an imaginary part that grows with
-    # omega (1.5e-5 at omega = 1e12); charge drops it and keeps the real part
-    spec = SystemSpec(10.0**log_omega, 10.0**log_j)
-    hs = hamiltonian_set(spec)
-    rng = np.random.default_rng(seed)
-    amp = rng.normal(size=8) + 1j * rng.normal(size=8)
-    amp /= np.linalg.norm(amp)
-    value = charge(PureState(3, amp), hs)
-    assert isinstance(value, float) and np.isfinite(value)
-    expected = hs.h0_hub.matrix.diagonal().real @ np.abs(amp) ** 2 + spec.omega
-    assert abs(value - expected) <= 1e-12 * spec.omega
 
 
 # ----------------------------------------------------------------------

@@ -10,8 +10,10 @@ from numpy.testing import assert_allclose
 
 from qbat import protocols
 from qbat.dynamics import evolve_static, sample_trajectory
-from qbat.model import charge, ergotropy, qubit_energy_term
+from qbat.model import E0, charge, ergotropy, qubit_energy_term
 from qbat.protocols import (
+    DISCHARGE_TIME,
+    SINGLE_PARTICLE_TRANSFER_TIME,
     BellLabel,
     CellAction,
     NCellPlan,
@@ -22,11 +24,9 @@ from qbat.protocols import (
     blocking_conditions,
     blocking_state_from_constraints,
     cell_state_after_action,
-    discharge_time,
     ncell_plan_energy,
     separable_sweep,
     single_particle_baseline,
-    single_particle_transfer_time,
     single_particle_trajectory,
     switch_gate,
     transfer_fraction,
@@ -50,29 +50,28 @@ def test_bell_states():
     assert BellLabel.parse("10") == BellLabel(1, 0)
 
 
-def test_closed_form_g_table(spec):
-    taud = discharge_time(spec)
-    assert bell_charge_closed_form(BellLabel(1, 1), 0.77, spec) == 0.0
-    assert bell_charge_closed_form(BellLabel(1, 0), taud, spec) == pytest.approx(2.0)
-    assert bell_charge_closed_form(BellLabel(0, 0), taud, spec) == pytest.approx(1.0)
-    assert bell_charge_closed_form(BellLabel(0, 1), taud, spec) == pytest.approx(1.0)
+def test_closed_form_g_table():
+    assert DISCHARGE_TIME == TAUD
+    assert bell_charge_closed_form(BellLabel(1, 1), 0.77) == 0.0
+    assert bell_charge_closed_form(BellLabel(1, 0), TAUD) == pytest.approx(2.0)
+    assert bell_charge_closed_form(BellLabel(0, 0), TAUD) == pytest.approx(1.0)
+    assert bell_charge_closed_form(BellLabel(0, 1), TAUD) == pytest.approx(1.0)
     bells = np.stack([bell_state(BellLabel(n, m)).density().entries
                       for n in (0, 1) for m in (0, 1)])
     assert_allclose(transfer_fraction(bells), [0.5, 0.5, 1.0, 0.0], atol=1e-15)
 
 
-def test_closed_form_matches_simulation_all_labels(spec, hs):
-    taud = discharge_time(spec)
+def test_closed_form_matches_simulation_all_labels(hs):
     for n in (0, 1):
         for m in (0, 1):
             label = BellLabel(n, m)
             series = sample_trajectory(hs.h_charging, bell_with_empty_hub(label),
-                                       2 * taud, 64, hs)
-            closed = [bell_charge_closed_form(label, t, spec) for t in series.times]
+                                       2 * TAUD, 64, hs)
+            closed = [bell_charge_closed_form(label, t) for t in series.times]
             assert np.abs(series.charge - np.array(closed)).max() <= 1e-9
 
 
-def test_trapping_check_candidates(spec, hs):
+def test_trapping_check_candidates(hs):
     stored = trapping_check(hs.h_charging, hs, bell_with_empty_hub(BellLabel(1, 1)))
     assert stored.trapped and stored.is_h_eigenstate
     assert stored.h_eigenvalue == pytest.approx(0.0, abs=1e-12)
@@ -85,9 +84,9 @@ def test_trapping_check_candidates(spec, hs):
     assert empty.trapped and empty.h_eigenvalue == pytest.approx(0.0, abs=1e-12)
 
 
-def test_trapping_persistence(spec, hs):
+def test_trapping_persistence(hs):
     series = sample_trajectory(hs.h_charging, bell_with_empty_hub(BellLabel(1, 1)),
-                               2 * discharge_time(spec), 256, hs)
+                               2 * TAUD, 256, hs)
     assert np.abs(series.ec).max() <= 1e-12
     assert series.extra["fidelity_initial"].min() >= 1.0 - 1e-12
 
@@ -109,7 +108,7 @@ def test_blocking_conditions_probes():
     ca, cb, _ = blocking_conditions(mixed.entries)
     assert not (ca and cb)
     assert not cb
-    pair_h = embed(qubit_energy_term(1.0), [0], 2) + embed(qubit_energy_term(1.0), [1], 2)
+    pair_h = embed(qubit_energy_term(), [0], 2) + embed(qubit_energy_term(), [1], 2)
     assert ergotropy(mixed, pair_h) == pytest.approx(0.0, abs=1e-12)
 
     releasing = bell_state(BellLabel(1, 0)).density()
@@ -211,20 +210,19 @@ def test_switch_gate_maps_between_bell_states():
     assert _fidelity(full2, bell_with_empty_hub(BellLabel(1, 0))) == pytest.approx(1.0)
 
 
-def test_switch_gate_release_levels(spec, hs):
-    taud = discharge_time(spec)
+def test_switch_gate_release_levels(hs):
     stored = bell_with_empty_hub(BellLabel(1, 1))
-    full = evolve_static(hs.h_charging, switch_gate(SwitchGate.FULL_ON_QUBIT1, stored), taud)
+    full = evolve_static(hs.h_charging, switch_gate(SwitchGate.FULL_ON_QUBIT1, stored), TAUD)
     assert charge(full, hs) == pytest.approx(2.0, abs=1e-9)
-    half = evolve_static(hs.h_charging, switch_gate(SwitchGate.HALF_ON_QUBIT2, stored), taud)
+    half = evolve_static(hs.h_charging, switch_gate(SwitchGate.HALF_ON_QUBIT2, stored), TAUD)
     assert charge(half, hs) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_switch_gate_qubit_independence(spec, hs):
+def test_switch_gate_qubit_independence(hs):
     stored = bell_with_empty_hub(BellLabel(1, 1))
     a = switch_gate(SwitchGate.FULL_ON_QUBIT1, stored)
     b = switch_gate(SwitchGate.FULL_ON_QUBIT2, stored)
-    for t in np.linspace(0.0, 2 * discharge_time(spec), 64):
+    for t in np.linspace(0.0, 2 * TAUD, 64):
         ca = charge(evolve_static(hs.h_charging, a, t), hs)
         cb = charge(evolve_static(hs.h_charging, b, t), hs)
         assert abs(ca - cb) <= 1e-12
@@ -250,42 +248,41 @@ def _product_battery(b1, b2, t1=0.0, t2=0.0):
                    [math.sqrt(1 - b2**2), b2 * np.exp(1j * t2)])
 
 
-def _separable_law(amps, spec):
+def _separable_law(amps):
     """Peak hub charge 2*hbar*omega * g of a product battery state."""
-    return spec.full_cell_energy * float(transfer_fraction(np.outer(amps, amps.conj())))
+    return E0 * float(transfer_fraction(np.outer(amps, amps.conj())))
 
 
-def test_separable_closed_form_values(spec):
-    assert _separable_law(_product_battery(1.0, 1.0), spec) == pytest.approx(2.0)
-    assert _separable_law(_product_battery(0.0, 0.0), spec) == pytest.approx(0.0)
+def test_separable_closed_form_values():
+    assert _separable_law(_product_battery(1.0, 1.0)) == pytest.approx(2.0)
+    assert _separable_law(_product_battery(0.0, 0.0)) == pytest.approx(0.0)
     even = _product_battery(1 / math.sqrt(2), 1 / math.sqrt(2))
-    assert _separable_law(even, spec) == pytest.approx(1.5)  # 0.75 * E0
+    assert _separable_law(even) == pytest.approx(1.5)  # 0.75 * E0
     rng = np.random.default_rng(3)
     for _ in range(6):
         (b1, b2), (t1, t2) = rng.uniform(0, 1, size=2), rng.uniform(0, 2 * math.pi, size=2)
         cross = b1 * b2 * math.sqrt((1 - b1**2) * (1 - b2**2))
         populations = (b1**2 + b2**2) / 2
-        law = _separable_law(_product_battery(b1, b2, t1, t2), spec)
+        law = _separable_law(_product_battery(b1, b2, t1, t2))
         assert law == pytest.approx(2.0 * (cross * math.cos(t1 - t2) + populations), abs=1e-14)
         # the phases enter only through cos(t1 - t2), so the optimum is at t1 == t2
-        at_equal = _separable_law(_product_battery(b1, b2, t1, t1), spec)
+        at_equal = _separable_law(_product_battery(b1, b2, t1, t1))
         assert at_equal == pytest.approx(2.0 * (cross + populations), abs=1e-14)
         assert at_equal >= law - 1e-14
 
 
-def test_separable_closed_form_matches_simulation(spec, hs):
+def test_separable_closed_form_matches_simulation(hs):
     rng = np.random.default_rng(5)
-    taud = discharge_time(spec)
     for _ in range(6):
         (b1, b2), (t1, t2) = rng.uniform(0, 1, size=2), rng.uniform(0, 2 * math.pi, size=2)
         amps = _product_battery(b1, b2, t1, t2)
         psi0 = PureState(2, amps).tensor(ket("0"))
-        simulated = charge(evolve_static(hs.h_charging, psi0, taud), hs)
-        assert simulated == pytest.approx(_separable_law(amps, spec), abs=1e-9)
+        simulated = charge(evolve_static(hs.h_charging, psi0, TAUD), hs)
+        assert simulated == pytest.approx(_separable_law(amps), abs=1e-9)
 
 
-def test_separable_sweep_bound(spec):
-    sweep = separable_sweep(41, spec, seed=9)
+def test_separable_sweep_bound():
+    sweep = separable_sweep(41, seed=9)
     assert sweep.argmax == (1.0, 1.0)
     assert sweep.surface_over_e0[-1, -1] == pytest.approx(1.0)
     interior = sweep.surface_over_e0.copy()
@@ -293,24 +290,23 @@ def test_separable_sweep_bound(spec):
     assert interior.max() <= 1.0 - 1e-4
 
 
-def test_single_particle_baseline(spec):
-    t_sp = single_particle_transfer_time(spec)
-    assert single_particle_baseline(t_sp, spec) == pytest.approx(2.0)
-    assert single_particle_baseline(0.0, spec) == 0.0
-    assert t_sp / discharge_time(spec) == pytest.approx(math.sqrt(2), abs=1e-12)
+def test_single_particle_baseline():
+    t_sp = SINGLE_PARTICLE_TRANSFER_TIME
+    assert single_particle_baseline(t_sp) == pytest.approx(2.0)
+    assert single_particle_baseline(0.0) == 0.0
+    assert t_sp / DISCHARGE_TIME == pytest.approx(math.sqrt(2), abs=1e-12)
 
 
-def test_single_particle_trajectory_matches_baseline(spec):
-    t_sp = single_particle_transfer_time(spec)
-    series = single_particle_trajectory(spec, 2 * t_sp, 65)
-    closed = [single_particle_baseline(t, spec) for t in series.times]
+def test_single_particle_trajectory_matches_baseline():
+    series = single_particle_trajectory(2 * SINGLE_PARTICLE_TRANSFER_TIME, 65)
+    closed = [single_particle_baseline(t) for t in series.times]
     assert np.abs(series.charge - np.array(closed)).max() <= 1e-10
 
 
-def test_ncell_plan_parsing_and_energy(spec):
+def test_ncell_plan_parsing_and_energy():
     plan = NCellPlan.parse("f,H,h")
     assert plan.actions == (CellAction.FULL, CellAction.HALF, CellAction.HOLD)
-    total, per_cell = ncell_plan_energy(plan, spec)
+    total, per_cell = ncell_plan_energy(plan)
     assert total == pytest.approx(3.0, abs=1e-9)
     assert per_cell[0] == pytest.approx(2.0, abs=1e-9)
     assert per_cell[1] == pytest.approx(1.0, abs=1e-9)
@@ -319,20 +315,20 @@ def test_ncell_plan_parsing_and_energy(spec):
         NCellPlan.parse("f,x")
 
 
-def test_ncell_all_full_and_all_hold(spec, hs):
-    total, _ = ncell_plan_energy(NCellPlan.parse("f,f,f,f"), spec)
+def test_ncell_all_full_and_all_hold(hs):
+    total, _ = ncell_plan_energy(NCellPlan.parse("f,f,f,f"))
     assert total == pytest.approx(8.0, abs=1e-9)
-    total, per_cell = ncell_plan_energy(NCellPlan.parse("h,h"), spec)
+    total, per_cell = ncell_plan_energy(NCellPlan.parse("h,h"))
     assert total == pytest.approx(0.0, abs=1e-9)
     # held cells carry no current at any sampled time
     series = sample_trajectory(hs.h_charging, cell_state_after_action(CellAction.HOLD),
-                               2 * discharge_time(spec), 32, hs)
+                               2 * TAUD, 32, hs)
     assert np.abs(series.ec).max() <= 1e-12
 
 
-def test_ncell_simulates_each_distinct_action_once(monkeypatch, spec):
+def test_ncell_simulates_each_distinct_action_once(monkeypatch):
     reference = dict(zip((CellAction.FULL, CellAction.HALF, CellAction.HOLD),
-                         ncell_plan_energy(NCellPlan.parse("f,H,h"), spec)[1]))
+                         ncell_plan_energy(NCellPlan.parse("f,H,h"))[1]))
     calls = Counter()
 
     def counted(*args):
@@ -342,24 +338,23 @@ def test_ncell_simulates_each_distinct_action_once(monkeypatch, spec):
     monkeypatch.setattr(protocols, "evolve_static", counted)
     plan = NCellPlan.parse(",".join((["hold", "half", "full", "h", "H", "f", "F"] * 429)[:3000]))
     assert len(plan.actions) == 3000
-    total, per_cell = ncell_plan_energy(plan, spec)
+    total, per_cell = ncell_plan_energy(plan)
     assert calls["evolve_static"] <= 3
     assert per_cell == tuple(reference[action] for action in plan.actions)
     assert total == pytest.approx(sum(per_cell), abs=1e-9)
 
 
-def test_two_cells_factorize(spec, hs):
+def test_two_cells_factorize(hs):
     # a two-cell block built by hand evolves as the product of the library's
     # per-cell evolutions, which is what ncell relies on
-    taud = discharge_time(spec)
     cell_a = cell_state_after_action(CellAction.FULL)
     cell_b = cell_state_after_action(CellAction.HALF)
     one = np.eye(8)
     block = np.kron(raw_cell_coupling(), one) + np.kron(one, raw_cell_coupling())
-    joint = (scipy.linalg.expm(-1j * block * taud)
+    joint = (scipy.linalg.expm(-1j * block * TAUD)
              @ np.kron(cell_a.amplitudes, cell_b.amplitudes))
-    product = np.kron(evolve_static(hs.h_charging, cell_a, taud).amplitudes,
-                      evolve_static(hs.h_charging, cell_b, taud).amplitudes)
+    product = np.kron(evolve_static(hs.h_charging, cell_a, TAUD).amplitudes,
+                      evolve_static(hs.h_charging, cell_b, TAUD).amplitudes)
     assert np.abs(joint - product).max() <= 1e-9
     hub = kron(I2, I2, raw_bare())
     two_hubs = np.kron(hub, one) + np.kron(one, hub)
@@ -385,14 +380,14 @@ def test_uniqueness_scan_requires_samples():
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2**31 - 1), st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
-def test_scan_current_matches_the_lifted_trace(seed, omega, j):
-    # the empty-hub law C(t) = 2 omega g sin^2(2 sqrt(2) J t) and
-    # <P_hat(t)> = 4 sqrt(2) omega J g sin(4 sqrt(2) J t), against the explicit
+@given(st.integers(0, 2**31 - 1))
+def test_scan_current_matches_the_lifted_trace(seed):
+    # the empty-hub law C(t) = 2 g sin^2(2 sqrt(2) t) and
+    # <P_hat(t)> = 4 sqrt(2) g sin(4 sqrt(2) t), against the explicit
     # trace over rho x |0><0| evolved by a hand-built propagator, for a
     # Ginibre battery state with complex coherences
-    h = raw_cell_coupling(j)
-    h0_hub = kron(I2, I2, raw_bare(omega))
+    h = raw_cell_coupling()
+    h0_hub = kron(I2, I2, raw_bare())
     p_hat = (h0_hub @ h - h @ h0_hub) / 1j
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -400,13 +395,13 @@ def test_scan_current_matches_the_lifted_trace(seed, omega, j):
     rho /= np.trace(rho).real
     lifted = np.kron(rho, np.diag([1.0, 0.0]))
     fraction = float(transfer_fraction(rho))
-    rate = 2 * math.sqrt(2) * j
+    rate = 2 * math.sqrt(2)
     for t in np.linspace(0.0, math.pi / rate, 9):  # two transfer times
         u = scipy.linalg.expm(-1j * h * t)
         rho_t = u @ lifted @ u.conj().T
-        charge_t = np.trace(h0_hub @ rho_t).real + omega
+        charge_t = np.trace(h0_hub @ rho_t).real + 1.0
         current_t = np.trace(p_hat @ rho_t).real
-        law_charge = 2 * omega * fraction * math.sin(rate * t) ** 2
-        law_current = 2 * rate * omega * fraction * math.sin(2 * rate * t)
-        assert abs(charge_t - law_charge) <= 1e-12 * max(1.0, omega)
-        assert abs(current_t - law_current) <= 1e-12 * max(1.0, omega * j)
+        law_charge = 2 * fraction * math.sin(rate * t) ** 2
+        law_current = 2 * rate * fraction * math.sin(2 * rate * t)
+        assert abs(charge_t - law_charge) <= 1e-12
+        assert abs(current_t - law_current) <= 1e-12

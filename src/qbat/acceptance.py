@@ -283,7 +283,7 @@ def ac9_adiabatic_stability(seed: int = 42) -> CriterionResult:
     charges_ok = all(r.final_charge >= charge_floor for r in final)
     tails_ok = all(r.ec_tail <= tail_ceiling for r in final)
 
-    parity = adiabatic.parity_check(AdiabaticSpec(t_joint))
+    parity = adiabatic.parity_check(Schedule.LINEAR)
     ok = charges_ok and tails_ok and worst_leakage <= 1e-10 and parity.passed
     detail = (f"charge threshold Jtau = {t_charge:g}, joint threshold T* = {t_joint:g}; "
               f"at T*: min charge = {min(r.final_charge for r in final):.6f} "
@@ -302,7 +302,7 @@ def ac10_adiabatic_rate_formula(seed: int = 42) -> CriterionResult:
     exactly_zero = bool(np.all(single_pred == 0.0))
 
     sector = adiabatic._EXCITATION_SECTORS[1]
-    _, v = adiabatic._sector_branches(spec, np.zeros(1), sector)
+    _, v = adiabatic._sector_branches(spec.schedule, np.zeros(1), sector)
     amplitudes = np.zeros(8, dtype=complex)
     amplitudes[sector] = (v[0][:, 0] + v[0][:, -1]) / math.sqrt(2)  # sector ground + top
     psi_two = PureState(3, amplitudes)
@@ -335,7 +335,7 @@ def ac11_integrator(seed: int = 42) -> CriterionResult:
     spec = AdiabaticSpec(4.0, Schedule.SIN_SQUARED)
 
     def h_stack(s):
-        return adiabatic._ht_stack(spec, s)
+        return adiabatic._ht_stack(spec.schedule, s)
 
     psi0 = adiabatic.storage_state()
     reference = evolve_timedep(h_stack, psi0, spec.jtau, n_steps=4096).amplitudes

@@ -26,7 +26,7 @@ import numpy as np
 from .dynamics import STEPS_PER_UNIT_JT, TimeSeries, _observable_rows, _stepped_states
 from .model import E0, ec_operator, hamiltonian_set
 from .protocols import BellLabel, bell_with_empty_hub
-from .qalg import Operator, PureState, embed, ket, max_abs, pauli, tensor
+from .qalg import Operator, PureState, embed, expectation, ket, max_abs, pauli, tensor
 
 # Most drive steps one drive, or one sweep over all its jobs, may demand:
 # adiabatic --jtau 16384 --samples 2 exactly, under 1 s of stepping on a
@@ -81,9 +81,9 @@ def interpolation_parts():
     return h_initial, h_middle, h_final
 
 
-def _part_weights(spec: AdiabaticSpec, s_values: np.ndarray):
+def _part_weights(schedule: Schedule, s_values: np.ndarray):
     """Weights 1-f, (1-f)f and f of the three interpolation parts at each s."""
-    f = schedule_value(spec.schedule, s_values)
+    f = schedule_value(schedule, s_values)
     return 1.0 - f, (1.0 - f) * f, f
 
 
@@ -92,13 +92,12 @@ def _part_weights(spec: AdiabaticSpec, s_values: np.ndarray):
 _EXCITATION_SECTORS = tuple([i for i in range(8) if bin(i).count("1") == k] for k in range(4))
 
 
-def _ht_stack(spec: AdiabaticSpec, s_values: np.ndarray,
-              sector=tuple(range(8))) -> np.ndarray:
+def _ht_stack(schedule: Schedule, s_values: np.ndarray, sector=tuple(range(8))) -> np.ndarray:
     """Real drive Hamiltonians [1-f]H_i + [1-f]f H_m + f H_f, one per s in
     ``s_values``, on the computational states ``sector`` (all eight by default)."""
     block = np.ix_(sector, sector)
     return sum(w[:, None, None] * h.matrix.real[block]
-               for w, h in zip(_part_weights(spec, s_values), interpolation_parts()))
+               for w, h in zip(_part_weights(schedule, s_values), interpolation_parts()))
 
 
 def parity_operator() -> Operator:
@@ -134,16 +133,14 @@ class ParityCheckReport:
     passed: bool
 
 
-def parity_check(spec: AdiabaticSpec) -> ParityCheckReport:
+def parity_check(schedule: Schedule) -> ParityCheckReport:
     """Largest |[H(s), parity]| over 33 uniform s (passes at <= 1e-12), and
     the parity sectors of the stored, target and forbidden states."""
     parity = parity_operator()
-    stack = _ht_stack(spec, np.linspace(0.0, 1.0, 33))
+    stack = _ht_stack(schedule, np.linspace(0.0, 1.0, 33))
     worst = max_abs(stack @ parity.matrix - parity.matrix @ stack)
-    signs = []
-    for state in (storage_state(), target_state(), forbidden_state()):
-        signs.append(float(np.vdot(state.amplitudes, parity.matrix @ state.amplitudes).real))
-    p_init, p_target, p_forbidden = signs
+    p_init, p_target, p_forbidden = (expectation(parity, psi) for psi in
+                                     (storage_state(), target_state(), forbidden_state()))
     same = abs(p_init - p_target) <= 1e-9
     opposite = abs(p_init + p_forbidden) <= 1e-9
     return ParityCheckReport(
@@ -152,10 +149,10 @@ def parity_check(spec: AdiabaticSpec) -> ParityCheckReport:
     )
 
 
-def min_sector_gap(spec: AdiabaticSpec) -> float:
+def min_sector_gap(schedule: Schedule) -> float:
     """Minimum gap between the stored cell's branch, the ground branch of the
     one-excitation sector, and the rest of that sector, on 257 uniform s."""
-    energies, _ = _sector_branches(spec, np.linspace(0.0, 1.0, 257), _EXCITATION_SECTORS[1])
+    energies, _ = _sector_branches(schedule, np.linspace(0.0, 1.0, 257), _EXCITATION_SECTORS[1])
     return float(np.min(energies[:, 1] - energies[:, 0]))
 
 
@@ -205,7 +202,7 @@ def _drive_states(spec: AdiabaticSpec, amplitudes: np.ndarray, n_samples: int,
     drive, returning the (n_samples, len(sector)) states at uniform times,
     after ``_drive_steps`` steps whatever the sector."""
     n_steps = _drive_steps(spec, n_samples)
-    return _stepped_states(lambda s: _ht_stack(spec, s, sector), amplitudes, spec.jtau,
+    return _stepped_states(lambda s: _ht_stack(spec.schedule, s, sector), amplitudes, spec.jtau,
                            n_steps, n_steps // (n_samples - 1))
 
 
@@ -226,7 +223,7 @@ def run_discharge(spec: AdiabaticSpec, n_samples: int = 513) -> DischargeReport:
     charge_channel = _observable_rows(states, hs.h0_hub.matrix[block]) - hs.e_empty
     currents = [_observable_rows(states, ec_operator(hs.h0_hub, h).matrix[block])
                 for h in interpolation_parts()]
-    ec_channel = sum(w * c for w, c in zip(_part_weights(spec, times / spec.jtau), currents))
+    ec_channel = sum(map(np.multiply, _part_weights(spec.schedule, times / spec.jtau), currents))
     parity_channel = _observable_rows(states, parity_operator().matrix[block])
     fidelity_channel = np.abs(states @ target_state().amplitudes[sector].conj()) ** 2
 
@@ -237,7 +234,7 @@ def run_discharge(spec: AdiabaticSpec, n_samples: int = 513) -> DischargeReport:
     })
     return DischargeReport(
         final_charge=float(charge_channel[-1]),
-        min_gap_sector=min_sector_gap(spec),
+        min_gap_sector=min_sector_gap(spec.schedule),
         ec_tail=float(tail.max()),
         series=series,
     )
@@ -330,7 +327,7 @@ def _align_group(target: np.ndarray, columns: np.ndarray) -> np.ndarray:
     return columns @ (u_l @ u_r)
 
 
-def _sector_branches(spec: AdiabaticSpec, s_values: np.ndarray, sector):
+def _sector_branches(schedule: Schedule, s_values: np.ndarray, sector):
     """Eigen-branches of the drive on the computational states ``sector``:
     energies (nt, d) and real eigenvectors (nt, d, d), in ascending order.
 
@@ -340,7 +337,7 @@ def _sector_branches(spec: AdiabaticSpec, s_values: np.ndarray, sector):
     levels of those sectors meet at s = 1, where the solver's mixture of each
     degenerate group is rotated onto the previous sample.
     """
-    w, v = np.linalg.eigh(_ht_stack(spec, s_values, sector))
+    w, v = np.linalg.eigh(_ht_stack(schedule, s_values, sector))
     scale = np.abs(w).max(axis=1, keepdims=True)
     touching = np.any(np.diff(w, axis=1) <= 1e-12 * scale, axis=1)
     for k in np.nonzero(touching[1:])[0] + 1:
@@ -358,7 +355,7 @@ def adiabatic_decomposition(spec: AdiabaticSpec, psi0: PureState) -> AdiabaticDe
     energies, vectors = [], []
     for sector in _EXCITATION_SECTORS:
         if np.sum(np.abs(psi0.amplitudes[sector]) ** 2) > 1e-12:
-            w, v = _sector_branches(spec, times / spec.jtau, sector)
+            w, v = _sector_branches(spec.schedule, times / spec.jtau, sector)
             energies.append(w.T)
             vectors.append(np.eye(8)[:, sector] @ v)  # exact zeros off the sector
     energies = np.concatenate(energies)          # (n_branches, nt)

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, fields
+from functools import cache
 
 import numpy as np
 
@@ -206,6 +207,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()`` once per process: parse_args keeps no state in the parser."""
+    return build_parser()
+
+
 # ----------------------------------------------------------------------
 # Subcommand handlers; each returns the table to emit, {name: column}.
 
@@ -289,7 +296,7 @@ def _cmd_single_particle(cfg: RunConfig, args) -> dict:
     tmax = args.tmax if args.tmax is not None else 2 * SINGLE_PARTICLE_TRANSFER_TIME
     _check_run("tmax", tmax, args.samples)
     series = single_particle_trajectory(tmax, args.samples)
-    closed = [protocols.single_particle_baseline(t) / E0 for t in series.times]
+    closed = np.array([protocols.single_particle_baseline(t) / E0 for t in series.times])
     return _series_table(series, closed_form_over_E0=closed)
 
 
@@ -357,9 +364,8 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exit_code:
         return int(exit_code.code or 0)
     try:

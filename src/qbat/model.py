@@ -12,6 +12,7 @@ and times in 1/J.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -73,7 +74,14 @@ def charging_hamiltonian() -> Operator:
 
 def hamiltonian_set() -> HamiltonianSet:
     """Bare battery and hub Hamiltonians plus the charging Hamiltonian, all on
-    the cell's space; ``e_empty`` is the hub ground energy, -hbar*omega."""
+    the cell's space; ``e_empty`` is the hub ground energy, -hbar*omega.  Built
+    once per process and shared, as the set is frozen and its arrays read-only;
+    a plain function, so that the benchmark's tracer can wrap it."""
+    return _cell_hamiltonians()
+
+
+@cache
+def _cell_hamiltonians() -> HamiltonianSet:
     term = qubit_energy_term()
     return HamiltonianSet(h0_battery=embed(term, [0], 3) + embed(term, [1], 3),
                           h0_hub=embed(term, [2], 3), h_charging=charging_hamiltonian())

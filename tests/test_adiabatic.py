@@ -41,16 +41,16 @@ def test_schedule_endpoints_exact():
         assert schedule_value(schedule, 1.0) == 1.0
 
 
-def _ht(spec, s):
+def _ht(schedule, s):
     """Drive Hamiltonian matrix at progress s."""
-    return _ht_stack(spec, np.array([s]))[0]
+    return _ht_stack(schedule, np.array([s]))[0]
 
 
 def test_ht_stack_endpoints():
-    spec = AdiabaticSpec(5.0)
     h_i, h_m, h_f = interpolation_parts()
-    assert np.abs(_ht(spec, 0.0) - h_i.matrix).max() == 0.0
-    assert np.abs(_ht(spec, 1.0) - h_f.matrix).max() == 0.0
+    for schedule in Schedule:
+        assert np.abs(_ht(schedule, 0.0) - h_i.matrix).max() == 0.0
+        assert np.abs(_ht(schedule, 1.0) - h_f.matrix).max() == 0.0
 
 
 def test_interpolation_parts_match_hand_built():
@@ -84,9 +84,10 @@ def test_initial_ground_state_is_stored_cell():
 
 
 def test_parity_check():
-    report = parity_check(AdiabaticSpec(3.0))
-    assert report.passed
-    assert report.max_commutator_norm <= 1e-12
+    for schedule in Schedule:
+        report = parity_check(schedule)
+        assert report.passed
+        assert report.max_commutator_norm <= 1e-12
     pi_z = parity_operator()
     assert np.abs(pi_z.matrix @ pi_z.matrix - np.eye(8)).max() <= 1e-15
     p_init, p_target, p_forbidden = (np.vdot(psi.amplitudes, pi_z.matrix @ psi.amplitudes).real
@@ -96,15 +97,14 @@ def test_parity_check():
 
 
 def test_parity_commutes_at_spot_values():
-    spec = AdiabaticSpec(2.0, Schedule.SMOOTHSTEP)
     pi_z = parity_operator().matrix
     for s in (0.0, 0.31, 0.5, 0.77, 1.0):
-        h = _ht(spec, s)
+        h = _ht(Schedule.SMOOTHSTEP, s)
         assert np.abs(h @ pi_z - pi_z @ h).max() <= 1e-12
 
 
 def test_min_sector_gap_positive():
-    gap = min_sector_gap(AdiabaticSpec(1.0))
+    gap = min_sector_gap(Schedule.LINEAR)
     assert gap > 0.5  # measured ~0.66 hbar*J
 
 
@@ -161,7 +161,7 @@ def test_rate_prediction_zero_for_single_eigenspace():
 
 
 def _two_branch_state(spec):
-    h0 = _ht(spec, 0.0)
+    h0 = _ht(spec.schedule, 0.0)
     odd = [0b001, 0b010, 0b100, 0b111]
     w, v = np.linalg.eigh(h0[np.ix_(odd, odd)])
     amps = np.zeros(8, dtype=complex)
@@ -232,7 +232,7 @@ def _first_order_current(spec, s):
     # dH/ds = f'(s) (-H_i + (1 - 2f) H_m + H_f)
     sector = _EXCITATION_SECTORS[1]
     block = np.ix_(sector, sector)
-    w, v = _sector_branches(spec, s, sector)
+    w, v = _sector_branches(spec.schedule, s, sector)
     f = schedule_value(spec.schedule, s)[:, None, None]
     h_i, h_m, h_f = (h.matrix.real[block] for h in interpolation_parts())
     dh = _schedule_slope(spec.schedule, s)[:, None, None] * (-h_i + (1.0 - 2.0 * f) * h_m + h_f)
@@ -274,7 +274,7 @@ def test_ec_operator_at_closed_form():
     for s in (0.0, 0.3, 0.5, 0.9, 1.0):
         f = float(schedule_value(spec.schedule, s))
         expected = (1 - f) * f * 2.0 * (kron(I2, Y, X) - kron(I2, X, Y))
-        p_hat = ec_operator(hs.h0_hub, Operator(3, _ht(spec, s)))
+        p_hat = ec_operator(hs.h0_hub, Operator(3, _ht(spec.schedule, s)))
         assert np.abs(p_hat.matrix - expected).max() <= 1e-12
 
 
@@ -306,7 +306,7 @@ def test_run_discharge_uses_the_dynamics_stepper():
     # the drive and evolve_timedep step the same states
     spec = AdiabaticSpec(6.0, Schedule.SIN_SQUARED)
     report = run_discharge(spec, n_samples=2)
-    psi = evolve_timedep(lambda s: _ht_stack(spec, s), storage_state(), spec.jtau,
+    psi = evolve_timedep(lambda s: _ht_stack(spec.schedule, s), storage_state(), spec.jtau,
                          n_steps=math.ceil(STEPS_PER_UNIT_JT * spec.jtau))
     fidelity = abs(np.vdot(target_state().amplitudes, psi.amplitudes)) ** 2
     assert report.final_charge == pytest.approx(charge(psi, hamiltonian_set()),
@@ -333,7 +333,7 @@ def test_discharge_invariants_property(jtau, schedule, samples_per_jt):
     # formed at each sample time
     hs = hamiltonian_set()
     h0 = hs.h0_hub.matrix
-    h = _ht_stack(spec, series.times / spec.jtau)
+    h = _ht_stack(spec.schedule, series.times / spec.jtau)
     oracle = {
         "charge": dynamics._observable_rows(full, h0) - hs.e_empty,
         "ec": np.einsum("ki,kij,kj->k", full.conj(), (h0 @ h - h @ h0) / 1j, full).real,
@@ -393,9 +393,8 @@ def test_sector_gaps_on_the_f_grid():
     # is branch order for every schedule; the lower gap bottoms out at
     # 0.6606 near f = 0.63
     f = np.linspace(0.0, 1.0, 100_000, endpoint=False)
-    spec = AdiabaticSpec(1.0)  # linear schedule: f = s
-    for sector in _EXCITATION_SECTORS[1:3]:
-        gaps = np.diff(np.linalg.eigvalsh(_ht_stack(spec, f, sector)), axis=1)
+    for sector in _EXCITATION_SECTORS[1:3]:  # linear schedule: f = s
+        gaps = np.diff(np.linalg.eigvalsh(_ht_stack(Schedule.LINEAR, f, sector)), axis=1)
         assert np.all(gaps >= 1.5 * (1.0 - f)[:, None])
         assert gaps[:, 0].min() == pytest.approx(0.6606, rel=1e-4)
         assert f[np.argmin(gaps[:, 0])] == pytest.approx(0.63, abs=0.01)
@@ -438,8 +437,8 @@ def _track_parity_block(stack, basis):
     return w.T, np.einsum("ia,kab->kib", basis, v), quality
 
 
-def _parity_block_gap(spec):
-    stack = _ht_stack(spec, np.linspace(0.0, 1.0, 257))
+def _parity_block_gap(schedule):
+    stack = _ht_stack(schedule, np.linspace(0.0, 1.0, 257))
     energies, vectors, _ = _track_parity_block(stack, _parity_basis(True))
     n = int(np.argmax(np.abs(vectors[0].conj().T @ storage_state().amplitudes)))
     return float(np.min(np.abs(np.delete(energies, n, axis=0) - energies[n])))
@@ -450,7 +449,7 @@ def _parity_block_prediction(spec, psi0, n_samples):
     # 4-dim block can mix |001> and |111> at s = 0, so pairs within one
     # degenerate eigenspace of H(0) are left out
     times = np.linspace(0.0, spec.jtau, n_samples)
-    stack = _ht_stack(spec, times / spec.jtau)
+    stack = _ht_stack(spec.schedule, times / spec.jtau)
     odd, even = (_track_parity_block(stack, _parity_basis(odd)) for odd in (True, False))
     energies = np.concatenate([odd[0], even[0]], axis=0)
     vectors = np.concatenate([odd[1], even[1]], axis=2)
@@ -491,4 +490,4 @@ def test_sector_branches_match_the_parity_block_tracker(schedule, jtau, n_sample
         prediction = adiabatic_rate_prediction(adiabatic_decomposition(spec, psi0))
     oracle = _parity_block_prediction(spec, psi0, n_samples)
     assert np.abs(prediction - oracle).max() <= 1e-12
-    assert abs(min_sector_gap(spec) - _parity_block_gap(spec)) <= 1e-12
+    assert abs(min_sector_gap(schedule) - _parity_block_gap(schedule)) <= 1e-12

@@ -199,6 +199,41 @@ def test_output_files_are_byte_identical(tmp_path, capsys):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+# Short calls that share one parser within a process: every command line of
+# the benchmark's `calls` mix, then lines setting the flags those leave at
+# their defaults, and one usage error.
+_REUSE_LINES = [
+    ["discharge", "--bell", "10"],
+    ["discharge", "--bell", "11"],
+    ["discharge", "--bell", "11", "--gate", "full"],
+    ["discharge", "--bell", "11", "--gate", "half", "--gate-qubit", "2"],
+    ["discharge", "--bell", "10", "--samples", "17"],
+    ["trap-check"],
+    ["single-particle"],
+    ["separable", "--grid", "101"],
+    ["separable", "--grid", "5"],
+    ["ncell", "--plan", "f,H,h"],
+    ["discharge", "--bell", "01", "--gate", "half", "--tmax", "0.5", "--samples", "9",
+     "--format", "json"],
+    ["single-particle", "--tmax", "1.5", "--samples", "17", "--format", "json"],
+    ["trap-scan", "--samples", "40", "--seed", "9", "--tol", "0.5"],
+    ["separable", "--grid", "4", "--seed", "3", "--format", "json"],
+    ["discharge", "--bell", "12"],
+]
+
+
+@pytest.mark.parametrize("line", _REUSE_LINES, ids=" ".join)
+def test_a_reused_parser_leaks_nothing_between_calls(capsys, line):
+    # main parses every call with the process's one parser; after any other
+    # line, this one writes the same bytes and exit code as on a fresh parser
+    cli._parser.cache_clear()
+    alone = run_cli(line, capsys)
+    assert alone[0] == (2 if line[-1] == "12" else 0)
+    for before in _REUSE_LINES:
+        run_cli(before, capsys)
+        assert run_cli(line, capsys) == alone, before
+
+
 def test_config_file_and_flag_override(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "qbat.json").write_text(json.dumps({"format": "json", "seed": 9}))

@@ -186,7 +186,7 @@ def test_stepper_converges_at_fourth_order(case):
         spec = AdiabaticSpec(4.0, Schedule.SIN_SQUARED)
 
         def h_stack(s):
-            return _ht_stack(spec, s)
+            return _ht_stack(spec.schedule, s)
 
         psi0, tau = storage_state().amplitudes, spec.jtau
     final = {n: _stepped_states(h_stack, psi0, tau, n, n)[-1] for n in (32, 64, 1024)}
@@ -382,7 +382,7 @@ def test_default_stepping_is_converged(hs):
     spec = AdiabaticSpec(20.0, Schedule.SMOOTHSTEP)
 
     def h_stack(s):
-        return _ht_stack(spec, s)
+        return _ht_stack(spec.schedule, s)
 
     psi0 = bell_with_empty_hub(BellLabel(1, 1))
     base = evolve_timedep(h_stack, psi0, spec.jtau,

@@ -8,6 +8,7 @@ from qbat.model import (
     charge,
     ec_operator,
     ergotropy,
+    hamiltonian_set,
     qubit_energy_term,
 )
 from qbat.protocols import BellLabel, bell_state, bell_with_empty_hub
@@ -43,6 +44,19 @@ def test_charging_hamiltonian_matches_hand_built(hs):
     assert hs.h_charging.matrix[int("001", 2), int("010", 2)] == pytest.approx(2.0)
     zero = hs.h_charging.matrix @ ket("000").amplitudes
     assert np.abs(zero).max() == 0.0
+
+
+def test_hamiltonian_set_is_shared_and_read_only():
+    # every caller in a process gets the same set, which is safe because
+    # nothing in it can be changed
+    hs = hamiltonian_set()
+    assert hs is hamiltonian_set()
+    for op in (hs.h0_battery, hs.h0_hub, hs.h_charging, hs.h0_total):
+        assert op.matrix.flags.writeable is False
+        with pytest.raises(ValueError, match="read-only"):
+            op.matrix[0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        hs.h_charging = hs.h0_hub
 
 
 def test_ec_operator_closed_form(hs, p_hat):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from collections import Counter
 
@@ -288,6 +289,32 @@ def test_separable_sweep_bound():
     interior = sweep.surface_over_e0.copy()
     interior[-1, -1] = -np.inf
     assert interior.max() <= 1.0 - 1e-4
+
+
+def test_separable_cross_check_raises_on_a_wrong_law(monkeypatch):
+    separable_sweep(5)  # law and simulation agree
+    # a law off by 1e-8 in g is off by 2e-8 E0 everywhere; the error names the
+    # first of the 24 sampled grid points
+    first = np.random.default_rng(42).choice(25, size=24, replace=False)[0]
+    i, j = divmod(int(first), 5)
+    betas = np.linspace(0.0, 1.0, 5)
+    monkeypatch.setattr(protocols, "transfer_fraction", lambda rho: transfer_fraction(rho) + 1e-8)
+    with pytest.raises(RuntimeError, match=re.escape(f"beta=({betas[i]}, {betas[j]})")):
+        separable_sweep(5)
+
+
+def test_separable_cross_check_diagonalises_once(monkeypatch):
+    calls = Counter()
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls["eigh"] += 1
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    for grid_n in (2, 5, 101):
+        separable_sweep(grid_n)
+    assert calls["eigh"] == 3
 
 
 def test_single_particle_baseline():

@@ -34,7 +34,6 @@ from .model import (
     E0,
     HamiltonianSet,
     charge,
-    charging_hamiltonian,
     ec_operator,
     ergotropy,
     hamiltonian_set,

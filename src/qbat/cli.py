@@ -262,7 +262,7 @@ def _cmd_trap_check(cfg: RunConfig, args) -> dict:
              "residual_h_hbar_J", "residual_p_hbar_omega_J", "trapped")
     rows = []
     for label, psi in states:
-        r = trapping_check(hs.h_charging, hs, psi, tol=args.tol)
+        r = trapping_check(psi, hs, tol=args.tol)
         rows.append((label, r.is_h_eigenstate, r.h_eigenvalue, r.ec_value,
                      r.residual_h, r.residual_p, r.trapped))
     return dict(zip(names, zip(*rows)))

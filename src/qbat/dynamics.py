@@ -85,6 +85,8 @@ def _spectral(h: Operator, x: np.ndarray, times) -> np.ndarray:
 
 def evolve_static(h: Operator, psi0: PureState, t: float) -> PureState:
     """exp(-i H t)|psi0> for constant H, exact to machine precision."""
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     return PureState(psi0.n_qubits, _spectral(h, psi0.amplitudes, [t])[0])
 
 
@@ -145,8 +147,8 @@ def evolve_timedep(h_stack: HStack, psi0: PureState, tau: float, n_steps: int) -
     ``h_stack`` maps an array of s = t/tau values in [0, 1] to the (m, d, d)
     stack of Hamiltonian matrices at those s, as ``adiabatic._ht_stack`` does.
     """
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
+    if not 0 <= tau < math.inf:
+        raise ValueError(f"tau must be finite and >= 0, got {tau}")
     if tau == 0:
         return psi0
     if n_steps < 1:
@@ -172,8 +174,8 @@ def sample_trajectory(h: Operator, psi0: PureState, t_final: float, n_samples: i
     """
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
-    if not t_final > 0:
-        raise ValueError(f"t_final must be > 0, got {t_final}")
+    if not 0 < t_final < math.inf:
+        raise ValueError(f"t_final must be finite and > 0, got {t_final}")
     times = np.linspace(0.0, t_final, n_samples)
     states = _spectral(h, psi0.amplitudes, times)
     charge_channel = _observable_rows(states, hs.h0_hub.matrix) - hs.e_empty
@@ -192,8 +194,10 @@ def collective_dephasing_fixpoint(rho: DensityMatrix, gamma: float, t: float) ->
     m and m' decays as exp(-gamma * t * (m - m')**2 / 2).  States supported on
     the zero-eigenvalue subspace span{|01>, |10>} are left untouched.
     """
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    if not 0 <= gamma < math.inf:
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     if rho.n_qubits != 2:
         raise ValueError(f"expected a two-qubit battery state, got {rho.n_qubits} qubits")
     m = np.array([2.0, 0.0, 0.0, -2.0])  # collective z of |00>, |01>, |10>, |11>

@@ -11,28 +11,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
 
 import numpy as np
 
-from .dynamics import TimeSeries, _observable_rows, _spectral, evolve_static, sample_trajectory
-from .model import (
-    E0,
-    HamiltonianSet,
-    charge,
-    ec_operator,
-    hamiltonian_set,
-    qubit_energy_term,
-)
+from .dynamics import TimeSeries, _observable_rows, _spectral, sample_trajectory
+from .model import E0, HamiltonianSet, _xy_cell, hamiltonian_set
 from .qalg import (
     DensityMatrix,
-    Operator,
     PureState,
     embed,
     ket,
     max_abs,
     pauli,
-    tensor,
     trace_distance,
 )
 
@@ -122,23 +112,23 @@ class TrapReport:
     residual_p: float
 
 
-def trapping_check(h_int: Operator, hs: HamiltonianSet, psi: PureState,
-                   tol: float = 1e-10) -> TrapReport:
-    """Test whether ``psi`` keeps the battery energy locked under ``h_int``.
+def trapping_check(psi: PureState, hs: HamiltonianSet, tol: float = 1e-10) -> TrapReport:
+    """Test whether ``psi`` keeps the battery energy locked under the coupling
+    ``hs.h_charging``, whose energy current is ``hs.current``.
 
-    ``tol`` is relative to the operators' scale: the eigen-residual of
-    ``h_int`` is compared with tol * max|H|, the current and its residual
+    ``tol`` is relative to the operators' scale: the eigen-residual of the
+    coupling is compared with tol * max|H|, the current and its residual
     with tol * max|P_hat|.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
+    h_int, p_hat = hs.h_charging, hs.current
     if h_int.dim != psi.dim:
         raise ValueError(f"dimension mismatch: operator {h_int.dim}, state {psi.dim}")
     amps = psi.amplitudes
     h_psi = h_int.matrix @ amps
     h_value = float(np.vdot(amps, h_psi).real)
     residual_h = float(np.linalg.norm(h_psi - h_value * amps))
-    p_hat = ec_operator(hs.h0_hub, h_int)
     p_psi = p_hat.matrix @ amps
     ec_value = float(np.vdot(amps, p_psi).real)
     residual_p = float(np.linalg.norm(p_psi))
@@ -354,16 +344,12 @@ def single_particle_baseline(t: float) -> float:
     return E0 * math.sin(2.0 * t) ** 2
 
 
-@cache
 def single_particle_system() -> HamiltonianSet:
     """Two-qubit model (battery, hub) for the single-particle baseline.
 
     The battery qubit is site 0, the hub site 1.
     """
-    term = qubit_energy_term()
-    xy = tensor(pauli("x"), pauli("x")) + tensor(pauli("y"), pauli("y"))
-    return HamiltonianSet(h0_battery=embed(term, [0], 2), h0_hub=embed(term, [1], 2),
-                          h_charging=xy)
+    return _xy_cell(1)
 
 
 def single_particle_trajectory(t_final: float, n_samples: int) -> TimeSeries:
@@ -431,12 +417,14 @@ def ncell_plan_energy(plan: NCellPlan):
     """Energy delivered by each cell at the transfer time, plus the total.
 
     Cells are uncoupled and identical, so each distinct action is simulated
-    once as a three-qubit block.  Holds deliver nothing, half actions one
-    quantum (hbar*omega), full actions two.
+    once as a three-qubit block, all of them in one solve.  Holds deliver
+    nothing, half actions one quantum (hbar*omega), full actions two.
     """
     hs = hamiltonian_set()
-    delivered = {action: float(charge(evolve_static(hs.h_charging, cell_state_after_action(action),
-                                                    DISCHARGE_TIME), hs))
-                 for action in set(plan.actions)}
+    actions = list(dict.fromkeys(plan.actions))
+    cells = np.stack([cell_state_after_action(action).amplitudes for action in actions], axis=1)
+    final = _spectral(hs.h_charging, cells, [DISCHARGE_TIME])[0].T
+    charges = _observable_rows(final, hs.h0_hub.matrix) - hs.e_empty
+    delivered = dict(zip(actions, charges.tolist()))
     per_cell = tuple(delivered[action] for action in plan.actions)
     return float(sum(per_cell)), per_cell

@@ -1,7 +1,6 @@
 import pytest
 
 from qbat.model import hamiltonian_set
-from qbat.model import ec_operator as _ec_operator
 
 
 @pytest.fixture(scope="session")
@@ -11,4 +10,4 @@ def hs():
 
 @pytest.fixture(scope="session")
 def p_hat(hs):
-    return _ec_operator(hs.h0_hub, hs.h_charging)
+    return hs.current

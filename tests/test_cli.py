@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qbat import adiabatic, cli, dynamics
+from qbat import adiabatic, cli, dynamics, model
 from qbat.adiabatic import MAX_STEPS, AdiabaticSpec, _drive_steps, _step_demand
 from qbat.cli import MAX_JT, MAX_ROWS, main
 from qbat.dynamics import STEPS_PER_UNIT_JT
@@ -119,6 +119,23 @@ def test_trap_check_table(capsys):
     assert rows["bell_11"]["trapped"] == "true"
     assert rows["bell_10"]["trapped"] == "false"
     assert rows["empty_000"]["trapped"] == "true"
+
+
+def test_trap_check_builds_the_current_once(capsys, monkeypatch):
+    # the five checks of a call, and later calls, read the current kept on
+    # the shared set; drop it first, so this call has to build it
+    monkeypatch.delitem(vars(model.hamiltonian_set()), "current", raising=False)
+    calls = []
+    ec_operator = model.ec_operator
+
+    def counted(*args):
+        calls.append(args)
+        return ec_operator(*args)
+
+    monkeypatch.setattr(model, "ec_operator", counted)
+    first = run_cli(["trap-check"], capsys)
+    assert run_cli(["trap-check"], capsys) == first
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("rates", [

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from qbat.dynamics import (
     evolve_timedep,
     sample_trajectory,
 )
-from qbat.protocols import BellLabel, bell_state, bell_with_empty_hub
+from qbat.protocols import BellLabel, bell_state, bell_with_empty_hub, single_particle_trajectory
 from qbat.qalg import DensityMatrix, Operator, PureState, embed, expectation, ket, pauli
 
 from oracles import I2, X, Y, Z, kron
@@ -402,6 +403,43 @@ def test_sample_trajectory_validation(hs):
         sample_trajectory(hs.h_charging, psi0, TAUD, 1, hs)
     with pytest.raises(ValueError):
         sample_trajectory(hs.h_charging, psi0, 0.0, 8, hs)
+
+
+def _time_calls():
+    bell = bell_with_empty_hub(BellLabel(1, 0))
+    coherent = bell_state(BellLabel(0, 0)).density()
+
+    def constant(hs):
+        return lambda s: np.broadcast_to(hs.h_charging.matrix, (len(s), 8, 8))
+
+    return {
+        "t_final": lambda hs, x: sample_trajectory(hs.h_charging, bell, x, 5, hs),
+        "t_final (single particle)": lambda hs, x: single_particle_trajectory(x, 5),
+        "t": lambda hs, x: evolve_static(hs.h_charging, bell, x),
+        "tau": lambda hs, x: evolve_timedep(constant(hs), bell, x, 8),
+        "t (dephasing)": lambda hs, x: collective_dephasing_fixpoint(coherent, 1.0, x),
+        "gamma": lambda hs, x: collective_dephasing_fixpoint(coherent, x, 1.0),
+    }
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", list(_time_calls()))
+def test_time_arguments_must_be_finite(hs, name, value):
+    # rejected up front, naming the argument, instead of warning, raising
+    # LinAlgError or returning a state of nans
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name.split()[0]} must be finite"):
+            _time_calls()[name](hs, value)
+
+
+@pytest.mark.parametrize("label", [BellLabel(0, 0), BellLabel(1, 1)])
+def test_dephasing_rejects_negative_time(label):
+    # a negative t used to raise "eigenvalue below -1e-10" for |00> + |11>,
+    # and pass silently for the singlet, which the channel leaves untouched
+    rho = bell_state(label).density()
+    with pytest.raises(ValueError, match="^t must be finite and >= 0"):
+        collective_dephasing_fixpoint(rho, 1.0, -1.0)
 
 
 def test_dephasing_preserves_whole_dfs():

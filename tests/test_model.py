@@ -11,7 +11,7 @@ from qbat.model import (
     hamiltonian_set,
     qubit_energy_term,
 )
-from qbat.protocols import BellLabel, bell_state, bell_with_empty_hub
+from qbat.protocols import BellLabel, bell_state, bell_with_empty_hub, single_particle_system
 from qbat.qalg import (
     DensityMatrix,
     PureState,
@@ -44,6 +44,34 @@ def test_charging_hamiltonian_matches_hand_built(hs):
     assert hs.h_charging.matrix[int("001", 2), int("010", 2)] == pytest.approx(2.0)
     zero = hs.h_charging.matrix @ ket("000").amplitudes
     assert np.abs(zero).max() == 0.0
+
+
+_RAW_CELLS = {
+    # battery qubits 0 .. n-1, hub last: (h0_battery, h0_hub, h_charging)
+    1: (kron(raw_bare(), I2), kron(I2, raw_bare()), kron(X, X) + kron(Y, Y)),
+    2: (kron(raw_bare(), I2, I2) + kron(I2, raw_bare(), I2), kron(I2, I2, raw_bare()),
+        raw_cell_coupling()),
+}
+
+
+@pytest.mark.parametrize("cell", [single_particle_system, hamiltonian_set])
+def test_xy_cells_equal_the_raw_kron_oracles(cell):
+    hs = cell()
+    h0_battery, h0_hub, h_charging = _RAW_CELLS[hs.h0_hub.n_qubits - 1]
+    assert np.array_equal(hs.h0_battery.matrix, h0_battery)
+    assert np.array_equal(hs.h0_hub.matrix, h0_hub)
+    assert np.array_equal(hs.h_charging.matrix, h_charging)
+    assert hs.e_empty == -1.0
+
+
+def test_current_is_kept_on_the_set():
+    hs = hamiltonian_set()
+    assert hs.current is hamiltonian_set().current
+    assert hs.current.matrix.tobytes() == ec_operator(hs.h0_hub, hs.h_charging).matrix.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        hs.current.matrix[0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        hs.current = hs.h0_hub
 
 
 def test_hamiltonian_set_is_shared_and_read_only():

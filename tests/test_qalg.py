@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -84,6 +86,20 @@ def test_eigh_battery_pair_ground():
 def test_operator_rejects_non_hermitian():
     with pytest.raises(ValueError, match="^operator matrix is not hermitian within 1e-12$"):
         Operator(1, np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, np.nan * 1j])
+@pytest.mark.parametrize("build", [
+    lambda bad: PureState(1, [bad, 0]),
+    lambda bad: Operator(1, [[bad, 0], [0, 1]]),
+    lambda bad: DensityMatrix(1, [[bad, 0], [0, 1]]),
+], ids=["PureState", "Operator", "DensityMatrix"])
+def test_value_types_reject_non_finite_entries(build, bad):
+    # the tolerance checks would pass nan and warn on inf, so this comes first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            build(bad)
 
 
 def test_pure_state_norm_validated():

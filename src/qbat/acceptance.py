@@ -30,6 +30,7 @@ from .protocols import (
     ncell_plan_energy,
     separable_sweep,
     single_particle_system,
+    storage_state,
     switch_gate,
     trapping_uniqueness_scan,
 )
@@ -123,8 +124,7 @@ def ac2_normalization_oracle(seed: int = 42) -> CriterionResult:
 def ac3_trapping(seed: int = 42) -> CriterionResult:
     """The stored singlet keeps zero current and unit fidelity while coupled."""
     hs = hamiltonian_set()
-    series = sample_trajectory(hs.h_charging, bell_with_empty_hub(BellLabel(1, 1)),
-                               2 * DISCHARGE_TIME, 256, hs)
+    series = sample_trajectory(hs.h_charging, storage_state(), 2 * DISCHARGE_TIME, 256, hs)
     max_ec = float(np.abs(series.ec).max())
     min_fid = float(series.extra["fidelity_initial"].min())
     ok = max_ec <= 1e-12 and min_fid >= 1.0 - 1e-12
@@ -147,7 +147,7 @@ def ac4_uniqueness_scan(seed: int = 42) -> CriterionResult:
 def ac5_switch_gates(seed: int = 42) -> CriterionResult:
     """Phase gate releases the full charge, bit flip half, either qubit alike."""
     hs = hamiltonian_set()
-    stored = bell_with_empty_hub(BellLabel(1, 1))
+    stored = storage_state()
     gates = (SwitchGate.FULL_ON_QUBIT1, SwitchGate.FULL_ON_QUBIT2,
              SwitchGate.HALF_ON_QUBIT1, SwitchGate.HALF_ON_QUBIT2)
     cells = np.stack([switch_gate(kind, stored).amplitudes for kind in gates], axis=1)
@@ -257,7 +257,7 @@ def ac9_adiabatic_stability(seed: int = 42) -> CriterionResult:
         return _result("AC-9", "adiabatic stability threshold", False,
                        "charge never saturated on the scanned grid")
 
-    stored = adiabatic.storage_state().amplitudes
+    stored = storage_state().amplitudes
     forbidden = adiabatic.forbidden_state().amplitudes
     full_runs = [adiabatic._drive_states(AdiabaticSpec(t_charge, s), stored,
                                          samples(t_charge)) for s in Schedule]
@@ -292,7 +292,7 @@ def ac10_adiabatic_rate_formula(seed: int = 42) -> CriterionResult:
     """Single-eigenspace data predicts exactly zero; two branches oscillate."""
     spec = AdiabaticSpec(8.0, Schedule.SIN_SQUARED)
     single_pred = adiabatic.adiabatic_rate_prediction(
-        adiabatic.adiabatic_decomposition(spec, adiabatic.storage_state()))
+        adiabatic.adiabatic_decomposition(spec, storage_state()))
     exactly_zero = bool(np.all(single_pred == 0.0))
 
     sector = adiabatic._EXCITATION_SECTORS[1]
@@ -331,7 +331,7 @@ def ac11_integrator(seed: int = 42) -> CriterionResult:
     def h_stack(s):
         return adiabatic._ht_stack(spec.schedule, s)
 
-    psi0 = adiabatic.storage_state()
+    psi0 = storage_state()
     reference = evolve_timedep(h_stack, psi0, spec.jtau, n_steps=4096).amplitudes
     errors = []
     for n_steps in (128, 256):

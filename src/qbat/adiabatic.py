@@ -24,8 +24,8 @@ from functools import cache
 import numpy as np
 
 from .dynamics import STEPS_PER_UNIT_JT, TimeSeries, _observable_rows, _stepped_states
-from .model import E0, ec_operator, hamiltonian_set
-from .protocols import BellLabel, bell_with_empty_hub
+from .model import E0, _xy_exchange, ec_operator, hamiltonian_set
+from .protocols import storage_state
 from .qalg import Operator, PureState, embed, expectation, ket, max_abs, pauli, tensor
 
 # Most drive steps one drive, or one sweep over all its jobs, may demand:
@@ -72,11 +72,9 @@ class AdiabaticSpec:
 def interpolation_parts():
     """The three interpolation Hamiltonians on (battery1, battery2, hub), in
     units of hbar*J."""
-    xx = tensor(pauli("x"), pauli("x"))
-    yy = tensor(pauli("y"), pauli("y"))
     zz = tensor(pauli("z"), pauli("z"))
-    h_initial = embed(xx, [0, 1], 3) + embed(yy, [0, 1], 3)
-    h_middle = h_initial + (embed(xx, [1, 2], 3) + embed(yy, [1, 2], 3))
+    h_initial = _xy_exchange(0, 1, 3)
+    h_middle = h_initial + _xy_exchange(1, 2, 3)
     h_final = embed(zz, [0, 2], 3) + embed(zz, [1, 2], 3)
     return h_initial, h_middle, h_final
 
@@ -103,11 +101,6 @@ def _ht_stack(schedule: Schedule, s_values: np.ndarray, sector=tuple(range(8))) 
 def parity_operator() -> Operator:
     """Three-qubit parity, the product of z on every qubit."""
     return tensor(pauli("z"), pauli("z"), pauli("z"))
-
-
-def storage_state() -> PureState:
-    """Stored cell: singlet battery, empty hub."""
-    return bell_with_empty_hub(BellLabel(1, 1))
 
 
 def target_state() -> PureState:

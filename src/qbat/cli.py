@@ -17,9 +17,10 @@ from functools import cache
 
 import numpy as np
 
-from . import acceptance, adiabatic, dynamics, protocols
+from . import adiabatic, dynamics, protocols
 from ._io import write_rows
 from .adiabatic import AdiabaticSpec, Schedule
+from .dynamics import MAX_JT
 from .model import E0, hamiltonian_set
 from .protocols import (
     DISCHARGE_TIME,
@@ -38,8 +39,6 @@ from .protocols import (
 CONFIG_FILE = "qbat.json"
 # Most output rows any command may produce; checked before any work is done.
 MAX_ROWS = 2**16
-# Longest run in units of 1/J, whose largest phase 2*sqrt(2)*Jt keeps an ulp below 1e-6 rad.
-MAX_JT = 1e9
 # Largest accepted --omega and --j; its inverse is the smallest.  The library
 # computes at omega = J = 1 and every output column is in units of omega and
 # J, so a rate in this band is checked but changes no output.
@@ -160,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="switch gate applied before the evolution")
     p.add_argument("--gate-qubit", type=int, choices=(1, 2), default=1,
                    help="battery qubit the gate acts on (default 1)")
-    p.add_argument("--tmax", type=float, default=None,
+    p.add_argument("--tmax", type=float, default=2 * DISCHARGE_TIME,
                    help="final time in units of 1/J (default two transfer times)")
     p.add_argument("--samples", type=int, default=257)
 
@@ -180,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("single-particle", parents=[common],
                        help="one-qubit battery baseline")
-    p.add_argument("--tmax", type=float, default=None,
+    p.add_argument("--tmax", type=float, default=2 * SINGLE_PARTICLE_TRANSFER_TIME,
                    help="final time in units of 1/J (default two transfer times)")
     p.add_argument("--samples", type=int, default=257)
 
@@ -248,9 +247,9 @@ def _cmd_discharge(cfg: RunConfig, args) -> dict:
     psi0 = bell_with_empty_hub(BellLabel.parse(args.bell))
     if args.gate is not None:
         psi0 = switch_gate(SwitchGate.from_kind(args.gate, args.gate_qubit), psi0)
-    tmax = args.tmax if args.tmax is not None else 2 * DISCHARGE_TIME
-    _check_run("tmax", tmax, args.samples)
-    return _series_table(dynamics.sample_trajectory(hs.h_charging, psi0, tmax, args.samples, hs))
+    _check_run("tmax", args.tmax, args.samples)
+    return _series_table(dynamics.sample_trajectory(hs.h_charging, psi0, args.tmax,
+                                                    args.samples, hs))
 
 
 def _cmd_trap_check(cfg: RunConfig, args) -> dict:
@@ -293,9 +292,8 @@ def _cmd_separable(cfg: RunConfig, args) -> dict:
 
 
 def _cmd_single_particle(cfg: RunConfig, args) -> dict:
-    tmax = args.tmax if args.tmax is not None else 2 * SINGLE_PARTICLE_TRANSFER_TIME
-    _check_run("tmax", tmax, args.samples)
-    series = single_particle_trajectory(tmax, args.samples)
+    _check_run("tmax", args.tmax, args.samples)
+    series = single_particle_trajectory(args.tmax, args.samples)
     closed = np.array([protocols.single_particle_baseline(t) / E0 for t in series.times])
     return _series_table(series, closed_form_over_E0=closed)
 
@@ -341,6 +339,7 @@ def _cmd_sweep_tau(cfg: RunConfig, args) -> dict:
 def _cmd_selftest(cfg: RunConfig, args) -> int:
     if (cfg.omega, cfg.j_coupling) != (1.0, 1.0):
         raise ValueError("selftest runs at omega = J = 1; give no other rate by flag or config")
+    from . import acceptance  # imported here, as no other command runs it
     results = acceptance.run_all(seed=cfg.seed)
     for result in results:
         print(result.line)

@@ -36,6 +36,8 @@ _CHUNK = 2**10
 STEPS_PER_UNIT_JT = 8  # least steps of the drive per unit of dimensionless Jt
 _NODES = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0  # Gauss-Legendre, in units of a step
 _ALPHA, _BETA = 0.25 + math.sqrt(3.0) / 6.0, 0.25 - math.sqrt(3.0) / 6.0
+# Longest run in units of 1/J, whose largest phase 2*sqrt(2)*Jt keeps an ulp below 1e-6 rad.
+MAX_JT = 1e9
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,8 +87,8 @@ def _spectral(h: Operator, x: np.ndarray, times) -> np.ndarray:
 
 def evolve_static(h: Operator, psi0: PureState, t: float) -> PureState:
     """exp(-i H t)|psi0> for constant H, exact to machine precision."""
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
+    if not abs(t) <= MAX_JT:
+        raise ValueError(f"t must be finite, with |t| at most MAX_JT = {MAX_JT:g}, got {t}")
     return PureState(psi0.n_qubits, _spectral(h, psi0.amplitudes, [t])[0])
 
 
@@ -147,8 +149,8 @@ def evolve_timedep(h_stack: HStack, psi0: PureState, tau: float, n_steps: int) -
     ``h_stack`` maps an array of s = t/tau values in [0, 1] to the (m, d, d)
     stack of Hamiltonian matrices at those s, as ``adiabatic._ht_stack`` does.
     """
-    if not 0 <= tau < math.inf:
-        raise ValueError(f"tau must be finite and >= 0, got {tau}")
+    if not 0 <= tau <= MAX_JT:
+        raise ValueError(f"tau must be finite, >= 0 and at most MAX_JT = {MAX_JT:g}, got {tau}")
     if tau == 0:
         return psi0
     if n_steps < 1:
@@ -174,12 +176,14 @@ def sample_trajectory(h: Operator, psi0: PureState, t_final: float, n_samples: i
     """
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
-    if not 0 < t_final < math.inf:
-        raise ValueError(f"t_final must be finite and > 0, got {t_final}")
+    if not 0 < t_final <= MAX_JT:
+        raise ValueError(f"t_final must be finite, > 0 and at most MAX_JT = {MAX_JT:g}, "
+                         f"got {t_final}")
     times = np.linspace(0.0, t_final, n_samples)
     states = _spectral(h, psi0.amplitudes, times)
     charge_channel = _observable_rows(states, hs.h0_hub.matrix) - hs.e_empty
-    ec_channel = _observable_rows(states, ec_operator(hs.h0_hub, h).matrix)
+    p_hat = hs.current if h is hs.h_charging else ec_operator(hs.h0_hub, h)
+    ec_channel = _observable_rows(states, p_hat.matrix)
     fidelity = np.abs(states @ psi0.amplitudes.conj()) ** 2
     return TimeSeries(times, charge_channel, ec_channel,
                       extra={"fidelity_initial": fidelity})
@@ -201,5 +205,7 @@ def collective_dephasing_fixpoint(rho: DensityMatrix, gamma: float, t: float) ->
     if rho.n_qubits != 2:
         raise ValueError(f"expected a two-qubit battery state, got {rho.n_qubits} qubits")
     m = np.array([2.0, 0.0, 0.0, -2.0])  # collective z of |00>, |01>, |10>, |11>
-    decay = np.exp(-gamma * t * np.subtract.outer(m, m) ** 2 / 2.0)
+    # Past gamma t = 373 even the slowest decay, exp(-2 gamma t), is exactly 0, so capping
+    # gamma t at 1e3 changes no result and returns the full-dephasing limit without overflow.
+    decay = np.exp(-min(gamma * t, 1e3) * np.subtract.outer(m, m) ** 2 / 2.0)
     return DensityMatrix(2, rho.entries * decay)

@@ -81,13 +81,16 @@ def _xy_cell(n_battery: int) -> HamiltonianSet:
     closed-form discharge laws.  ``_xy_cell(1)`` is the single-particle model."""
     n, hub = n_battery + 1, n_battery
     term = qubit_energy_term()
-    xx = tensor(pauli("x"), pauli("x"))
-    yy = tensor(pauli("y"), pauli("y"))
     return HamiltonianSet(
         h0_battery=reduce(add, [embed(term, [b], n) for b in range(n_battery)]),
         h0_hub=embed(term, [hub], n),
-        h_charging=reduce(add, [embed(xx, [b, hub], n) + embed(yy, [b, hub], n)
-                                for b in range(n_battery)]))
+        h_charging=reduce(add, [_xy_exchange(b, hub, n) for b in range(n_battery)]))
+
+
+def _xy_exchange(i: int, j: int, n: int) -> Operator:
+    """XY exchange x_i x_j + y_i y_j of sites i, j of n qubits (hbar*J units)."""
+    return (embed(tensor(pauli("x"), pauli("x")), [i, j], n)
+            + embed(tensor(pauli("y"), pauli("y")), [i, j], n))
 
 
 def ec_operator(h0_hub: Operator, h_int: Operator) -> Operator:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 import numpy as np
 
@@ -273,11 +274,9 @@ class SwitchGate(Enum):
 
     @classmethod
     def from_kind(cls, kind: str, qubit: int) -> "SwitchGate":
-        table = {("half", 1): cls.HALF_ON_QUBIT1, ("half", 2): cls.HALF_ON_QUBIT2,
-                 ("full", 1): cls.FULL_ON_QUBIT1, ("full", 2): cls.FULL_ON_QUBIT2}
         try:
-            return table[(kind, qubit)]
-        except KeyError:
+            return cls(({"half": "x", "full": "z"}[kind], qubit - 1))
+        except (KeyError, ValueError):
             raise ValueError(f"unknown switch gate kind={kind!r} qubit={qubit}") from None
 
 
@@ -405,12 +404,17 @@ _GATE_FOR_ACTION = {CellAction.HALF: SwitchGate.HALF_ON_QUBIT1,
                     CellAction.FULL: SwitchGate.FULL_ON_QUBIT1}
 
 
+@cache
 def cell_state_after_action(action: CellAction) -> PureState:
-    """Stored cell (singlet battery, empty hub), with the action's gate applied."""
-    psi = bell_with_empty_hub(BellLabel(1, 1))
+    """Stored cell with the action's gate applied, built once and shared (read-only)."""
     if action is CellAction.HOLD:
-        return psi
-    return switch_gate(_GATE_FOR_ACTION[action], psi)
+        return bell_with_empty_hub(BellLabel(1, 1))
+    return switch_gate(_GATE_FOR_ACTION[action], storage_state())
+
+
+def storage_state() -> PureState:
+    """Stored cell: singlet battery, empty hub."""
+    return cell_state_after_action(CellAction.HOLD)
 
 
 def ncell_plan_energy(plan: NCellPlan):

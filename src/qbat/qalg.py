@@ -26,12 +26,10 @@ TRACE_ATOL = 1e-12
 EIG_FLOOR = -1e-10
 
 
-def _frozen_array(values, shape=None) -> np.ndarray:
+def _frozen_array(values) -> np.ndarray:
     arr = np.array(values, dtype=complex, copy=True)
     if not np.isfinite(arr).all():
         raise ValueError("array entries must be finite")
-    if shape is not None and arr.shape != shape:
-        raise ValueError(f"expected array of shape {shape}, got {arr.shape}")
     arr.setflags(write=False)
     return arr
 

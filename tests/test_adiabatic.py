@@ -54,11 +54,12 @@ def test_ht_stack_endpoints():
 
 
 def test_interpolation_parts_match_hand_built():
+    # exactly: the drive's XY terms are the cells' XY exchange
     h_i, h_m, h_f = interpolation_parts()
-    assert_allclose(h_i.matrix, kron(X, X, I2) + kron(Y, Y, I2), atol=1e-15)
-    assert_allclose(h_m.matrix, kron(X, X, I2) + kron(Y, Y, I2)
-                    + kron(I2, X, X) + kron(I2, Y, Y), atol=1e-15)
-    assert_allclose(h_f.matrix, kron(Z, I2, Z) + kron(I2, Z, Z), atol=1e-15)
+    assert np.array_equal(h_i.matrix, kron(X, X, I2) + kron(Y, Y, I2))
+    assert np.array_equal(h_m.matrix, kron(X, X, I2) + kron(Y, Y, I2)
+                          + kron(I2, X, X) + kron(I2, Y, Y))
+    assert np.array_equal(h_f.matrix, kron(Z, I2, Z) + kron(I2, Z, Z))
 
 
 def test_final_ground_space_is_two_fold():

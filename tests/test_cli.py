@@ -4,6 +4,7 @@ import io
 import json
 import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from qbat import adiabatic, cli, dynamics, model
 from qbat.adiabatic import MAX_STEPS, AdiabaticSpec, _drive_steps, _step_demand
 from qbat.cli import MAX_JT, MAX_ROWS, main
 from qbat.dynamics import STEPS_PER_UNIT_JT
+from qbat.qalg import Operator, PureState
 
 
 def run_cli(args, capsys):
@@ -136,6 +138,41 @@ def test_trap_check_builds_the_current_once(capsys, monkeypatch):
     first = run_cli(["trap-check"], capsys)
     assert run_cli(["trap-check"], capsys) == first
     assert len(calls) == 1
+
+
+def _count_values_built(monkeypatch) -> Counter:
+    """Count every Operator and PureState constructed from now on."""
+    built = Counter()
+    for cls in (Operator, PureState):
+        def counted(self, post_init=cls.__post_init__, name=cls.__name__):
+            built[name] += 1
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    return built
+
+
+def test_ncell_after_the_first_call_builds_no_value(capsys, monkeypatch):
+    # the cell set and the three cell states are built once per process,
+    # so a later call only solves
+    first = run_cli(["ncell", "--plan", "f,H,h"], capsys)
+    built = _count_values_built(monkeypatch)
+    assert run_cli(["ncell", "--plan", "f,H,h"], capsys) == first
+    assert run_cli(["ncell", "--plan", "hold,full,F,H"], capsys)[0] == 0
+    assert built == Counter()
+    run_cli(["discharge", "--bell", "10"], capsys)  # the counter does count
+    assert built["PureState"] > 0
+
+
+@pytest.mark.parametrize("argv", [["discharge", "--bell", "10"],
+                                  ["discharge", "--bell", "11", "--gate", "half"],
+                                  ["single-particle"]])
+def test_constant_coupling_calls_read_the_sets_current(capsys, monkeypatch, argv):
+    # the current operator of the coupling is the one kept on its set
+    monkeypatch.setattr(dynamics, "ec_operator", lambda *args: pytest.fail("ec_operator called"))
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert max(float(row["ec_hbar_omega_J"]) for row in parse_csv(out)) > 1.0
 
 
 @pytest.mark.parametrize("rates", [

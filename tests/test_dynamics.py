@@ -433,6 +433,64 @@ def test_time_arguments_must_be_finite(hs, name, value):
             _time_calls()[name](hs, value)
 
 
+_RUN_LENGTH_CALLS = ("t_final", "t_final (single particle)", "t", "tau")
+
+
+@pytest.mark.parametrize("value", [1e308, -1e308, math.nextafter(dynamics.MAX_JT, math.inf)])
+@pytest.mark.parametrize("name", _RUN_LENGTH_CALLS)
+def test_runs_longer_than_max_jt_are_rejected(hs, name, value):
+    # at 1e308 the phases used to overflow: three RuntimeWarnings, then a
+    # series ending in nan or an opaque "array entries must be finite"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name.split()[0]} must be finite.*MAX_JT"):
+            _time_calls()[name](hs, value)
+
+
+@pytest.mark.parametrize("name, value", [(name, dynamics.MAX_JT) for name in _RUN_LENGTH_CALLS]
+                         + [("t", -dynamics.MAX_JT)])
+def test_a_run_of_max_jt_is_accepted(hs, name, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _time_calls()[name](hs, value)
+
+
+def test_max_jt_is_the_clis_ceiling():
+    from qbat import cli
+    assert cli.MAX_JT is dynamics.MAX_JT == 1e9
+
+
+_COLLECTIVE_Z = np.array([2.0, 0.0, 0.0, -2.0])
+
+
+def _random_battery_state(seed):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    return DensityMatrix(2, g @ g.conj().T / np.trace(g @ g.conj().T).real)
+
+
+@pytest.mark.parametrize("gamma, t", [(1.0, 1e308), (1e200, 1e200), (1e3, 1.0), (2.0, 1e300)])
+def test_dephasing_reaches_its_full_dephasing_limit(gamma, t):
+    # gamma * t used to overflow here, warning and then raising "array
+    # entries must be finite"; the limit keeps only the coherences between
+    # equal collective-z values
+    rho = _random_battery_state(5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = collective_dephasing_fixpoint(rho, gamma, t)
+    same = np.equal.outer(_COLLECTIVE_Z, _COLLECTIVE_Z)
+    assert np.array_equal(out.entries, np.where(same, rho.entries, 0.0))
+
+
+@pytest.mark.parametrize("gamma_t", [0.0, 1e-300, 0.1, 372.0, 373.0, 999.9, 1e3, 1e5, 1e300])
+def test_dephasing_results_are_the_exact_exponentials(gamma_t):
+    # the full-dephasing limit changes no result the plain formula gives
+    rho = _random_battery_state(6)
+    decay = np.exp(-gamma_t * np.subtract.outer(_COLLECTIVE_Z, _COLLECTIVE_Z) ** 2 / 2.0)
+    out = collective_dephasing_fixpoint(rho, 1.0, gamma_t)
+    assert out.entries.tobytes() == (rho.entries * decay).tobytes()
+
+
 @pytest.mark.parametrize("label", [BellLabel(0, 0), BellLabel(1, 1)])
 def test_dephasing_rejects_negative_time(label):
     # a negative t used to raise "eigenvalue below -1e-10" for |00> + |11>,

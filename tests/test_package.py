@@ -4,7 +4,10 @@ no module imports a name it never uses (no linter is a dependency)."""
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 import typing
 from pathlib import Path
 
@@ -52,3 +55,14 @@ def test_module_uses_every_import(path):
             imported |= {a.asname or a.name for a in node.names}
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert not imported - used, f"{path.name} imports unused names {sorted(imported - used)}"
+
+
+def test_importing_the_cli_leaves_acceptance_unimported():
+    # only selftest runs the acceptance suite, so only selftest imports it
+    src = str(Path(qbat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import qbat.cli, sys; print(sorted(m for m in sys.modules if m.startswith('qbat')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60, check=True, env=env).stdout
+    assert "'qbat.cli'" in out and "'qbat.acceptance'" not in out, out

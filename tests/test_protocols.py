@@ -29,6 +29,7 @@ from qbat.protocols import (
     separable_sweep,
     single_particle_baseline,
     single_particle_trajectory,
+    storage_state,
     switch_gate,
     transfer_fraction,
     trapping_check,
@@ -238,6 +239,17 @@ def test_switch_gate_leaves_battery_energy_alone(hs):
         assert abs(after - before) <= 1e-10
 
 
+def test_switch_gate_from_kind():
+    assert {(kind, qubit): SwitchGate.from_kind(kind, qubit)
+            for kind in ("half", "full") for qubit in (1, 2)} == {
+        ("half", 1): SwitchGate.HALF_ON_QUBIT1, ("half", 2): SwitchGate.HALF_ON_QUBIT2,
+        ("full", 1): SwitchGate.FULL_ON_QUBIT1, ("full", 2): SwitchGate.FULL_ON_QUBIT2}
+    for kind, qubit in (("half", 3), ("x", 1), ("full", 0)):
+        message = f"unknown switch gate kind={kind!r} qubit={qubit}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SwitchGate.from_kind(kind, qubit)
+
+
 def test_switch_gate_dimension_check():
     with pytest.raises(ValueError):
         switch_gate(SwitchGate.FULL_ON_QUBIT1, ket("01"))
@@ -371,6 +383,25 @@ def test_ncell_simulates_each_distinct_action_once(monkeypatch):
     assert calls["eigh"] == 1
     assert per_cell == tuple(reference[action] for action in plan.actions)
     assert total == pytest.approx(sum(per_cell), abs=1e-9)
+
+
+@pytest.mark.parametrize("action", list(CellAction))
+def test_cell_states_are_built_once_and_read_only(action):
+    psi = cell_state_after_action(action)
+    assert cell_state_after_action(action) is psi
+    assert psi.amplitudes.flags.writeable is False
+    with pytest.raises(ValueError, match="read-only"):
+        psi.amplitudes[0] = 1.0
+
+
+def test_storage_state_is_the_held_cell():
+    from qbat import adiabatic
+    assert adiabatic.storage_state is storage_state
+    assert storage_state() is cell_state_after_action(CellAction.HOLD)
+    assert np.array_equal(storage_state().amplitudes,
+                          bell_with_empty_hub(BellLabel(1, 1)).amplitudes)
+    gated = switch_gate(SwitchGate.HALF_ON_QUBIT1, storage_state())
+    assert np.array_equal(cell_state_after_action(CellAction.HALF).amplitudes, gated.amplitudes)
 
 
 def test_two_cells_factorize(hs):

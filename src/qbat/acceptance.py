@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -234,18 +235,15 @@ def ac9_adiabatic_stability(seed: int = 42) -> CriterionResult:
     charge_floor = 0.999 * E0
     tail_ceiling = 1e-3
     candidates = [10.0, 20.0, 40.0, 80.0, 160.0, 320.0, 640.0, 1280.0]
-    cache = {}
 
     def samples(jtau):
         # ~8 samples per unit Jt keep the oscillating current tail from
         # being undersampled (its peaks converge by ~4 samples/period)
         return max(513, int(math.ceil(8.0 * jtau)) | 1)
 
+    @cache
     def run(jtau, schedule):
-        key = (jtau, schedule)
-        if key not in cache:
-            cache[key] = adiabatic.run_discharge(AdiabaticSpec(jtau, schedule), samples(jtau))
-        return cache[key]
+        return adiabatic.run_discharge(AdiabaticSpec(jtau, schedule), samples(jtau))
 
     t_charge = None
     for jtau in candidates:

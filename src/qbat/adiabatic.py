@@ -167,26 +167,21 @@ class DischargeReport:
     series: TimeSeries
 
 
-def _step_demand(spec: AdiabaticSpec) -> int:
-    """Fewest steps of one drive, ceil(STEPS_PER_UNIT_JT * Jtau), or MAX_STEPS + 1
-    for any larger demand (which also keeps math.ceil away from inf)."""
-    return math.ceil(min(STEPS_PER_UNIT_JT * spec.jtau, MAX_STEPS + 1))
-
-
 def _drive_steps(spec: AdiabaticSpec, n_samples: int) -> int:
-    """Steps of one drive recorded at ``n_samples`` uniform times.
+    """Steps taken by one drive recorded at ``n_samples`` uniform times.
 
     Every segment between samples takes the same whole number of steps, at
-    least ``_step_demand`` in total.  Fewer than two samples or a demand over
-    MAX_STEPS raise ValueError.
+    least STEPS_PER_UNIT_JT * Jtau in total.  Fewer than two samples or more
+    than MAX_STEPS steps raise ValueError.
     """
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
-    demand = _step_demand(spec)
-    if demand > MAX_STEPS:
-        raise ValueError(f"Jtau = {spec.jtau:g} needs more than {MAX_STEPS} drive steps")
     segments = n_samples - 1
-    return math.ceil(demand / segments) * segments
+    demand = math.ceil(min(STEPS_PER_UNIT_JT * spec.jtau, MAX_STEPS + 1))  # capped: no ceil(inf)
+    n_steps = math.ceil(demand / segments) * segments
+    if n_steps > MAX_STEPS:
+        raise ValueError(f"Jtau = {spec.jtau:g} needs more than {MAX_STEPS} drive steps")
+    return n_steps
 
 
 def _drive_states(spec: AdiabaticSpec, amplitudes: np.ndarray, n_samples: int,
@@ -250,26 +245,26 @@ def sweep_tau(jtau_values, *, max_workers: int = 1) -> list:
     Returns one SweepPoint per (Jtau, schedule) pair, ordered by the input
     Jtau list and then ``Schedule``'s order, whatever order the ``max_workers``
     threads finish in.  Each run is recorded at SWEEP_SAMPLES uniform times.
-    Jtau = 0 is the sudden limit: nothing evolves and nothing is transferred.
-    A sweep whose jobs demand more than MAX_STEPS drive steps in total (see
-    ``_step_demand``) raises ValueError before the first job starts.
+    Jtau = 0 is the sudden limit: nothing evolves and nothing is transferred,
+    so it is answered without a job.  A sweep whose runs take more than
+    MAX_STEPS drive steps in total (see ``_drive_steps``) raises ValueError
+    before the first job starts.
     """
     if len(jtau_values) == 0:
         raise ValueError("jtau_values must not be empty")
-    jobs = [(float(jtau), schedule) for jtau in jtau_values for schedule in Schedule]
-    demand = sum(_step_demand(AdiabaticSpec(*job)) for job in jobs if job[0] != 0.0)
-    if demand > MAX_STEPS:
+    points = [(float(jtau), schedule) for jtau in jtau_values for schedule in Schedule]
+    specs = [AdiabaticSpec(*point) for point in points if point[0] != 0.0]
+    if sum(_drive_steps(spec, SWEEP_SAMPLES) for spec in specs) > MAX_STEPS:
         raise ValueError(f"the sweep needs more than {MAX_STEPS} drive steps in total")
 
-    def _one(job):
-        jtau, schedule = job
-        if jtau == 0.0:
-            return SweepPoint(0.0, schedule, 0.0, 0.0)
-        report = run_discharge(AdiabaticSpec(jtau, schedule), n_samples=SWEEP_SAMPLES)
-        return SweepPoint(jtau, schedule, report.final_charge / E0, report.ec_tail)
+    def _one(spec):
+        report = run_discharge(spec, n_samples=SWEEP_SAMPLES)
+        return SweepPoint(spec.jtau, spec.schedule, report.final_charge / E0, report.ec_tail)
 
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(_one, jobs))
+        runs = iter(list(pool.map(_one, specs)))
+    return [next(runs) if jtau != 0.0 else SweepPoint(0.0, schedule, 0.0, 0.0)
+            for jtau, schedule in points]
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,23 +292,6 @@ class AdiabaticDecomposition:
             raise ValueError(f"branch coefficients are not complete: sum |c|^2 = {total}")
 
 
-def _degenerate_groups(values: np.ndarray, rtol: float = 1e-12):
-    """Index groups of values equal within rtol * max|value|, in arbitrary
-    branch order."""
-    scale = float(np.abs(values).max())
-    order = np.argsort(values, kind="stable")
-    groups = []
-    current = [int(order[0])]
-    for idx in order[1:]:
-        if values[idx] - values[current[-1]] <= rtol * scale:
-            current.append(int(idx))
-        else:
-            groups.append(current)
-            current = [int(idx)]
-    groups.append(current)
-    return groups
-
-
 def _align_group(target: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """Unitary rotation of degenerate ``columns`` closest to ``target``."""
     u_l, _, u_r = np.linalg.svd(columns.conj().T @ target)
@@ -326,15 +304,14 @@ def _sector_branches(schedule: Schedule, s_values: np.ndarray, sector):
 
     H(s) = M(f(s)) with f monotone and f < 1 for s < 1, and on f in [0, 1)
     both gaps of each three-state sector stay >= 1.5 (1 - f) hbar*J, so
-    ascending order is branch order for every schedule.  The upper two
-    levels of those sectors meet at s = 1, where the solver's mixture of each
-    degenerate group is rotated onto the previous sample.
+    ascending order is branch order for every schedule.  The upper two levels
+    meet at s = 1: each run of neighbours within 1e-12 max|w| is a degenerate
+    group, whose solver mixture is rotated onto the previous sample.
     """
     w, v = np.linalg.eigh(_ht_stack(schedule, s_values, sector))
-    scale = np.abs(w).max(axis=1, keepdims=True)
-    touching = np.any(np.diff(w, axis=1) <= 1e-12 * scale, axis=1)
-    for k in np.nonzero(touching[1:])[0] + 1:
-        for group in _degenerate_groups(w[k]):
+    touching = np.diff(w, axis=1) <= 1e-12 * np.abs(w).max(axis=1, keepdims=True)
+    for k in np.nonzero(touching[1:].any(axis=1))[0] + 1:
+        for group in np.split(np.arange(w.shape[1]), np.flatnonzero(~touching[k]) + 1):
             if len(group) > 1:
                 v[k][:, group] = _align_group(v[k - 1][:, group], v[k][:, group])
     return w, v
@@ -344,6 +321,8 @@ def adiabatic_decomposition(spec: AdiabaticSpec, psi0: PureState) -> AdiabaticDe
     """Eigen-branches of the drive at _DECOMPOSITION_SAMPLES uniform times in
     the excitation sectors where ``psi0`` has weight above 1e-12, joined sector
     by sector, and the initial-state coefficients."""
+    if psi0.dim != 8:
+        raise ValueError(f"dimension mismatch: drive 8, state {psi0.dim}")
     times = np.linspace(0.0, spec.jtau, _DECOMPOSITION_SAMPLES)
     energies, vectors = [], []
     for sector in _EXCITATION_SECTORS:

@@ -35,6 +35,7 @@ from .protocols import (
     trapping_check,
     trapping_uniqueness_scan,
 )
+from .qalg import ket
 
 CONFIG_FILE = "qbat.json"
 # Most output rows any command may produce; checked before any work is done.
@@ -254,7 +255,6 @@ def _cmd_discharge(cfg: RunConfig, args) -> dict:
 
 def _cmd_trap_check(cfg: RunConfig, args) -> dict:
     hs = hamiltonian_set()
-    from .qalg import ket
     states = [(f"bell_{n}{m}", bell_with_empty_hub(BellLabel(n, m)))
               for n in (0, 1) for m in (0, 1)] + [("empty_000", ket("000"))]
     names = ("state", "is_h_eigenstate", "h_eigenvalue_hbar_J", "ec_value_hbar_omega_J",
@@ -324,10 +324,8 @@ def _cmd_sweep_tau(cfg: RunConfig, args) -> dict:
         raise ValueError(f"sweep range requires 0 <= from <= to <= MAX_JT = {MAX_JT:g}, "
                          f"got {args.jtau_from} and {args.jtau_to}")
     jtaus = np.linspace(args.jtau_from, args.jtau_to, args.points)
-    shortest = float(np.min(jtaus[jtaus > 0], initial=np.inf))  # its samples are not output rows
-    if shortest / (adiabatic.SWEEP_SAMPLES - 1) < np.finfo(float).tiny:
-        raise ValueError(f"sweep-tau: a run of Jt = {shortest:g} spaces its "
-                         f"{adiabatic.SWEEP_SAMPLES} samples below the smallest normal float")
+    if np.any(jtaus > 0):  # the shortest run's samples, not output rows
+        _check_run("sweep-tau", float(np.min(jtaus[jtaus > 0])), adiabatic.SWEEP_SAMPLES)
     points = adiabatic.sweep_tau(jtaus, max_workers=_max_workers())
     return {"tau_J": [pt.jtau for pt in points],
             "schedule": [pt.schedule.value for pt in points],

@@ -113,11 +113,12 @@ def _stepped_states(h_stack: HStack, psi0: np.ndarray, tau: float, n_steps: int,
     Hamiltonian matrices; ``every`` divides ``n_steps``.  Row 0 is ``psi0``.
     Steps are taken in chunks of at most ``_CHUNK`` that end on recording
     boundaries, each chunk's two exponents per step diagonalised in one
-    batched eigh; a chunk whose sampled stack is not hermitian within 1e-12
-    raises ValueError, as ``eigh`` would read only one triangle of it.  The
-    factors V diag(exp(-i w dt)) V^dagger are folded by ``_tree_product`` into
-    one propagator per segment (or per ``_CHUNK``-step piece of a longer
-    segment), which is applied to the state with a single matvec.
+    batched eigh; a chunk whose sampled stack does not match the state's
+    dimension, or is not hermitian within 1e-12 (``eigh`` would read only one
+    triangle of it), raises ValueError.  The factors V diag(exp(-i w dt))
+    V^dagger are folded by ``_tree_product`` into one propagator per segment
+    (or per ``_CHUNK``-step piece of a longer segment), which is applied to
+    the state with a single matvec.
     """
     dt = tau / n_steps
     psi = np.asarray(psi0, dtype=complex)
@@ -129,6 +130,8 @@ def _stepped_states(h_stack: HStack, psi0: np.ndarray, tau: float, n_steps: int,
         piece = min(every - done % every, _CHUNK)
         m = piece * max(1, min(_CHUNK // every, (n_steps - done) // every))
         h = h_stack(((done + np.arange(m))[:, None] + _NODES).ravel() / n_steps)
+        if h.shape[-1] != d:
+            raise ValueError(f"dimension mismatch: Hamiltonian {h.shape[-1]}, state {d}")
         if max_abs(h - h.conj().swapaxes(1, 2)) > HERMITIAN_ATOL:
             raise ValueError("time-dependent Hamiltonian stack is not hermitian")
         h1, h2 = h[0::2], h[1::2]

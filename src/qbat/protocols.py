@@ -73,8 +73,9 @@ def bell_state(label: BellLabel) -> PureState:
     return PureState(2, amp)
 
 
+@cache
 def bell_with_empty_hub(label: BellLabel) -> PureState:
-    """Battery prepared in a Bell state, hub in its empty state |0>."""
+    """Battery in a Bell state, hub in its empty state |0>; built once, read-only."""
     return bell_state(label).tensor(ket("0"))
 
 
@@ -400,16 +401,12 @@ class NCellPlan:
         return cls(tuple(CellAction.parse(tok.strip()) for tok in text.split(",") if tok.strip()))
 
 
-_GATE_FOR_ACTION = {CellAction.HALF: SwitchGate.HALF_ON_QUBIT1,
-                    CellAction.FULL: SwitchGate.FULL_ON_QUBIT1}
-
-
 @cache
 def cell_state_after_action(action: CellAction) -> PureState:
     """Stored cell with the action's gate applied, built once and shared (read-only)."""
     if action is CellAction.HOLD:
         return bell_with_empty_hub(BellLabel(1, 1))
-    return switch_gate(_GATE_FOR_ACTION[action], storage_state())
+    return switch_gate(SwitchGate.from_kind(action.value, 1), storage_state())
 
 
 def storage_state() -> PureState:

@@ -11,7 +11,6 @@ from qbat.adiabatic import (
     AdiabaticSpec,
     Schedule,
     _align_group,
-    _degenerate_groups,
     _drive_states,
     _ht_stack,
     _sector_branches,
@@ -30,7 +29,7 @@ from qbat.adiabatic import (
 )
 from qbat.dynamics import STEPS_PER_UNIT_JT, evolve_timedep
 from qbat.model import charge, ec_operator, hamiltonian_set
-from qbat.qalg import Operator, PureState
+from qbat.qalg import Operator, PureState, ket
 
 from oracles import I2, X, Y, Z, kron
 
@@ -198,6 +197,12 @@ def test_rate_prediction_matches_manual_two_level_sum():
               * (decomp.energies[n] - decomp.energies[m])
               * decomp.hub_elements[m, n])
     assert np.abs(prediction - 2.0 * np.imag(w_term)).max() <= 1e-9
+
+
+@pytest.mark.parametrize("bits", ["10", "1000"])
+def test_decomposition_rejects_a_state_of_another_size(bits):
+    with pytest.raises(ValueError, match=f"^dimension mismatch: drive 8, state {2**len(bits)}$"):
+        adiabatic_decomposition(AdiabaticSpec(1.0), ket(bits))
 
 
 def test_decomposition_takes_only_the_occupied_sectors():
@@ -407,6 +412,19 @@ def test_sector_gaps_on_the_f_grid():
 def _parity_basis(odd: bool) -> np.ndarray:
     return np.eye(8)[:, [i for k, sector in enumerate(_EXCITATION_SECTORS)
                          if k % 2 == odd for i in sector]]
+
+
+def _degenerate_groups(values, rtol=1e-12):
+    # index groups of (unsorted) values equal within rtol * max|value|
+    scale = float(np.abs(values).max())
+    order = np.argsort(values, kind="stable")
+    groups = [[int(order[0])]]
+    for idx in order[1:]:
+        if values[idx] - values[groups[-1][-1]] <= rtol * scale:
+            groups[-1].append(int(idx))
+        else:
+            groups.append([int(idx)])
+    return groups
 
 
 def _track_parity_block(stack, basis):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qbat import adiabatic, cli, dynamics, model
-from qbat.adiabatic import MAX_STEPS, AdiabaticSpec, _drive_steps, _step_demand
+from qbat.adiabatic import MAX_STEPS, SWEEP_SAMPLES, AdiabaticSpec, _drive_steps
 from qbat.cli import MAX_JT, MAX_ROWS, main
 from qbat.dynamics import STEPS_PER_UNIT_JT
 from qbat.qalg import Operator, PureState
@@ -152,6 +152,17 @@ def _count_values_built(monkeypatch) -> Counter:
     return built
 
 
+@pytest.mark.parametrize("argv, values", [(["trap-check"], Counter(PureState=1)),
+                                           (["discharge", "--bell", "11"], Counter())],
+                         ids=["trap-check", "discharge"])
+def test_cell_states_are_built_once_per_process(capsys, monkeypatch, argv, values):
+    # the Bell cells are cached, so a later call builds only trap-check's |000>
+    first = run_cli(argv, capsys)
+    built = _count_values_built(monkeypatch)
+    assert run_cli(argv, capsys) == first
+    assert built == values
+
+
 def test_ncell_after_the_first_call_builds_no_value(capsys, monkeypatch):
     # the cell set and the three cell states are built once per process,
     # so a later call only solves
@@ -160,7 +171,7 @@ def test_ncell_after_the_first_call_builds_no_value(capsys, monkeypatch):
     assert run_cli(["ncell", "--plan", "f,H,h"], capsys) == first
     assert run_cli(["ncell", "--plan", "hold,full,F,H"], capsys)[0] == 0
     assert built == Counter()
-    run_cli(["discharge", "--bell", "10"], capsys)  # the counter does count
+    run_cli(["trap-check"], capsys)  # the counter does count: it builds |000>
     assert built["PureState"] > 0
 
 
@@ -509,15 +520,16 @@ def test_config_rates_may_be_json_integers(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("args, over", [
-    (["adiabatic", "--jtau", "48", "--samples", "2"], False),
-    (["adiabatic", "--jtau", "48.01", "--samples", "2"], True),
-    (["sweep-tau", "--from", "0", "--to", "16", "--points", "2"], False),
-    (["sweep-tau", "--from", "0", "--to", "16.01", "--points", "2"], True),
+    (["adiabatic", "--jtau", "96", "--samples", "2"], False),
+    (["adiabatic", "--jtau", "96.01", "--samples", "2"], True),
+    (["sweep-tau", "--from", "0", "--to", "32", "--points", "2"], False),
+    (["sweep-tau", "--from", "0", "--to", "32.01", "--points", "2"], True),
 ], ids=["adiabatic-at", "adiabatic-above", "sweep-tau-at", "sweep-tau-above"])
 def test_drive_steps_at_and_above_the_ceiling(capsys, monkeypatch, args, over):
-    # a ceiling of 3 * 16 units of Jtau stands in for MAX_STEPS to keep the
-    # runs at it short: one drive at Jtau = 48, or a sweep's three drives at 16
-    ceiling = 3 * STEPS_PER_UNIT_JT * 16
+    # a ceiling of 3 * 32 units of Jtau stands in for MAX_STEPS to keep the
+    # runs at it short: one drive at Jtau = 96, or a sweep's three drives at
+    # 32, each 256 steps over its 257 samples (at 32.01, 512 each)
+    ceiling = 3 * STEPS_PER_UNIT_JT * 32
     monkeypatch.setattr(adiabatic, "MAX_STEPS", ceiling)
     code, out, err = run_cli(args, capsys)
     if over:
@@ -530,16 +542,18 @@ def test_drive_steps_at_and_above_the_ceiling(capsys, monkeypatch, args, over):
 
 def test_max_steps_rejects_long_drives_up_front(capsys):
     # adiabatic --jtau 16384 --samples 2 takes exactly MAX_STEPS steps, and a
-    # sweep to 5461 demands no more, though its runs round up to 3 * 43,776
-    # steps; one unit of Jtau more is rejected before any stepping, as is a
-    # run time whose step count overflows (which the CLI rejects sooner, as
-    # longer than MAX_JT)
+    # sweep to 5440 takes no more, 3 * 43,520 steps over its runs' 257
+    # samples; at 5440.01 each run rounds up to 43,776.  A longer run, a sweep
+    # of many short runs (each takes at least 256 steps) and a run time whose
+    # step count overflows (which the CLI rejects sooner, as longer than
+    # MAX_JT) are rejected before any stepping
     assert _drive_steps(AdiabaticSpec(16384.0), 2) == MAX_STEPS == 2**17
-    sweep_demand = [len(adiabatic.Schedule) * _step_demand(AdiabaticSpec(jtau))
-                    for jtau in (5461.0, 5462.0)]
-    assert sweep_demand[0] <= MAX_STEPS < sweep_demand[1]
+    sweep_steps = [len(adiabatic.Schedule) * _drive_steps(AdiabaticSpec(jtau), SWEEP_SAMPLES)
+                   for jtau in (5440.0, 5440.01)]
+    assert sweep_steps[0] <= MAX_STEPS < sweep_steps[1]
     for args in (["adiabatic", "--jtau", "16385", "--samples", "2"],
-                 ["sweep-tau", "--from", "0", "--to", "5462", "--points", "2"]):
+                 ["sweep-tau", "--from", "0", "--to", "5440.01", "--points", "2"],
+                 ["sweep-tau", "--from", "0", "--to", "1e-3", "--points", "200"]):
         code, out, err = run_cli(args, capsys)
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and f"more than {MAX_STEPS}" in err
@@ -614,8 +628,9 @@ def test_rates_change_no_output(capsys, args, rates):
 # rows of finite numbers and no warning, or is rejected up front with exit 2,
 # one "error:" line and no output.  MAX_ROWS and MAX_STEPS are patched small
 # so that runs at and just over the ceilings stay short; 257 rows admit the
-# default sample count of discharge and single-particle.
-_ROWS, _STEPS = 257, 512
+# default sample count of discharge and single-particle, and 768 steps a
+# sweep of one positive point, three runs of at least 256 steps.
+_ROWS, _STEPS = 257, 768
 _SPECIAL = ["0", "-1.5", "-3", "5e-324", "1e-320", "1e300", "1e308", "inf", "-inf", "Infinity",
             "-Infinity", "nan", "abc",
             str(_ROWS - 1), str(_ROWS + 1), str(_STEPS - 1), str(_STEPS + 1)]
@@ -681,8 +696,8 @@ _CEILING_LINES = [
                   "--plan=" + ",".join(["f"] * _ROWS)),
     *_at_and_over(["sweep-tau", "--from=0", "--to=0"], f"--points={_ROWS // 3}",
                   f"--points={_ROWS // 3 + 1}"),
-    # three runs at Jtau = 21.25 take 3 * 170 = 510 steps, at 21.26 513
-    *_at_and_over(["sweep-tau", "--from=0", "--points=2"], "--to=21.25", "--to=21.26"),
+    # three runs at Jtau = 32 take 3 * 256 = 768 steps, at 32.01 3 * 512
+    *_at_and_over(["sweep-tau", "--from=0", "--points=2"], "--to=32", "--to=32.01"),
 ]
 
 

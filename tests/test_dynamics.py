@@ -92,6 +92,12 @@ def test_evolve_timedep_rejects_non_hermitian_stack(hs):
                        bell_with_empty_hub(BellLabel(1, 0)), 1.0, n_steps=16)
 
 
+def test_evolve_timedep_rejects_a_state_of_another_size(hs):
+    with pytest.raises(ValueError, match="^dimension mismatch: Hamiltonian 8, state 4$"):
+        evolve_timedep(lambda s: np.broadcast_to(hs.h_charging.matrix, (s.size, 8, 8)),
+                       ket("01"), 1.0, n_steps=4)
+
+
 def _random_hermitian(rng, d):
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return (a + a.conj().T) / 2

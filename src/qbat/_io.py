@@ -2,9 +2,10 @@
 
 Tables ({name: column}) are written by column, each float ndarray column in
 one ``.15g`` pass: 15 significant digits, '.' decimal separator, '\\n' line
-endings.  The CSV is byte for byte what ``csv.writer(lineterminator="\\n")``
-writes; the JSON carries the same rounded values.  Output is identical across
-platforms for identical inputs.
+endings, written ``_CHUNK_ROWS`` rows at a time in either format.  The CSV is
+byte for byte what ``csv.writer(lineterminator="\\n")`` writes, and the JSON
+what ``json.dump(rows, indent=2)`` writes for the list of row dicts.  Output
+is identical across platforms for identical inputs.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
-_CHUNK_ROWS = 1024  # CSV rows formatted and written at a time
+_CHUNK_ROWS = 1024  # rows formatted and written at a time
 
 
 def format_number(value) -> str:
@@ -55,13 +56,15 @@ def write_rows(table: Mapping, fmt: str, path: str) -> None:
     empty_row = '""' if len(table) == 1 else ""
     with (contextlib.nullcontext(sys.stdout) if path == "-"
           else open(path, "w", encoding="utf-8", newline="\n")) as handle:
-        if fmt == "json":
-            rows = zip(*(_cells(column, fmt) for column in table.values()), strict=True)
-            json.dump([dict(zip(table, row)) for row in rows], handle, indent=2)
-            handle.write("\n")
-            return
-        handle.write((",".join(map(_csv_field, table)) or empty_row) + "\n")
+        if fmt == "csv":
+            handle.write((",".join(map(_csv_field, table)) or empty_row) + "\n")
         for start in range(0, n_rows, _CHUNK_ROWS):
             rows = zip(*(_cells(column[start:start + _CHUNK_ROWS], fmt)
                          for column in table.values()), strict=True)
-            handle.write("".join((",".join(row) or empty_row) + "\n" for row in rows))
+            if fmt == "csv":
+                handle.write("".join((",".join(row) or empty_row) + "\n" for row in rows))
+            else:  # the chunk's objects; the list's "[" opens the first, "," the rest
+                text = json.dumps([dict(zip(table, row)) for row in rows], indent=2)
+                handle.write(("," if start else "[") + text[1:-2])
+        if fmt == "json":
+            handle.write("\n]\n" if n_rows else "[]\n")

@@ -31,7 +31,6 @@ from .protocols import (
     bell_with_empty_hub,
     separable_sweep,
     single_particle_trajectory,
-    switch_gate,
     trapping_check,
     trapping_uniqueness_scan,
 )
@@ -245,9 +244,8 @@ def _series_table(series, **extra) -> dict:
 
 def _cmd_discharge(cfg: RunConfig, args) -> dict:
     hs = hamiltonian_set()
-    psi0 = bell_with_empty_hub(BellLabel.parse(args.bell))
-    if args.gate is not None:
-        psi0 = switch_gate(SwitchGate.from_kind(args.gate, args.gate_qubit), psi0)
+    gate = None if args.gate is None else SwitchGate.from_kind(args.gate, args.gate_qubit)
+    psi0 = bell_with_empty_hub(BellLabel.parse(args.bell), gate)
     _check_run("tmax", args.tmax, args.samples)
     return _series_table(dynamics.sample_trajectory(hs.h_charging, psi0, args.tmax,
                                                     args.samples, hs))

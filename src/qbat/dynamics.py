@@ -154,8 +154,6 @@ def evolve_timedep(h_stack: HStack, psi0: PureState, tau: float, n_steps: int) -
     """
     if not 0 <= tau <= MAX_JT:
         raise ValueError(f"tau must be finite, >= 0 and at most MAX_JT = {MAX_JT:g}, got {tau}")
-    if tau == 0:
-        return psi0
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     states = _stepped_states(h_stack, psi0.amplitudes, tau, n_steps, n_steps)

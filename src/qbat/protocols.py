@@ -74,9 +74,11 @@ def bell_state(label: BellLabel) -> PureState:
 
 
 @cache
-def bell_with_empty_hub(label: BellLabel) -> PureState:
-    """Battery in a Bell state, hub in its empty state |0>; built once, read-only."""
-    return bell_state(label).tensor(ket("0"))
+def bell_with_empty_hub(label: BellLabel, gate: SwitchGate | None = None) -> PureState:
+    """Battery in a Bell state, hub in its empty state |0>, then ``gate`` if one
+    is given; built once per (label, gate), read-only."""
+    psi = bell_state(label).tensor(ket("0"))
+    return psi if gate is None else switch_gate(gate, psi)
 
 
 def transfer_fraction(rho) -> np.ndarray:
@@ -401,12 +403,10 @@ class NCellPlan:
         return cls(tuple(CellAction.parse(tok.strip()) for tok in text.split(",") if tok.strip()))
 
 
-@cache
 def cell_state_after_action(action: CellAction) -> PureState:
     """Stored cell with the action's gate applied, built once and shared (read-only)."""
-    if action is CellAction.HOLD:
-        return bell_with_empty_hub(BellLabel(1, 1))
-    return switch_gate(SwitchGate.from_kind(action.value, 1), storage_state())
+    gate = None if action is CellAction.HOLD else SwitchGate.from_kind(action.value, 1)
+    return bell_with_empty_hub(BellLabel(1, 1), gate)
 
 
 def storage_state() -> PureState:

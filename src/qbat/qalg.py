@@ -46,6 +46,17 @@ def max_abs(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(matrix))) if matrix.size else 0.0
 
 
+def _hermitian_matrix(values, n_qubits: int, noun: str) -> np.ndarray:
+    """``values`` as a read-only hermitian matrix on ``n_qubits`` qubits, or ValueError."""
+    mat = _frozen_array(values)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"{noun} must be square, got {mat.shape}")
+    _check_n_qubits(n_qubits, mat.shape[0])
+    if max_abs(mat - mat.conj().T) > HERMITIAN_ATOL:
+        raise ValueError(f"{noun} is not hermitian within 1e-12")
+    return mat
+
+
 @dataclass(frozen=True, eq=False)
 class Operator:
     """A dense hermitian matrix acting on ``n_qubits`` qubits.
@@ -57,13 +68,8 @@ class Operator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = _frozen_array(self.matrix)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"operator matrix must be square, got {mat.shape}")
-        _check_n_qubits(self.n_qubits, mat.shape[0])
+        mat = _hermitian_matrix(self.matrix, self.n_qubits, "operator matrix")
         object.__setattr__(self, "matrix", mat)
-        if max_abs(mat - mat.conj().T) > HERMITIAN_ATOL:
-            raise ValueError("operator matrix is not hermitian within 1e-12")
 
     @property
     def dim(self) -> int:
@@ -122,13 +128,8 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        mat = _frozen_array(self.entries)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"density matrix must be square, got {mat.shape}")
-        _check_n_qubits(self.n_qubits, mat.shape[0])
+        mat = _hermitian_matrix(self.entries, self.n_qubits, "density matrix")
         object.__setattr__(self, "entries", mat)
-        if max_abs(mat - mat.conj().T) > HERMITIAN_ATOL:
-            raise ValueError("density matrix is not hermitian within 1e-12")
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > TRACE_ATOL:
             raise ValueError(f"density matrix trace {tr} deviates from 1")

@@ -152,11 +152,15 @@ def _count_values_built(monkeypatch) -> Counter:
     return built
 
 
-@pytest.mark.parametrize("argv, values", [(["trap-check"], Counter(PureState=1)),
-                                           (["discharge", "--bell", "11"], Counter())],
-                         ids=["trap-check", "discharge"])
+@pytest.mark.parametrize("argv, values", [
+    (["trap-check"], Counter(PureState=1)),
+    (["discharge", "--bell", "11"], Counter()),
+    (["discharge", "--bell", "11", "--gate", "full"], Counter()),
+    (["discharge", "--bell", "00", "--gate", "half", "--gate-qubit", "2"], Counter()),
+], ids=["trap-check", "discharge", "discharge gated", "discharge gated qubit 2"])
 def test_cell_states_are_built_once_per_process(capsys, monkeypatch, argv, values):
-    # the Bell cells are cached, so a later call builds only trap-check's |000>
+    # the Bell cells, gated or not, are cached, so a later call builds only
+    # trap-check's |000>
     first = run_cli(argv, capsys)
     built = _count_values_built(monkeypatch)
     assert run_cli(argv, capsys) == first

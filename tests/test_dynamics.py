@@ -98,6 +98,22 @@ def test_evolve_timedep_rejects_a_state_of_another_size(hs):
                        ket("01"), 1.0, n_steps=4)
 
 
+def test_evolve_timedep_checks_its_arguments_at_tau_zero(hs):
+    # tau = 0 takes the same checks as any other tau
+    constant = lambda s: np.broadcast_to(hs.h_charging.matrix, (s.size, 8, 8))
+    with pytest.raises(ValueError, match="^dimension mismatch: Hamiltonian 8, state 4$"):
+        evolve_timedep(constant, ket("01"), 0.0, n_steps=4)
+    with pytest.raises(ValueError, match="^n_steps must be >= 1, got 0$"):
+        evolve_timedep(constant, bell_with_empty_hub(BellLabel(1, 0)), 0.0, n_steps=0)
+
+
+def test_evolve_timedep_returns_psi0_at_tau_zero(hs):
+    psi0 = bell_with_empty_hub(BellLabel(1, 0))
+    out = evolve_timedep(lambda s: np.broadcast_to(hs.h_charging.matrix, (s.size, 8, 8)),
+                         psi0, 0.0, n_steps=4)
+    assert np.abs(out.amplitudes - psi0.amplitudes).max() <= 1e-14
+
+
 def _random_hermitian(rng, d):
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return (a + a.conj().T) / 2

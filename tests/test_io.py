@@ -11,6 +11,7 @@ header from, so it wrote an empty line.)
 import csv
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -94,3 +95,24 @@ def test_ragged_table_raises_before_output(tmp_path, fmt):
         with pytest.raises(ValueError, match="differ in length"):
             _io.write_rows(table, fmt, str(path))
         assert not path.exists()
+
+
+def test_a_table_without_rows_writes_an_empty_list_or_its_header(tmp_path):
+    table = {"a": np.zeros(0), "b": []}
+    for fmt, text in (("csv", "a,b\n"), ("json", "[]\n")):
+        _io.write_rows(table, fmt, str(tmp_path / fmt))
+        assert (tmp_path / fmt).read_text(encoding="utf-8") == text
+
+
+def test_json_is_written_a_chunk_at_a_time(tmp_path):
+    # 65,536 rows of 6 float columns: the rows held at once are one chunk's
+    table = {f"c{k}": np.linspace(k, k + 1, 2**16) for k in range(6)}
+    tracemalloc.start()
+    try:
+        _io.write_rows(table, "json", str(tmp_path / "out.json"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    rows = json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))
+    assert len(rows) == 2**16 and rows[-1] == {f"c{k}": k + 1.0 for k in range(6)}

@@ -88,6 +88,18 @@ def test_operator_rejects_non_hermitian():
         Operator(1, np.array([[0, 1], [0, 0]], dtype=complex))
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Operator(1, np.zeros((2, 3))), r"^operator matrix must be square, got \(2, 3\)$"),
+    (lambda: DensityMatrix(1, np.zeros((2, 3))), r"^density matrix must be square, got \(2, 3\)$"),
+    (lambda: DensityMatrix(1, [[0.5, 0.5], [0, 0.5]]),
+     "^density matrix is not hermitian within 1e-12$"),
+], ids=["Operator square", "DensityMatrix square", "DensityMatrix hermitian"])
+def test_matrix_checks_name_the_matrix(build, message):
+    # the Operator's hermitian message is pinned above
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, np.nan * 1j])
 @pytest.mark.parametrize("build", [
     lambda bad: PureState(1, [bad, 0]),

@@ -91,11 +91,10 @@ def _load_config_file(path: str | None) -> dict:
 
 def _resolve_config(args) -> RunConfig:
     values = _load_config_file(args.config)
-    for field_name, flag in (("omega", "omega"), ("j_coupling", "j"), ("seed", "seed"),
-                             ("format", "format"), ("output", "output")):
-        given = getattr(args, flag, None)
+    for name in _CONFIG_FIELDS:
+        given = getattr(args, name)
         if given is not None:
-            values[field_name] = given
+            values[name] = given
     return RunConfig(**values)
 
 
@@ -136,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--omega", type=float, default=None,
                         help="qubit splitting, the unit of the output's energies (default 1.0)")
-    common.add_argument("--j", type=float, default=None, dest="j",
+    common.add_argument("--j", type=float, default=None, dest="j_coupling", metavar="J",
                         help="XY coupling, the unit of the output's rates (default 1.0)")
     common.add_argument("--seed", type=int, default=None,
                         help="seed for randomized scans (default 42)")
@@ -245,7 +244,7 @@ def _series_table(series, **extra) -> dict:
 def _cmd_discharge(cfg: RunConfig, args) -> dict:
     hs = hamiltonian_set()
     gate = None if args.gate is None else SwitchGate.from_kind(args.gate, args.gate_qubit)
-    psi0 = bell_with_empty_hub(BellLabel.parse(args.bell), gate)
+    psi0 = bell_with_empty_hub(BellLabel(*map(int, args.bell)), gate)
     _check_run("tmax", args.tmax, args.samples)
     return _series_table(dynamics.sample_trajectory(hs.h_charging, psi0, args.tmax,
                                                     args.samples, hs))
@@ -270,9 +269,9 @@ def _cmd_trap_scan(cfg: RunConfig, args) -> dict:
         raise ValueError(f"samples must be >= 1, got {args.samples}")
     report = trapping_uniqueness_scan(args.samples, tol=args.tol, seed=cfg.seed)
     metrics = {"constraint_trace_distance": report.constraint_trace_distance,
-               "n_samples": report.n_samples, "n_pass_available_energy": report.n_pass_available,
+               "n_samples": args.samples, "n_pass_available_energy": report.n_pass_available,
                "n_pass_zero_ec": report.n_pass_zero_ec, "n_pass_both": report.n_pass_both,
-               "n_counterexamples": report.n_counterexamples, "n_unrestricted": report.n_samples,
+               "n_counterexamples": report.n_counterexamples, "n_unrestricted": args.samples,
                "n_unrestricted_pass_both": report.n_unrestricted_pass_both,
                "n_unrestricted_counterexamples": report.n_unrestricted_counterexamples,
                "seed": cfg.seed}
@@ -283,10 +282,10 @@ def _cmd_separable(cfg: RunConfig, args) -> dict:
     if args.grid < 2:
         raise ValueError(f"grid must be >= 2, got {args.grid}")
     _check_rows(f"grid {args.grid}", args.grid**2)
-    sweep = separable_sweep(args.grid, seed=cfg.seed)
-    return {"beta1": np.repeat(sweep.beta_grid, args.grid),
-            "beta2": np.tile(sweep.beta_grid, args.grid),
-            "cmax_over_E0": sweep.surface_over_e0.ravel()}
+    betas = np.linspace(0.0, 1.0, args.grid)
+    return {"beta1": np.repeat(betas, args.grid),
+            "beta2": np.tile(betas, args.grid),
+            "cmax_over_E0": separable_sweep(args.grid).ravel()}
 
 
 def _cmd_single_particle(cfg: RunConfig, args) -> dict:

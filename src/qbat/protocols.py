@@ -30,6 +30,8 @@ from .qalg import (
 # States the uniqueness scan draws and tests at a time: (2048, 4, 4) complex
 # batches, so its memory does not grow with the sample count.
 _SCAN_CHUNK = 2**11
+# Most states the uniqueness scan draws per family (about 2 s at 2 us each).
+MAX_SCAN_SAMPLES = 2**20
 
 # Releasing projector Q = |T><T| + |11><11| of the empty-hub discharge law,
 # T = (|01> + |10>)/sqrt(2); see transfer_fraction.
@@ -56,13 +58,6 @@ class BellLabel:
     def __post_init__(self):
         if self.n not in (0, 1) or self.m not in (0, 1):
             raise ValueError(f"Bell label bits must be 0 or 1, got ({self.n}, {self.m})")
-
-    @classmethod
-    def parse(cls, text: str) -> "BellLabel":
-        text = text.strip()
-        if len(text) != 2 or any(c not in "01" for c in text):
-            raise ValueError(f"bell label must be two bits like '10', got {text!r}")
-        return cls(int(text[0]), int(text[1]))
 
 
 def bell_state(label: BellLabel) -> PureState:
@@ -187,10 +182,9 @@ def blocking_conditions(rho: np.ndarray):
 @dataclass(frozen=True)
 class UniquenessScanReport:
     """Result of scanning density matrices for further energy-blocking states;
-    each family draws ``n_samples`` states (see trapping_uniqueness_scan)."""
+    each family draws ``n_random`` states (see trapping_uniqueness_scan)."""
 
     constraint_trace_distance: float
-    n_samples: int
     n_pass_available: int
     n_pass_zero_ec: int
     n_pass_both: int
@@ -203,20 +197,21 @@ def trapping_uniqueness_scan(n_random: int, tol: float = 1e-3, *,
                              seed: int = 42) -> UniquenessScanReport:
     """Search the battery-state space for energy-blocking states.
 
-    Samples ``n_random`` states from the restricted family (diagonal plus a
-    real rho23 coherence), tests the available-energy and zero-current
-    conditions, and counts any state passing both that is farther than
-    ``tol`` in trace distance from the singlet projector.  An additional
-    unrestricted random-density-matrix scan is run and reported rather than
-    asserted empty; it draws as many states as the restricted one.  The
-    family's Dirichlet diagonals come from ``default_rng(seed)``; its rho23
-    factors and the Ginibre matrices' real and imaginary parts come from
-    three streams spawned from ``SeedSequence(seed)``.  Each stream is drawn
-    and tested in chunks of ``_SCAN_CHUNK``, so memory does not grow with
-    ``n_random`` and the report does not depend on the chunk size.
+    Samples ``n_random`` states, at most MAX_SCAN_SAMPLES, from the
+    restricted family (diagonal plus a real rho23 coherence), tests the
+    available-energy and zero-current conditions, and counts any state
+    passing both that is farther than ``tol`` in trace distance from the
+    singlet projector.  An additional unrestricted random-density-matrix
+    scan is run and reported rather than asserted empty; it draws as many
+    states as the restricted one.  The family's Dirichlet diagonals come
+    from ``default_rng(seed)``; its rho23 factors and the Ginibre matrices'
+    real and imaginary parts come from three streams spawned from
+    ``SeedSequence(seed)``.  Each stream is drawn and tested in chunks of
+    ``_SCAN_CHUNK``, so memory does not grow with ``n_random`` and the
+    report does not depend on the chunk size.
     """
-    if n_random < 1:
-        raise ValueError(f"n_random must be >= 1, got {n_random}")
+    if not 1 <= n_random <= MAX_SCAN_SAMPLES:
+        raise ValueError(f"n_random must lie in [1, {MAX_SCAN_SAMPLES}], got {n_random}")
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     singlet = bell_state(BellLabel(1, 1)).density()
@@ -252,7 +247,6 @@ def trapping_uniqueness_scan(n_random: int, tol: float = 1e-3, *,
     (n_ca, n_cb, n_both, n_far), (_, _, n_unres_both, n_unres_far) = tally.tolist()
     return UniquenessScanReport(
         constraint_trace_distance=float(solved_distance),
-        n_samples=n_random,
         n_pass_available=n_ca,
         n_pass_zero_ec=n_cb,
         n_pass_both=n_both,
@@ -292,24 +286,17 @@ def switch_gate(kind: SwitchGate, psi: PureState) -> PureState:
     return PureState(3, gate.matrix @ psi.amplitudes)
 
 
-@dataclass(frozen=True, eq=False)
-class SeparableSweepResult:
-    """Phase-optimized peak-charge surface over the (beta1, beta2) grid."""
-
-    beta_grid: np.ndarray
-    surface_over_e0: np.ndarray
-    argmax: tuple
-
-
-def separable_sweep(grid_n: int, *, seed: int = 42) -> SeparableSweepResult:
-    """Scan the phase-optimized peak charge over [0, 1]^2.
+def separable_sweep(grid_n: int) -> np.ndarray:
+    """Phase-optimized peak charge over E0 on the (grid_n, grid_n) grid
+    beta1, beta2 = linspace(0, 1, grid_n).
 
     The peak charge at the transfer time is E0 * transfer_fraction of the
     product state, E0 * [b1 b2 a1 a2 cos(t1 - t2) + (b1^2 + b2^2)/2] with
     E0 = 2*hbar*omega, so the optimum over the relative phase is at
-    theta1 == theta2, and it reaches E0 only at b1 = b2 = 1.  A random
-    subsample of 24 grid points is cross-checked against direct three-qubit
-    simulation in one solve; disagreement beyond 1e-9 * 2*hbar*omega raises.
+    theta1 == theta2, and it reaches E0 only at b1 = b2 = 1.  Up to 24 grid
+    points, evenly spread over the flat grid and both corners among them, are
+    cross-checked against direct three-qubit simulation in one solve;
+    disagreement beyond 1e-9 * 2*hbar*omega raises.
     """
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
@@ -319,8 +306,7 @@ def separable_sweep(grid_n: int, *, seed: int = 42) -> SeparableSweepResult:
     surface = transfer_fraction(pairs[..., :, None] * pairs[..., None, :])
 
     hs = hamiltonian_set()
-    rng = np.random.default_rng(seed)
-    sampled = rng.choice(grid_n * grid_n, size=min(24, grid_n * grid_n), replace=False)
+    sampled = np.linspace(0, grid_n**2 - 1, min(24, grid_n**2)).astype(int)
     cells = np.zeros((8, sampled.size), dtype=complex)
     cells[0::2] = pairs.reshape(-1, 4)[sampled].T  # each pair on B1 B2, hub in |0>
     final = _spectral(hs.h_charging, cells, [DISCHARGE_TIME])[0].T
@@ -330,14 +316,7 @@ def separable_sweep(grid_n: int, *, seed: int = 42) -> SeparableSweepResult:
         i, j = divmod(int(sampled[off[0]]), grid_n)
         raise RuntimeError(
             f"separable closed form disagrees with simulation at beta=({betas[i]}, {betas[j]})")
-
-    best = int(np.argmax(surface))
-    i, j = divmod(best, grid_n)
-    return SeparableSweepResult(
-        beta_grid=betas,
-        surface_over_e0=surface,
-        argmax=(float(betas[i]), float(betas[j])),
-    )
+    return surface
 
 
 def single_particle_baseline(t: float) -> float:

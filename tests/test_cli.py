@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qbat import adiabatic, cli, dynamics, model
+from qbat import adiabatic, cli, dynamics, model, protocols
 from qbat.adiabatic import MAX_STEPS, SWEEP_SAMPLES, AdiabaticSpec, _drive_steps
 from qbat.cli import MAX_JT, MAX_ROWS, main
 from qbat.dynamics import STEPS_PER_UNIT_JT
@@ -49,6 +49,11 @@ def test_unknown_flag_is_usage_error(capsys):
                  ["discharge", "--bell", "10", "--tmax", "abc"],
                  ["discharge", "--bell", "10", "--tmax", "-inf"]):
         _assert_one_line_usage_error(args, capsys)
+
+
+def test_bad_bell_label_is_usage_error(capsys):
+    for label in ("1x", "2"):
+        _assert_one_line_usage_error(["discharge", "--bell", label], capsys)
 
 
 def test_invalid_parameter_names_field(capsys):
@@ -542,6 +547,28 @@ def test_drive_steps_at_and_above_the_ceiling(capsys, monkeypatch, args, over):
         assert f"more than {ceiling}" in err
     else:
         assert code == 0 and err == "" and out
+
+
+@pytest.mark.parametrize("samples, over", [("64", False), ("65", True)])
+def test_trap_scan_samples_at_and_above_the_ceiling(capsys, monkeypatch, samples, over):
+    # a ceiling of 64 stands in for protocols.MAX_SCAN_SAMPLES = 2**20
+    monkeypatch.setattr(protocols, "MAX_SCAN_SAMPLES", 64)
+    code, out, err = run_cli(["trap-scan", "--samples", samples], capsys)
+    if over:
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "[1, 64], got 65" in err
+    else:
+        assert code == 0 and err == "" and out
+
+
+def test_max_scan_samples_rejects_long_scans_up_front(capsys):
+    # 2**20 is the smallest power of two that admits a scan of 10**6 samples
+    assert protocols.MAX_SCAN_SAMPLES == 2**20 > 10**6 > 2**19
+    start = time.perf_counter()
+    code, out, err = run_cli(["trap-scan", "--samples", str(2**20 + 1)], capsys)
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert time.perf_counter() - start < 1.0
 
 
 def test_max_steps_rejects_long_drives_up_front(capsys):

@@ -105,8 +105,9 @@ def test_a_table_without_rows_writes_an_empty_list_or_its_header(tmp_path):
 
 
 def test_json_is_written_a_chunk_at_a_time(tmp_path):
-    # 65,536 rows of 6 float columns: the rows held at once are one chunk's
-    table = {f"c{k}": np.linspace(k, k + 1, 2**16) for k in range(6)}
+    # 16,384 rows of 6 float columns, 16 chunks: the rows held at once are one
+    # chunk's (a writer that dumps the whole list at once peaks near 7.4 MiB)
+    table = {f"c{k}": np.linspace(k, k + 1, 2**14) for k in range(6)}
     tracemalloc.start()
     try:
         _io.write_rows(table, "json", str(tmp_path / "out.json"))
@@ -115,4 +116,4 @@ def test_json_is_written_a_chunk_at_a_time(tmp_path):
         tracemalloc.stop()
     assert peak < 4 * 2**20
     rows = json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))
-    assert len(rows) == 2**16 and rows[-1] == {f"c{k}": k + 1.0 for k in range(6)}
+    assert len(rows) == 2**14 and rows[-1] == {f"c{k}": k + 1.0 for k in range(6)}

@@ -49,7 +49,6 @@ def test_bell_states():
                     np.array([1, 0, 0, 1]) / math.sqrt(2))
     with pytest.raises(ValueError):
         BellLabel(2, 0)
-    assert BellLabel.parse("10") == BellLabel(1, 0)
 
 
 def test_closed_form_g_table():
@@ -143,7 +142,6 @@ def test_uniqueness_scan_clean():
     report = trapping_uniqueness_scan(2000, tol=1e-3, seed=11)
     assert report.constraint_trace_distance <= 1e-10
     assert report.n_counterexamples == 0
-    assert report.n_samples == 2000
     assert report.n_unrestricted_counterexamples == 0
 
 
@@ -186,6 +184,14 @@ def test_uniqueness_scan_memory_is_bounded(monkeypatch):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.5 * peaks[0]
+
+
+@pytest.mark.parametrize("n_random", [0, 65])
+def test_uniqueness_scan_rejects_sample_counts_outside_its_range(monkeypatch, n_random):
+    monkeypatch.setattr(protocols, "MAX_SCAN_SAMPLES", 64)
+    trapping_uniqueness_scan(64)
+    with pytest.raises(ValueError, match=re.escape(f"n_random must lie in [1, 64], got {n_random}")):
+        trapping_uniqueness_scan(n_random)
 
 
 def test_uniqueness_scan_is_independent_of_chunk_size(monkeypatch):
@@ -295,24 +301,33 @@ def test_separable_closed_form_matches_simulation(hs):
 
 
 def test_separable_sweep_bound():
-    sweep = separable_sweep(41, seed=9)
-    assert sweep.argmax == (1.0, 1.0)
-    assert sweep.surface_over_e0[-1, -1] == pytest.approx(1.0)
-    interior = sweep.surface_over_e0.copy()
-    interior[-1, -1] = -np.inf
-    assert interior.max() <= 1.0 - 1e-4
+    surface = separable_sweep(41)
+    assert surface.shape == (41, 41)
+    assert np.unravel_index(np.argmax(surface), surface.shape) == (40, 40)
+    assert surface[-1, -1] == pytest.approx(1.0)
+    surface[-1, -1] = -np.inf
+    assert surface.max() <= 1.0 - 1e-4
 
 
 def test_separable_cross_check_raises_on_a_wrong_law(monkeypatch):
     separable_sweep(5)  # law and simulation agree
     # a law off by 1e-8 in g is off by 2e-8 E0 everywhere; the error names the
-    # first of the 24 sampled grid points
-    first = np.random.default_rng(42).choice(25, size=24, replace=False)[0]
-    i, j = divmod(int(first), 5)
-    betas = np.linspace(0.0, 1.0, 5)
+    # first of the 24 sampled grid points, the corner beta = (0, 0)
     monkeypatch.setattr(protocols, "transfer_fraction", lambda rho: transfer_fraction(rho) + 1e-8)
-    with pytest.raises(RuntimeError, match=re.escape(f"beta=({betas[i]}, {betas[j]})")):
+    with pytest.raises(RuntimeError, match=re.escape("beta=(0.0, 0.0)")):
         separable_sweep(5)
+
+
+def test_separable_cross_check_simulates_the_full_charge_corner(monkeypatch):
+    # a law wrong only at beta = (1, 1), the one grid point reaching E0, is
+    # caught on the default grid of 101 x 101
+    def wrong_at_the_corner(rho):
+        g = transfer_fraction(rho)
+        return np.where(np.isclose(rho[..., 3, 3], 1.0), g - 1e-3, g)
+
+    monkeypatch.setattr(protocols, "transfer_fraction", wrong_at_the_corner)
+    with pytest.raises(RuntimeError, match=re.escape("beta=(1.0, 1.0)")):
+        separable_sweep(101)
 
 
 def test_separable_cross_check_diagonalises_once(monkeypatch):

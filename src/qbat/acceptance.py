@@ -148,16 +148,13 @@ def ac4_uniqueness_scan(seed: int = 42) -> CriterionResult:
 
 def ac5_switch_gates(seed: int = 42) -> CriterionResult:
     """Phase gate releases the full charge, bit flip half, either qubit alike."""
-    hs = hamiltonian_set()
     stored = storage_state()
     gates = (SwitchGate.FULL_ON_QUBIT1, SwitchGate.FULL_ON_QUBIT2,
              SwitchGate.HALF_ON_QUBIT1, SwitchGate.HALF_ON_QUBIT2)
     cells = np.stack([switch_gate(kind, stored).amplitudes for kind in gates], axis=1)
     # the four cells' curves at 64 times, then their charge at tau_d, in one solve
     times = np.append(np.linspace(0.0, 2 * DISCHARGE_TIME, 64), DISCHARGE_TIME)
-    states = dynamics._spectral(hs.h_charging, cells, times).swapaxes(1, 2)
-    charges = (dynamics._observable_rows(states.reshape(-1, 8), hs.h0_hub.matrix)
-               .reshape(times.size, len(gates)) - hs.e_empty)
+    charges = protocols.cell_charges(cells, times)
     full_peak, half_peak = charges[-1, 0], charges[-1, 3]
     worst_pair = float(np.abs(charges[:-1, 0::2] - charges[:-1, 1::2]).max())
     ok = (abs(full_peak - E0) <= 1e-9 and abs(half_peak - E0 / 2) <= 1e-9

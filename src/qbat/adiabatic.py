@@ -23,8 +23,8 @@ from functools import cache
 
 import numpy as np
 
-from .dynamics import STEPS_PER_UNIT_JT, TimeSeries, _observable_rows, _stepped_states
-from .model import E0, _xy_exchange, ec_operator, hamiltonian_set
+from .dynamics import STEPS_PER_UNIT_JT, TimeSeries, _stepped_states
+from .model import E0, _observable_rows, _xy_exchange, charge, ec_operator, hamiltonian_set
 from .protocols import storage_state
 from .qalg import Operator, PureState, embed, expectation, ket, max_abs, pauli, tensor
 
@@ -204,15 +204,14 @@ def run_discharge(spec: AdiabaticSpec, n_samples: int = 513) -> DischargeReport:
     ValueError before any stepping.
     """
     sector = _EXCITATION_SECTORS[1]
-    block = np.ix_(sector, sector)
     hs = hamiltonian_set()
     times = np.linspace(0.0, spec.jtau, n_samples)
     states = _drive_states(spec, storage_state().amplitudes[sector], n_samples, sector)
-    charge_channel = _observable_rows(states, hs.h0_hub.matrix[block]) - hs.e_empty
-    currents = [_observable_rows(states, ec_operator(hs.h0_hub, h).matrix[block])
+    charge_channel = charge(states, hs, sector)
+    currents = [_observable_rows(states, ec_operator(hs.h0_hub, h).matrix, sector)
                 for h in interpolation_parts()]
     ec_channel = sum(map(np.multiply, _part_weights(spec.schedule, times / spec.jtau), currents))
-    parity_channel = _observable_rows(states, parity_operator().matrix[block])
+    parity_channel = _observable_rows(states, parity_operator().matrix, sector)
     fidelity_channel = np.abs(states @ target_state().amplitudes[sector].conj()) ** 2
 
     tail = np.abs(ec_channel[times >= 0.9 * spec.jtau])

@@ -3,7 +3,8 @@
 Every subcommand emits either a sampled trajectory or a report as CSV or
 JSON with reproducible formatting; physical parameters come from flags, an
 optional ``qbat.json`` config file, or their defaults (flags win).  Exit
-codes: 0 success, 2 parameter/usage error, 1 internal failure.
+codes: 0 success, 2 parameter/usage error, 1 internal failure, 130 interrupted
+(Ctrl-C), 141 the reader of the output closed it early (as ``head`` does).
 """
 
 from __future__ import annotations
@@ -367,9 +368,22 @@ def main(argv=None) -> int:
         if cfg.output != "-":
             _check_writable(cfg.output)
         if args.command == "selftest":
-            return _cmd_selftest(cfg, args)
-        write_rows(_HANDLERS[args.command](cfg, args), cfg.format, cfg.output)
-        return 0
+            code = _cmd_selftest(cfg, args)
+        else:
+            write_rows(_HANDLERS[args.command](cfg, args), cfg.format, cfg.output)
+            code = 0
+        if sys.stdout is not None:  # None when started with its descriptor closed
+            sys.stdout.flush()  # a reader that left raises here, not in the exit-time flush
+        return code
+    except BrokenPipeError:  # the reader of the output left early, as `head` does
+        # print nothing, and send the rest of stdout to devnull so that the
+        # exit-time flush does not fail again (Python docs, "Note on SIGPIPE")
+        if sys.stdout is sys.__stdout__:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a producer the signal ended
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
     except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,7 +22,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .model import HamiltonianSet, ec_operator
+from .model import HamiltonianSet, _observable_rows, charge, ec_operator
 from .qalg import HERMITIAN_ATOL, DensityMatrix, Operator, PureState, max_abs
 
 HStack = Callable[[np.ndarray], np.ndarray]  # s values (m,) -> Hamiltonians (m, d, d)
@@ -160,13 +160,6 @@ def evolve_timedep(h_stack: HStack, psi0: PureState, tau: float, n_steps: int) -
     return PureState(psi0.n_qubits, states[-1])
 
 
-def _observable_rows(states: np.ndarray, op: np.ndarray) -> np.ndarray:
-    """Real expectation of a hermitian (d, d) matrix over a (n_samples, d) state
-    stack: an operator's ``matrix``, or its block on the states' basis."""
-    vals = np.einsum("ki,ij,kj->k", states.conj(), op, states)
-    return vals.real
-
-
 def sample_trajectory(h: Operator, psi0: PureState, t_final: float, n_samples: int,
                       hs: HamiltonianSet) -> TimeSeries:
     """Uniformly sampled charge and energy-current channels under a constant H.
@@ -182,7 +175,7 @@ def sample_trajectory(h: Operator, psi0: PureState, t_final: float, n_samples: i
                          f"got {t_final}")
     times = np.linspace(0.0, t_final, n_samples)
     states = _spectral(h, psi0.amplitudes, times)
-    charge_channel = _observable_rows(states, hs.h0_hub.matrix) - hs.e_empty
+    charge_channel = charge(states, hs)
     p_hat = hs.current if h is hs.h_charging else ec_operator(hs.h0_hub, h)
     ec_channel = _observable_rows(states, p_hat.matrix)
     fidelity = np.abs(states @ psi0.amplitudes.conj()) ** 2

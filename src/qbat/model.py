@@ -22,7 +22,6 @@ from .qalg import (
     PureState,
     State,
     embed,
-    expectation,
     pauli,
     tensor,
 )
@@ -105,9 +104,20 @@ def ec_operator(h0_hub: Operator, h_int: Operator) -> Operator:
     return Operator(h0_hub.n_qubits, m)
 
 
-def charge(state: State, hs: HamiltonianSet) -> float:
-    """Energy currently held by the hub relative to its empty (ground) state."""
-    return expectation(hs.h0_hub, state) - hs.e_empty
+def _observable_rows(states: np.ndarray, op: np.ndarray, sector=slice(None)) -> np.ndarray:
+    """Real expectation of the hermitian ``op`` over a (..., len(sector)) stack of
+    states on the computational states ``sector`` (all by default), from op's block."""
+    vals = np.einsum("...i,ij,...j->...", states.conj(), op[sector, :][:, sector], states)
+    return vals.real
+
+
+def charge(state: PureState | np.ndarray, hs: HamiltonianSet, sector=slice(None)):
+    """Energy held by the hub above its empty (ground) energy: a float for a
+    ``PureState``, an array for a state stack as ``_observable_rows`` takes."""
+    if not isinstance(state, (PureState, np.ndarray)):
+        raise TypeError(f"charge takes a PureState or an ndarray, got {type(state).__name__}")
+    rows = state.amplitudes if isinstance(state, PureState) else state
+    return _observable_rows(rows, hs.h0_hub.matrix, sector) - hs.e_empty
 
 
 def ergotropy(rho: State, h: Operator) -> float:

@@ -15,8 +15,8 @@ from functools import cache
 
 import numpy as np
 
-from .dynamics import TimeSeries, _observable_rows, _spectral, sample_trajectory
-from .model import E0, HamiltonianSet, _xy_cell, hamiltonian_set
+from .dynamics import TimeSeries, _spectral, sample_trajectory
+from .model import E0, HamiltonianSet, _xy_cell, charge, hamiltonian_set
 from .qalg import (
     DensityMatrix,
     PureState,
@@ -305,18 +305,23 @@ def separable_sweep(grid_n: int) -> np.ndarray:
     pairs = np.einsum("ia,jb->ijab", qubits, qubits).reshape(grid_n, grid_n, 4)
     surface = transfer_fraction(pairs[..., :, None] * pairs[..., None, :])
 
-    hs = hamiltonian_set()
     sampled = np.linspace(0, grid_n**2 - 1, min(24, grid_n**2)).astype(int)
     cells = np.zeros((8, sampled.size), dtype=complex)
     cells[0::2] = pairs.reshape(-1, 4)[sampled].T  # each pair on B1 B2, hub in |0>
-    final = _spectral(hs.h_charging, cells, [DISCHARGE_TIME])[0].T
-    simulated = _observable_rows(final, hs.h0_hub.matrix) - hs.e_empty
+    simulated = cell_charges(cells, [DISCHARGE_TIME])[0]
     off = np.flatnonzero(np.abs(simulated - surface.ravel()[sampled] * E0) > 1e-9 * E0)
     if off.size:
         i, j = divmod(int(sampled[off[0]]), grid_n)
         raise RuntimeError(
             f"separable closed form disagrees with simulation at beta=({betas[i]}, {betas[j]})")
     return surface
+
+
+def cell_charges(cells: np.ndarray, times) -> np.ndarray:
+    """Hub charge of each cell of an (8, k) block at each of ``times``, all
+    evolved under the cell's coupling in one solve: a (len(times), k) array."""
+    hs = hamiltonian_set()
+    return charge(_spectral(hs.h_charging, cells, times).swapaxes(1, 2), hs)
 
 
 def single_particle_baseline(t: float) -> float:
@@ -400,11 +405,9 @@ def ncell_plan_energy(plan: NCellPlan):
     once as a three-qubit block, all of them in one solve.  Holds deliver
     nothing, half actions one quantum (hbar*omega), full actions two.
     """
-    hs = hamiltonian_set()
     actions = list(dict.fromkeys(plan.actions))
     cells = np.stack([cell_state_after_action(action).amplitudes for action in actions], axis=1)
-    final = _spectral(hs.h_charging, cells, [DISCHARGE_TIME])[0].T
-    charges = _observable_rows(final, hs.h0_hub.matrix) - hs.e_empty
+    charges = cell_charges(cells, [DISCHARGE_TIME])[0]
     delivered = dict(zip(actions, charges.tolist()))
     per_cell = tuple(delivered[action] for action in plan.actions)
     return float(sum(per_cell)), per_cell

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from qbat import adiabatic, dynamics
+from qbat import adiabatic, dynamics, model
 from qbat.adiabatic import (
     _EXCITATION_SECTORS,
     AdiabaticSpec,
@@ -341,9 +341,9 @@ def test_discharge_invariants_property(jtau, schedule, samples_per_jt):
     h0 = hs.h0_hub.matrix
     h = _ht_stack(spec.schedule, series.times / spec.jtau)
     oracle = {
-        "charge": dynamics._observable_rows(full, h0) - hs.e_empty,
+        "charge": model._observable_rows(full, h0) - hs.e_empty,
         "ec": np.einsum("ki,kij,kj->k", full.conj(), (h0 @ h - h @ h0) / 1j, full).real,
-        "parity": dynamics._observable_rows(full, parity_operator().matrix),
+        "parity": model._observable_rows(full, parity_operator().matrix),
         "fidelity_target": np.abs(full @ target_state().amplitudes.conj()) ** 2,
     }
     channels = {"charge": series.charge, "ec": series.ec, **series.extra}

@@ -3,8 +3,12 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,6 +266,41 @@ def test_json_mirrors_csv(capsys, tmp_path):
     for rc, rj in zip(rows_csv, rows_json):
         for key in rj:
             assert float(rc[key]) == pytest.approx(rj[key], abs=1e-15)
+
+
+@pytest.mark.parametrize("argv, first_read", [
+    (["separable", "--grid", "256"], b"beta1,beta"),  # 3.5 MB: fails while writing
+    (["trap-check"], b""),  # fits the pipe buffer: fails in the final flush
+], ids=["large", "small"])
+def test_a_closed_stdout_ends_the_run_quietly(argv, first_read):
+    # the reader leaves after its first read, as `head` does: no error line,
+    # and the exit code a shell gives a producer ended by SIGPIPE
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, as in a plain shell
+    with subprocess.Popen([sys.executable, "-m", "qbat.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        assert child.stdout.read(len(first_read)) == first_read
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=60) == 141 and err == b""
+
+
+def test_a_run_without_stdout_still_writes_its_output_file(monkeypatch, tmp_path):
+    # an interpreter started with descriptor 1 closed sets sys.stdout to None
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["trap-check", "--output", str(tmp_path / "t.csv")]) == 0
+    assert (tmp_path / "t.csv").read_text().startswith("state,")
+
+
+def test_an_interrupted_run_prints_one_line(monkeypatch, capsys):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "trapping_uniqueness_scan", interrupted)
+    code, out, err = run_cli(["trap-scan", "--samples", "10"], capsys)
+    assert (code, out, err) == (130, "", "error: interrupted\n")
 
 
 def test_output_files_are_byte_identical(tmp_path, capsys):

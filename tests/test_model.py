@@ -163,8 +163,46 @@ def test_charge_additivity_over_cells(hs):
         assert total == pytest.approx(parts, abs=1e-10)
 
 
+def test_charge_rejects_a_density_matrix(hs):
+    message = "^charge takes a PureState or an ndarray, got DensityMatrix$"
+    with pytest.raises(TypeError, match=message):
+        charge(ket("101").density(), hs)
+
+
 # ----------------------------------------------------------------------
 # Properties.
+
+def _state_stacks(n_rows, dim):
+    reals = st.floats(-1.0, 1.0, allow_nan=False)
+    stacks = st.lists(reals, min_size=2 * n_rows * dim, max_size=2 * n_rows * dim).map(
+        lambda vals: _as_unit_rows(np.array(vals), n_rows, dim))
+    return stacks.filter(lambda rows: rows is not None)
+
+
+def _as_unit_rows(vals, n_rows, dim):
+    rows = (vals[:n_rows * dim] + 1j * vals[n_rows * dim:]).reshape(n_rows, dim)
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    return rows / norms if norms.min() > 1e-3 else None
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: _state_stacks(n, 8)))
+def test_charge_of_a_stack_is_the_charge_of_each_row(hs, rows):
+    expected = [expectation(hs.h0_hub, PureState(3, row)) - hs.e_empty for row in rows]
+    assert np.abs(charge(rows, hs) - expected).max() <= 1e-14
+    assert abs(charge(PureState(3, rows[0]), hs) - expected[0]) <= 1e-14
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: _state_stacks(n, 3)))
+def test_charge_on_a_sector_is_the_charge_of_the_padded_rows(hs, rows):
+    sector = [0b001, 0b010, 0b100]
+    padded = np.zeros((len(rows), 8), dtype=complex)
+    padded[:, sector] = rows
+    assert np.abs(charge(rows, hs, sector) - charge(padded, hs)).max() <= 1e-14
+    # a tuple names the same states as the list
+    assert np.array_equal(charge(rows, hs, tuple(sector)), charge(rows, hs, sector))
+
 
 def _density_matrices(n_qubits):
     dim = 2**n_qubits

@@ -344,6 +344,19 @@ def test_separable_cross_check_diagonalises_once(monkeypatch):
     assert calls["eigh"] == 3
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=5))
+def test_cell_charges_are_the_charges_of_each_evolved_cell(hs, times):
+    cells = [cell_state_after_action(action) for action in CellAction]
+    cells.append(bell_with_empty_hub(BellLabel(0, 1)))
+    charges = protocols.cell_charges(np.stack([c.amplitudes for c in cells], axis=1), times)
+    assert charges.shape == (len(times), len(cells))
+    for i, t in enumerate(times):
+        for k, cell in enumerate(cells):
+            expected = charge(evolve_static(hs.h_charging, cell, t), hs)
+            assert abs(charges[i, k] - expected) <= 1e-12
+
+
 def test_single_particle_baseline():
     t_sp = SINGLE_PARTICLE_TRANSFER_TIME
     assert single_particle_baseline(t_sp) == pytest.approx(2.0)

@@ -23,7 +23,7 @@ from functools import cache
 
 import numpy as np
 
-from .dynamics import STEPS_PER_UNIT_JT, TimeSeries, _stepped_states
+from .dynamics import STEPS_PER_UNIT_JT, TimeSeries, _check_sampling, _stepped_states
 from .model import E0, _observable_rows, _xy_exchange, charge, ec_operator, hamiltonian_set
 from .protocols import storage_state
 from .qalg import Operator, PureState, embed, expectation, ket, max_abs, pauli, tensor
@@ -171,16 +171,15 @@ def _drive_steps(spec: AdiabaticSpec, n_samples: int) -> int:
     """Steps taken by one drive recorded at ``n_samples`` uniform times.
 
     Every segment between samples takes the same whole number of steps, at
-    least STEPS_PER_UNIT_JT * Jtau in total.  Fewer than two samples or more
-    than MAX_STEPS steps raise ValueError.
+    least STEPS_PER_UNIT_JT * Jtau in total.  More than MAX_STEPS steps, or a
+    sample grid that ``_check_sampling`` rejects, raise ValueError.
     """
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
-    segments = n_samples - 1
+    segments = max(n_samples - 1, 1)  # fewer than two samples are rejected below
     demand = math.ceil(min(STEPS_PER_UNIT_JT * spec.jtau, MAX_STEPS + 1))  # capped: no ceil(inf)
     n_steps = math.ceil(demand / segments) * segments
     if n_steps > MAX_STEPS:
         raise ValueError(f"Jtau = {spec.jtau:g} needs more than {MAX_STEPS} drive steps")
+    _check_sampling("jtau", spec.jtau, n_samples)
     return n_steps
 
 
@@ -200,13 +199,13 @@ def run_discharge(spec: AdiabaticSpec, n_samples: int = 513) -> DischargeReport:
     Only its one-excitation block {|001>, |010>, |100>} is stepped, and every
     channel is evaluated on those (n_samples, 3) states.  The current is
     <(1/i)[H0_hub, H(t)]>, summed part by part since it is linear in the
-    weights of the interpolation parts.  A drive over MAX_STEPS raises
-    ValueError before any stepping.
+    weights of the interpolation parts.  A drive over MAX_STEPS or a bad
+    sample grid (see ``_drive_steps``) raises ValueError before any stepping.
     """
     sector = _EXCITATION_SECTORS[1]
     hs = hamiltonian_set()
-    times = np.linspace(0.0, spec.jtau, n_samples)
     states = _drive_states(spec, storage_state().amplitudes[sector], n_samples, sector)
+    times = np.linspace(0.0, spec.jtau, n_samples)
     charge_channel = charge(states, hs, sector)
     currents = [_observable_rows(states, ec_operator(hs.h0_hub, h).matrix, sector)
                 for h in interpolation_parts()]
@@ -246,8 +245,8 @@ def sweep_tau(jtau_values, *, max_workers: int = 1) -> list:
     threads finish in.  Each run is recorded at SWEEP_SAMPLES uniform times.
     Jtau = 0 is the sudden limit: nothing evolves and nothing is transferred,
     so it is answered without a job.  A sweep whose runs take more than
-    MAX_STEPS drive steps in total (see ``_drive_steps``) raises ValueError
-    before the first job starts.
+    MAX_STEPS drive steps in total, or one of whose runs ``_drive_steps``
+    rejects, raises ValueError before the first job starts.
     """
     if len(jtau_values) == 0:
         raise ValueError("jtau_values must not be empty")

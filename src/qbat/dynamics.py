@@ -38,6 +38,7 @@ _NODES = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0  # Gauss-Legendre, i
 _ALPHA, _BETA = 0.25 + math.sqrt(3.0) / 6.0, 0.25 - math.sqrt(3.0) / 6.0
 # Longest run in units of 1/J, whose largest phase 2*sqrt(2)*Jt keeps an ulp below 1e-6 rad.
 MAX_JT = 1e9
+_MIN_SPACING = np.finfo(float).tiny  # least sample spacing, the smallest normal float
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,6 +84,19 @@ def _spectral(h: Operator, x: np.ndarray, times) -> np.ndarray:
     phases = np.exp(-1j * np.outer(w, times))
     out = v @ (phases[:, :, None] * coeffs[:, None, :]).reshape(h.dim, -1)
     return out.reshape((h.dim, -1) + x.shape[1:]).swapaxes(0, 1)
+
+
+def _check_sampling(name: str, duration: float, n_samples: int) -> None:
+    """Reject, before any propagation, fewer than 2 samples, a duration outside
+    (0, MAX_JT] (in 1/J) or a sample spacing below the smallest normal float."""
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
+    if not 0 < duration <= MAX_JT:
+        raise ValueError(f"{name} must be finite, > 0 and at most MAX_JT = {MAX_JT:g}, "
+                         f"got {duration}")
+    if duration / (n_samples - 1) < _MIN_SPACING:
+        raise ValueError(f"{name}: a run of Jt = {duration:g} spaces its {n_samples} "
+                         "samples below the smallest normal float")
 
 
 def evolve_static(h: Operator, psi0: PureState, t: float) -> PureState:
@@ -168,11 +182,7 @@ def sample_trajectory(h: Operator, psi0: PureState, t_final: float, n_samples: i
     in either frame.  The extra channel ``fidelity_initial`` records
     |<psi0|psi(t)>|^2.  Driven runs go through ``qbat.adiabatic``.
     """
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
-    if not 0 < t_final <= MAX_JT:
-        raise ValueError(f"t_final must be finite, > 0 and at most MAX_JT = {MAX_JT:g}, "
-                         f"got {t_final}")
+    _check_sampling("t_final", t_final, n_samples)
     times = np.linspace(0.0, t_final, n_samples)
     states = _spectral(h, psi0.amplitudes, times)
     charge_channel = charge(states, hs)

@@ -107,8 +107,10 @@ def ec_operator(h0_hub: Operator, h_int: Operator) -> Operator:
 def _observable_rows(states: np.ndarray, op: np.ndarray, sector=slice(None)) -> np.ndarray:
     """Real expectation of the hermitian ``op`` over a (..., len(sector)) stack of
     states on the computational states ``sector`` (all by default), from op's block."""
-    vals = np.einsum("...i,ij,...j->...", states.conj(), op[sector, :][:, sector], states)
-    return vals.real
+    block = op[sector, :][:, sector]
+    if states.shape[-1] != len(block):
+        raise ValueError(f"dimension mismatch: operator {len(block)}, state {states.shape[-1]}")
+    return np.einsum("...i,ij,...j->...", states.conj(), block, states).real
 
 
 def charge(state: PureState | np.ndarray, hs: HamiltonianSet, sector=slice(None)):

@@ -16,8 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from qbat import adiabatic, cli, dynamics, model, protocols
 from qbat.adiabatic import MAX_STEPS, SWEEP_SAMPLES, AdiabaticSpec, _drive_steps
-from qbat.cli import MAX_JT, MAX_ROWS, main
-from qbat.dynamics import STEPS_PER_UNIT_JT
+from qbat.cli import MAX_ROWS, main
+from qbat.dynamics import MAX_JT, STEPS_PER_UNIT_JT
 from qbat.qalg import Operator, PureState
 
 
@@ -285,6 +285,31 @@ def test_a_closed_stdout_ends_the_run_quietly(argv, first_read):
         child.stdout.close()
         err = child.stderr.read()
         assert child.wait(timeout=60) == 141 and err == b""
+
+
+def test_a_run_started_with_stdout_closed_is_a_parameter_error():
+    # descriptor 1 closed, as `qbat trap-check >&-` starts it: stdout is an
+    # output that cannot be written, rejected with one line before any work
+    # (test_a_run_without_stdout_still_writes_its_output_file covers --output)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-m", "qbat.cli", "trap-check"], env=env,
+                         stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1), timeout=60)
+    assert run.returncode == 2
+    assert len(run.stderr.splitlines()) == 1 and run.stderr.startswith(b"error: ")
+
+
+def test_a_read_only_output_file_is_kept(monkeypatch, tmp_path, capsys):
+    # a rename would replace it whatever its mode; os.access answers as it
+    # would for a user without write permission on it (root may write anything)
+    path = tmp_path / "t.csv"
+    path.write_text("old output\n")
+    access = os.access
+    monkeypatch.setattr(os, "access", lambda p, mode: access(p, mode) and str(p) != str(path))
+    code, out, err = run_cli(["trap-check", "--output", str(path)], capsys)
+    assert code == 2 and out == "" and err.startswith("error: cannot write")
+    assert path.read_text() == "old output\n"
 
 
 def test_a_run_without_stdout_still_writes_its_output_file(monkeypatch, tmp_path):
@@ -615,8 +640,8 @@ def test_max_steps_rejects_long_drives_up_front(capsys):
     # sweep to 5440 takes no more, 3 * 43,520 steps over its runs' 257
     # samples; at 5440.01 each run rounds up to 43,776.  A longer run, a sweep
     # of many short runs (each takes at least 256 steps) and a run time whose
-    # step count overflows (which the CLI rejects sooner, as longer than
-    # MAX_JT) are rejected before any stepping
+    # step count overflows (also longer than MAX_JT, which the step count
+    # checks only after MAX_STEPS) are rejected before any stepping
     assert _drive_steps(AdiabaticSpec(16384.0), 2) == MAX_STEPS == 2**17
     sweep_steps = [len(adiabatic.Schedule) * _drive_steps(AdiabaticSpec(jtau), SWEEP_SAMPLES)
                    for jtau in (5440.0, 5440.01)]

@@ -7,7 +7,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from qbat import dynamics
+from qbat import adiabatic, dynamics
 from qbat.dynamics import (
     STEPS_PER_UNIT_JT,
     TimeSeries,
@@ -477,9 +477,42 @@ def test_a_run_of_max_jt_is_accepted(hs, name, value):
         _time_calls()[name](hs, value)
 
 
-def test_max_jt_is_the_clis_ceiling():
-    from qbat import cli
-    assert cli.MAX_JT is dynamics.MAX_JT == 1e9
+class _Propagated(Exception):
+    pass
+
+
+_GRID_CALLS = {
+    "sample_trajectory": lambda hs, t, n: sample_trajectory(
+        hs.h_charging, bell_with_empty_hub(BellLabel(1, 0)), t, n, hs),
+    "single_particle_trajectory": lambda hs, t, n: single_particle_trajectory(t, n),
+    "run_discharge": lambda hs, t, n: adiabatic.run_discharge(adiabatic.AdiabaticSpec(t), n),
+    "sweep_tau": lambda hs, t, n: adiabatic.sweep_tau([t]),  # at SWEEP_SAMPLES = n
+}
+
+
+@pytest.mark.parametrize("n_samples", [1, 2, 65536])
+@pytest.mark.parametrize("duration", [0.0, -1.0, 5e-324, 1e-320, 1e308, math.inf, math.nan, 1.0])
+@pytest.mark.parametrize("call", list(_GRID_CALLS))
+def test_bad_sample_grids_are_rejected_before_propagation(hs, monkeypatch, call, duration,
+                                                          n_samples):
+    # a grid of fewer than 2 samples, a run length outside (0, MAX_JT] or a
+    # spacing below the smallest normal float raises ValueError up front;
+    # only a good grid may reach the propagators (Jt = 1 is the control)
+    def propagated(*_args, **_kwargs):
+        raise _Propagated
+
+    monkeypatch.setattr(dynamics, "_spectral", propagated)
+    monkeypatch.setattr(adiabatic, "_stepped_states", propagated)
+    monkeypatch.setattr(adiabatic, "SWEEP_SAMPLES", n_samples)
+    try:
+        _GRID_CALLS[call](hs, duration, n_samples)
+    except ValueError:
+        return
+    except _Propagated:
+        assert n_samples >= 2 and 0 < duration <= dynamics.MAX_JT
+        assert duration / (n_samples - 1) >= np.finfo(float).tiny
+        return
+    assert (call, duration) == ("sweep_tau", 0.0)  # the sudden limit evolves nothing
 
 
 _COLLECTIVE_Z = np.array([2.0, 0.0, 0.0, -2.0])

@@ -11,6 +11,7 @@ header from, so it wrote an empty line.)
 import csv
 import json
 import math
+import os
 import tracemalloc
 from unittest import mock
 
@@ -117,3 +118,68 @@ def test_json_is_written_a_chunk_at_a_time(tmp_path):
     assert peak < 4 * 2**20
     rows = json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))
     assert len(rows) == 2**14 and rows[-1] == {f"c{k}": k + 1.0 for k in range(6)}
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+@pytest.mark.parametrize("old", [None, "old output\n"], ids=["new", "existing"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_failed_write_leaves_the_old_file_or_none(tmp_path, fmt, old, error):
+    # the second chunk fails after the first was written: the path keeps its
+    # old content, or stays absent, and no temporary file is left beside it
+    path = tmp_path / "out"
+    if old is not None:
+        path.write_text(old, encoding="utf-8")
+    cells, formatted = _io._cells, []
+
+    def failing(column, fmt):
+        formatted.append(column)
+        if len(formatted) > 2:  # two columns per chunk
+            raise error("write failed")
+        return cells(column, fmt)
+
+    with mock.patch.object(_io, "_CHUNK_ROWS", 2), mock.patch.object(_io, "_cells", failing):
+        with pytest.raises(error):
+            _io.write_rows({"a": np.zeros(5), "b": np.ones(5)}, fmt, str(path))
+    assert os.listdir(tmp_path) == ([] if old is None else ["out"])
+    if old is not None:
+        assert path.read_text(encoding="utf-8") == old
+
+
+def test_a_symlink_is_written_in_place(tmp_path):
+    # it may name an open descriptor, as /dev/stdout does, which a rename
+    # onto the file it resolves to would cut off
+    (tmp_path / "real").write_text("old output\n", encoding="utf-8")
+    (tmp_path / "link").symlink_to("real")
+    inode = (tmp_path / "real").stat().st_ino
+    _io.write_rows({"a": [1]}, "csv", str(tmp_path / "link"))
+    assert (tmp_path / "link").is_symlink() and (tmp_path / "real").stat().st_ino == inode
+    assert (tmp_path / "real").read_text(encoding="utf-8") == "a\n1\n"
+    assert sorted(os.listdir(tmp_path)) == ["link", "real"]
+
+
+def test_a_regular_file_is_replaced(tmp_path):
+    path = tmp_path / "out"
+    path.write_text("old output\n", encoding="utf-8")
+    inode = path.stat().st_ino
+    _io.write_rows({"a": [1]}, "csv", str(path))
+    assert path.read_text(encoding="utf-8") == "a\n1\n" and path.stat().st_ino != inode
+    assert os.listdir(tmp_path) == ["out"]
+
+
+def test_a_new_file_gets_the_mode_open_gives_it(tmp_path):
+    _io.write_rows({"a": [1]}, "csv", str(tmp_path / "written"))
+    (tmp_path / "opened").open("w").close()
+    assert (tmp_path / "written").stat().st_mode == (tmp_path / "opened").stat().st_mode
+
+
+def test_a_path_that_is_not_a_regular_file_is_written_in_place(tmp_path):
+    # a FIFO, as /dev/null or /dev/stdout, cannot be replaced by a rename
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # lets the writer open it
+    try:
+        _io.write_rows({"a": [1]}, "csv", str(fifo))
+        assert os.read(reader, 64) == b"a\n1\n"
+    finally:
+        os.close(reader)
+    assert fifo.is_fifo() and os.listdir(tmp_path) == ["fifo"]

@@ -169,6 +169,14 @@ def test_charge_rejects_a_density_matrix(hs):
         charge(ket("101").density(), hs)
 
 
+@pytest.mark.parametrize("state", [ket("01"), np.zeros((5, 4), dtype=complex)],
+                         ids=["state", "stack"])
+def test_charge_rejects_a_state_of_the_wrong_size(hs, state):
+    # in expectation's words, not numpy's broadcast error
+    with pytest.raises(ValueError, match="^dimension mismatch: operator 8, state 4$"):
+        charge(state, hs)
+
+
 # ----------------------------------------------------------------------
 # Properties.
 

@@ -58,14 +58,25 @@ def replaced_whole(path: str) -> bool:
         return True
 
 
+def _is_stdout(path: str) -> bool:
+    """Whether ``path`` is the file open on ``sys.stdout``'s descriptor: a
+    shell's ``>>`` there keeps its append offset only through that descriptor."""
+    try:
+        held, named = os.fstat(sys.stdout.fileno()), os.stat(path)
+    except (AttributeError, OSError, ValueError):  # no stdout, a captured one, or no file
+        return False
+    return (held.st_dev, held.st_ino) == (named.st_dev, named.st_ino)
+
+
 @contextlib.contextmanager
 def _opened(path: str):
-    """A text handle on stdout for "-", on ``path`` if it is written in place,
-    and otherwise on a new file beside it, with the mode a new file gets under
-    the umask: renamed onto the path when the block ends, removed if it raises
-    (Ctrl-C included), so the path never holds a prefix of the output."""
+    """A text handle on stdout for "-" or the file stdout holds, on ``path`` if
+    it is written in place, and otherwise on a new file beside it, with the
+    mode a new file gets under the umask: renamed onto the path when the block
+    ends, removed if it raises (Ctrl-C included), so the path never holds a
+    prefix of the output."""
     if path == "-" or not replaced_whole(path):
-        with (contextlib.nullcontext(sys.stdout) if path == "-"
+        with (contextlib.nullcontext(sys.stdout) if path == "-" or _is_stdout(path)
               else open(path, "w", encoding="utf-8", newline="\n")) as handle:
             yield handle
         return

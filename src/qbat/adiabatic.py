@@ -250,10 +250,14 @@ def sweep_tau(jtau_values, *, max_workers: int = 1) -> list:
     """
     if len(jtau_values) == 0:
         raise ValueError("jtau_values must not be empty")
-    points = [(float(jtau), schedule) for jtau in jtau_values for schedule in Schedule]
-    specs = [AdiabaticSpec(*point) for point in points if point[0] != 0.0]
-    if sum(_drive_steps(spec, SWEEP_SAMPLES) for spec in specs) > MAX_STEPS:
+    jtaus = [float(jtau) for jtau in jtau_values]
+    # the steps of a run do not depend on its schedule: each positive Jtau is
+    # checked, then counted, once, and no job is built for a rejected sweep
+    checked = [AdiabaticSpec(jtau) for jtau in jtaus if jtau != 0.0]
+    if len(Schedule) * sum(_drive_steps(spec, SWEEP_SAMPLES) for spec in checked) > MAX_STEPS:
         raise ValueError(f"the sweep needs more than {MAX_STEPS} drive steps in total")
+    points = [(jtau, schedule) for jtau in jtaus for schedule in Schedule]
+    specs = [AdiabaticSpec(*point) for point in points if point[0] != 0.0]
 
     def _one(spec):
         report = run_discharge(spec, n_samples=SWEEP_SAMPLES)

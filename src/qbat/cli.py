@@ -271,7 +271,8 @@ def _cmd_trap_scan(cfg: RunConfig, args) -> dict:
 
 
 def _cmd_separable(cfg: RunConfig, args) -> dict:
-    _check_rows(f"grid {args.grid}", args.grid**2)
+    # a grid below 2 gives no rows here: separable_sweep rejects it
+    _check_rows(f"grid {args.grid}", max(args.grid, 0) ** 2)
     surface = separable_sweep(args.grid)
     betas = np.linspace(0.0, 1.0, args.grid)
     return {"beta1": np.repeat(betas, args.grid),

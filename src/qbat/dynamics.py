@@ -9,9 +9,9 @@ applies exp(-i dt (alpha H1 + beta H2)) and then exp(-i dt (beta H1 + alpha
 H2)), with alpha = 1/4 + sqrt(3)/6 and beta = 1/4 - sqrt(3)/6.  Both
 exponents are hermitian (real symmetric for the drive), so every step is
 exactly unitary; the global error is fourth order in the step size, and the
-rule is exact for constant Hamiltonians.  The factors of each recording
-segment are formed as matrices in batches and multiplied pairwise into one
-segment propagator, so a state is touched once per segment, not per step.
+rule is exact for constant Hamiltonians.  Each segment's factors (closed-form
+for the drive's real 3x3 blocks) are batched and multiplied pairwise into one
+propagator, so a state is touched once per recording segment, not per step.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .qalg import HERMITIAN_ATOL, DensityMatrix, Operator, PureState, max_abs
 
 HStack = Callable[[np.ndarray], np.ndarray]  # s values (m,) -> Hamiltonians (m, d, d)
 
-# Steps per batched eigh of a long stepped evolution.  A chunk's two
+# Steps per batch of factors of a long stepped evolution.  A chunk's two
 # exponentials per step make 8x8 complex stacks of 2 MiB each, below numpy's
 # 4 MiB huge-page threshold, so a full-space run holds a few MiB at a time (the
 # drive's sector blocks far less) and the peak memory of a threaded sweep
@@ -119,6 +119,34 @@ def _tree_product(u: np.ndarray) -> np.ndarray:
     return u[..., 0, :, :]
 
 
+def _expm_sym3(a: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-i dt A) for a (..., 3, 3) stack of real symmetric A, in closed form:
+    f[l1] + f[l1,l2](A - l1) + f[l1,l2,l3](A - l1)(A - l2) in divided differences
+    of exp(-i dt x) at the roots l1 <= l2 <= l3 of the characteristic cubic
+    (Kopp, Int. J. Mod. Phys. C 19, 523 (2008)), the first ones in a sinc form
+    exact for meeting levels (McCurdy, Ng & Parlett, Math. Comp. 43, 501 (1984)).
+    Error and unitarity defect grow with dt |A|_2: <= 2.1e-14 at 10, 9.5e-13 at 100.
+    """
+    s = math.ldexp(0.5, math.frexp(np.abs(a).max())[1])  # a power of two: the entries
+    a, dt, eye = a / s, dt * s, np.eye(3)  # scale exactly to |a| < 2, and no square overflows
+    q = np.trace(a, axis1=-2, axis2=-1)[..., None, None] / 3.0
+    b = a - q * eye
+    p = np.sqrt(np.sum(b * b, axis=(-2, -1), keepdims=True) / 6.0)
+    b = np.moveaxis(np.divide(b, p, out=b, where=p > 0), (-2, -1), (0, 1))  # (A - q) / p by rows
+    det = (b[0, 0] * b[1, 1] * b[2, 2] + 2.0 * b[0, 1] * b[0, 2] * b[1, 2]
+           - b[0, 0] * b[1, 2]**2 - b[1, 1] * b[0, 2]**2 - b[2, 2] * b[0, 1]**2)
+    phi = np.arccos(np.clip(det / 2.0, -1.0, 1.0))[..., None, None] / 3.0
+    l1, l2, l3 = (q + 2.0 * p * np.cos(phi + k * 2.0 * np.pi / 3.0) for k in (1, 2, 0))
+    f1 = np.exp(-1j * dt * l1)
+    f12, f23 = (-1j * dt * np.exp(-0.5j * dt * (x + y)) * np.sinc(dt * (y - x) / (2.0 * np.pi))
+                for x, y in ((l1, l2), (l2, l3)))
+    f123 = np.divide(f23 - f12, l3 - l1, out=-0.5 * dt**2 * f1, where=l3 > l1)
+    b = a - l1 * eye
+    u = f123 * (b @ (a - l2 * eye))  # summed in place: a drive's peak memory stays level
+    u += f12 * b
+    return np.add(u, f1 * eye, out=u)
+
+
 def _stepped_states(h_stack: HStack, psi0: np.ndarray, tau: float, n_steps: int,
                     every: int) -> np.ndarray:
     """Run the stepper, returning the state every ``every`` steps.
@@ -126,13 +154,13 @@ def _stepped_states(h_stack: HStack, psi0: np.ndarray, tau: float, n_steps: int,
     ``h_stack`` maps an array of s = t/tau values to the (m, d, d) stack of
     Hamiltonian matrices; ``every`` divides ``n_steps``.  Row 0 is ``psi0``.
     Steps are taken in chunks of at most ``_CHUNK`` that end on recording
-    boundaries, each chunk's two exponents per step diagonalised in one
-    batched eigh; a chunk whose sampled stack does not match the state's
-    dimension, or is not hermitian within 1e-12 (``eigh`` would read only one
-    triangle of it), raises ValueError.  The factors V diag(exp(-i w dt))
-    V^dagger are folded by ``_tree_product`` into one propagator per segment
-    (or per ``_CHUNK``-step piece of a longer segment), which is applied to
-    the state with a single matvec.
+    boundaries; a chunk whose sampled stack does not match the state's
+    dimension, or is not hermitian within 1e-12 (both kernels assume it),
+    raises ValueError.  A chunk's two factors exp(-i dt A) per step come from
+    ``_expm_sym3`` for real 3x3 exponents, and otherwise as V diag(exp(-i w
+    dt)) V^dagger from one batched eigh; ``_tree_product`` folds them into
+    one propagator per segment (or per ``_CHUNK``-step piece of a longer
+    segment), applied with a single matvec.
     """
     dt = tau / n_steps
     psi = np.asarray(psi0, dtype=complex)
@@ -150,8 +178,11 @@ def _stepped_states(h_stack: HStack, psi0: np.ndarray, tau: float, n_steps: int,
             raise ValueError("time-dependent Hamiltonian stack is not hermitian")
         h1, h2 = h[0::2], h[1::2]
         exponents = np.stack([_ALPHA * h1 + _BETA * h2, _BETA * h1 + _ALPHA * h2], axis=1)
-        w, v = np.linalg.eigh(exponents)
-        factors = (v * np.exp(-1j * dt * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        if d == 3 and exponents.dtype.kind == "f":
+            factors = _expm_sym3(exponents, dt)
+        else:
+            w, v = np.linalg.eigh(exponents)
+            factors = (v * np.exp(-1j * dt * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
         for segment in _tree_product(factors.reshape(m // piece, 2 * piece, d, d)):
             psi = segment @ psi
             done += piece

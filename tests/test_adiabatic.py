@@ -138,6 +138,33 @@ def test_sweep_rows_and_zero_time():
     assert [p.jtau for p in points[:3]] == [0.0, 0.0, 0.0]
 
 
+def test_sweep_counts_the_steps_of_each_jtau_once(monkeypatch):
+    # a run's step count does not depend on its schedule, so the ceiling
+    # check counts each positive Jtau once, times its three runs
+    calls = []
+
+    def spy(spec, n_samples):
+        calls.append(spec.jtau)
+        return 1
+
+    monkeypatch.setattr(adiabatic, "_drive_steps", spy)
+    monkeypatch.setattr(adiabatic, "MAX_STEPS", 3 * 5 - 1)  # 5 positive points, 3 runs each
+    with pytest.raises(ValueError, match="more than 14 drive steps"):
+        sweep_tau([2.0, 0.0, 1.0, 2.0, 3.0, 1.0])
+    assert calls == [2.0, 1.0, 2.0, 3.0, 1.0]
+
+
+@pytest.mark.parametrize("jtau_values, message", [
+    ([1e308, -1.0], "jtau must be finite and > 0, got -1.0"),  # every Jtau before any count
+    ([2.0, 1e308, 5e308], "jtau must be finite and > 0, got inf"),
+    ([1.0, 1e308, 1e-322], "needs more than"),  # counted in input order
+    ([1.0, 1e-322, 1e308], "below the smallest normal float"),
+])
+def test_sweep_rejections_keep_their_order(jtau_values, message):
+    with pytest.raises(ValueError, match=message):
+        sweep_tau(jtau_values)
+
+
 def test_sweep_saturates_for_all_schedules():
     points = sweep_tau([100.0])
     for point in points:

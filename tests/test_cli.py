@@ -300,6 +300,23 @@ def test_a_run_started_with_stdout_closed_is_a_parameter_error():
     assert len(run.stderr.splitlines()) == 1 and run.stderr.startswith(b"error: ")
 
 
+def test_an_output_to_stdout_appended_to_a_file_keeps_the_file(tmp_path):
+    # `qbat trap-check --output /dev/stdout >> FILE`: a reopened /dev/stdout
+    # would truncate FILE, so the output goes through the shell's descriptor
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    path = tmp_path / "log.txt"
+    path.write_text("prior\n")
+    with open(path, "a") as appended:
+        run = subprocess.run([sys.executable, "-m", "qbat.cli", "trap-check", "--output",
+                              "/dev/stdout"], env=env, stdout=appended, timeout=60)
+    table = subprocess.run([sys.executable, "-m", "qbat.cli", "trap-check"], env=env,
+                           stdout=subprocess.PIPE, text=True, timeout=60).stdout
+    assert run.returncode == 0 and table.startswith("state,")
+    assert path.read_text() == "prior\n" + table
+
+
 def test_a_read_only_output_file_is_kept(monkeypatch, tmp_path, capsys):
     # a rename would replace it whatever its mode; os.access answers as it
     # would for a user without write permission on it (root may write anything)
@@ -542,6 +559,13 @@ def test_row_counts_above_the_ceiling_are_parameter_errors(capsys, args):
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert f"more than {MAX_ROWS}" in err
+
+
+@pytest.mark.parametrize("grid", [-300, -257, -3, 0, 1])
+def test_separable_grids_below_two_get_the_librarys_error(capsys, grid):
+    # a negative grid squared is no row count: the row ceiling must not speak first
+    code, out, err = run_cli(["separable", "--grid", str(grid)], capsys)
+    assert (code, out, err) == (2, "", f"error: grid_n must be >= 2, got {grid}\n")
 
 
 def test_separable_runs_at_the_row_ceiling(capsys):

@@ -11,6 +11,7 @@ from qbat import adiabatic, dynamics
 from qbat.dynamics import (
     STEPS_PER_UNIT_JT,
     TimeSeries,
+    _expm_sym3,
     _stepped_states,
     _tree_product,
     collective_dephasing_fixpoint,
@@ -247,6 +248,122 @@ def test_stepped_states_are_unitary_property(d, steps, chunk, tau, seed):
     assert np.abs(defect).max() <= 1e-12
     oracle = _per_step_oracle(h_stack, np.eye(d), tau, n_steps, every)
     assert np.abs(u - oracle).max() <= 1e-12
+
+
+def _eigh_factors(a, dt):
+    # exp(-i dt A) through the eigendecomposition, as the stepper forms it
+    # for every stack the closed form does not take
+    w, v = np.linalg.eigh(a)
+    return (v * np.exp(-1j * dt * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def _unitarity_defect(u):
+    return np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])).max()
+
+
+def _random_symmetric(rng, m, dt_norm):
+    # m real symmetric 3x3 matrices with dt |A|_2 = dt_norm for dt = 1
+    a = rng.normal(size=(m, 3, 3)) + rng.normal(size=(m, 1, 1)) * np.eye(3)
+    a = a + a.swapaxes(1, 2)
+    return a * (dt_norm / np.abs(np.linalg.eigvalsh(a)).max(axis=1))[:, None, None]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(adiabatic.Schedule)), st.integers(1, adiabatic.MAX_STEPS),
+       st.one_of(st.just(1.0), st.floats(0.0, 1.0)), st.floats(1e-6, 1.0 / STEPS_PER_UNIT_JT))
+def test_sector_exponentials_match_eigh_on_the_drive(schedule, n_steps, s, dt):
+    # the drive's two exponents of the step at s, s = 1 taking the last step,
+    # whose nodes lie within one step of the level crossing at s = 1
+    # (measured <= 1.7e-15 from eigh, unitarity defect <= 5.6e-16)
+    step = min(int(s * n_steps), n_steps - 1)
+    h1, h2 = adiabatic._ht_stack(schedule, (step + dynamics._NODES) / n_steps,
+                                 adiabatic._EXCITATION_SECTORS[1])
+    a = np.stack([dynamics._ALPHA * h1 + dynamics._BETA * h2,
+                  dynamics._BETA * h1 + dynamics._ALPHA * h2])
+    u = _expm_sym3(a, dt)
+    assert np.abs(u - _eigh_factors(a, dt)).max() <= 1e-14
+    assert _unitarity_defect(u) <= 1e-14
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0), st.floats(1e-3, 1e3))
+def test_sector_exponentials_match_eigh_on_random_stacks(seed, dt_norm, dt):
+    # any real symmetric stack with dt |A|_2 <= 1 (measured <= 2.3e-15 from
+    # eigh, unitarity defect <= 1.1e-15)
+    a = _random_symmetric(np.random.default_rng(seed), 16, dt_norm) / dt
+    u = _expm_sym3(a, dt)
+    assert np.abs(u - _eigh_factors(a, dt)).max() <= 1e-14
+    assert _unitarity_defect(u) <= 1e-14
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sector_exponentials_at_large_phases():
+    # the error grows with dt |A|_2 (measured <= 1.8e-14 from eigh and a
+    # unitarity defect <= 2.1e-14 at 10)
+    a = _random_symmetric(np.random.default_rng(28), 4096, 10.0)
+    u = _expm_sym3(a, 1.0)
+    assert np.abs(u - _eigh_factors(a, 1.0)).max() <= 1e-13
+    assert _unitarity_defect(u) <= 1e-13
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e150, 1e155, 1e300])
+def test_sector_exponentials_at_extreme_entries(scale):
+    # the stack is scaled exactly before any square is formed, so entries
+    # whose squares overflow or underflow agree with eigh as at order 1, as do
+    # the stack's smaller matrices beside them; so does a constant-H run
+    a = _random_symmetric(np.random.default_rng(155), 4, 1.0) * scale
+    a[1:] *= np.array([1e-100, 1e-200, 0.0])[:, None, None]
+    u = _expm_sym3(a, 1.0 / scale)
+    assert np.abs(u - _eigh_factors(a, 1.0 / scale)).max() <= 1e-14
+    assert _unitarity_defect(u) <= 1e-14
+    psi = _stepped_states(lambda s: np.broadcast_to(a[0], (s.size, 3, 3)), np.eye(3)[0],
+                          8.0 / scale, 16, 16)
+    assert np.abs(psi[-1] - _eigh_factors(a[0], 8.0 / scale)[:, 0]).max() <= 1e-13
+
+
+_ROTATION = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))[0]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("levels, rotated", [
+    ([0.0, 0.0, 0.0], False),            # zero matrix
+    ([0.1, 0.1, 0.1], False),            # scalar: l1 = l3, no division
+    ([-7.3, -7.3, -7.3], True),
+    ([1.0, 1.0, 3.0], False),            # exact double eigenvalues
+    ([-2.0, 0.0, 0.0], False),           # the drive's block at s = 1
+    ([-2.0, 0.0, 0.0], True),
+    ([1.0, 1.0 + 1e-12, 3.0], True),     # pairs 1e-12 apart
+    ([-2.0, 0.0, 1e-12], True),
+    ([1.0, 1.0 + 1e-12, 1.0 + 2e-12], True),
+    ([1e-200, 2e-200, 3e-200], True),    # (A - tr A / 3)^3 underflows
+])
+def test_sector_exponentials_at_degenerate_levels(levels, rotated):
+    q = _ROTATION if rotated else np.eye(3)
+    a = (q * levels) @ q.T
+    a = (a + a.T) / 2
+    for dt in (1.0 / STEPS_PER_UNIT_JT, 1.0, 3.0):
+        u = _expm_sym3(a, dt)
+        assert np.all(np.isfinite(u))
+        assert np.abs(u - _eigh_factors(a, dt)).max() <= 1e-14
+        assert _unitarity_defect(u) <= 1e-14
+    if not rotated and levels[0] == levels[2]:
+        assert np.array_equal(_expm_sym3(a, 1.0), np.exp(-1j * levels[0]) * np.eye(3))
+
+
+def test_only_real_3x3_stacks_skip_eigh(monkeypatch):
+    # the drive's real 3x3 blocks take the closed form; the full 8-dim space,
+    # and complex 3x3 hermitian stacks, keep the batched eigh
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape[-1]) or eigh(a))
+    sector = adiabatic._EXCITATION_SECTORS[1]
+    for block in (sector, range(8)):
+        _stepped_states(lambda s: adiabatic._ht_stack(adiabatic.Schedule.LINEAR, s, block),
+                        np.eye(len(block))[0], 2.0, 16, 4)
+    b = _random_hermitian(np.random.default_rng(5), 3)
+    _stepped_states(lambda s: np.broadcast_to(b, (s.size, 3, 3)), np.eye(3)[0], 2.0, 16, 4)
+    assert calls == [8, 3]
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,9 +9,11 @@ header from, so it wrote an empty line.)
 """
 
 import csv
+import io
 import json
 import math
 import os
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -155,6 +157,21 @@ def test_a_symlink_is_written_in_place(tmp_path):
     assert (tmp_path / "link").is_symlink() and (tmp_path / "real").stat().st_ino == inode
     assert (tmp_path / "real").read_text(encoding="utf-8") == "a\n1\n"
     assert sorted(os.listdir(tmp_path)) == ["link", "real"]
+
+
+def test_a_path_to_the_file_on_stdout_is_written_through_stdout(tmp_path, monkeypatch):
+    # a shell's `>>` keeps its append offset only on its own descriptor; a
+    # captured stdout has none, so the path is then opened in place
+    path = tmp_path / "log"
+    path.write_text("prior\n", encoding="utf-8")
+    (tmp_path / "link").symlink_to("log")
+    with open(path, "a", encoding="utf-8") as held:
+        monkeypatch.setattr(sys, "stdout", held)
+        _io.write_rows({"a": [1]}, "csv", str(tmp_path / "link"))
+    assert path.read_text(encoding="utf-8") == "prior\na\n1\n"
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    _io.write_rows({"a": [2]}, "csv", str(tmp_path / "link"))
+    assert path.read_text(encoding="utf-8") == "a\n2\n"
 
 
 def test_a_regular_file_is_replaced(tmp_path):

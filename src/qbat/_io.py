@@ -1,8 +1,10 @@
 """Reproducible CSV/JSON emission.
 
-Tables ({name: column}) are written by column, each float ndarray column in
-one ``.15g`` pass: 15 significant digits, '.' decimal separator, '\\n' line
-endings, written ``_CHUNK_ROWS`` rows at a time in either format.  The CSV is
+Tables ({name: column}) are written ``_CHUNK_ROWS`` rows at a time in either
+format: each chunk builds one row template, with ``%.15g`` for a float
+ndarray column in CSV (15 significant digits, '.' decimal separator), ``%r``
+of its ``.15g`` rounding in JSON, and ``%s`` for cells formatted beforehand,
+and applies it to each row's values, with '\\n' line endings.  The CSV is
 byte for byte what ``csv.writer(lineterminator="\\n")`` writes, and the JSON
 what ``json.dump(rows, indent=2)`` writes for the list of row dicts.  Output
 is identical across platforms for identical inputs.  An output file is
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import stat
 import sys
@@ -38,13 +41,23 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def _cells(column, fmt: str) -> list:
+def _field(column, fmt: str, empty_row: str) -> tuple:
+    """A chunk of ``column`` as its field of the row template and the values
+    the field takes: floats under ``%.15g`` in CSV, and in JSON their ``.15g``
+    rounding under ``%r`` when all of it is finite (the largest float rounds
+    to inf); other cells as their text, under ``%s``."""
     if isinstance(column, np.ndarray) and column.dtype.kind == "f":
-        text = map("{:.15g}".format, column.tolist())
-        return list(text) if fmt == "csv" else list(map(float, text))
-    if fmt == "csv":
-        return [_csv_field(v) if isinstance(v, str) else format_number(v) for v in column]
-    return [v if isinstance(v, (int, str)) else float(format_number(v)) for v in column]
+        if fmt == "csv":
+            return "%.15g", column.tolist()
+        values = list(map(float, map("%.15g".__mod__, column.tolist())))
+        if all(map(math.isfinite, values)):
+            return "%r", values
+        return "%s", list(map(json.dumps, values))  # NaN, Infinity, -Infinity
+    if fmt == "json":
+        return "%s", [json.dumps(v if isinstance(v, (int, str)) else float(format_number(v)))
+                      for v in column]
+    cells = [_csv_field(v) if isinstance(v, str) else format_number(v) for v in column]
+    return "%s", [cell or empty_row for cell in cells]
 
 
 def replaced_whole(path: str) -> bool:
@@ -102,16 +115,20 @@ def write_rows(table: Mapping, fmt: str, path: str) -> None:
         raise ValueError("table columns differ in length")
     # csv.writer writes a row of one empty field as "" to tell it from no field
     empty_row = '""' if len(table) == 1 else ""
+    keys = [json.dumps(key).replace("%", "%%") + ": " for key in table]
     with _opened(path) as handle:
         if fmt == "csv":
             handle.write((",".join(map(_csv_field, table)) or empty_row) + "\n")
-        for start in range(0, n_rows, _CHUNK_ROWS):
-            rows = zip(*(_cells(column[start:start + _CHUNK_ROWS], fmt)
-                         for column in table.values()), strict=True)
+        for start in range(0, n_rows, _CHUNK_ROWS):  # one row template per chunk
+            specs, columns = zip(*(_field(column[start:start + _CHUNK_ROWS], fmt, empty_row)
+                                   for column in table.values()))
             if fmt == "csv":
-                handle.write("".join((",".join(row) or empty_row) + "\n" for row in rows))
+                handle.write("".join(map((",".join(specs) + "\n").__mod__, zip(*columns))))
             else:  # the chunk's objects; the list's "[" opens the first, "," the rest
-                text = json.dumps([dict(zip(table, row)) for row in rows], indent=2)
-                handle.write(("," if start else "[") + text[1:-2])
+                row = "\n  {\n    " + ",\n    ".join(map(str.__add__, keys, specs)) + "\n  }"
+                handle.write(("," if start else "[") + ",".join(map(row.__mod__, zip(*columns))))
+            # freed before the next chunk is formatted: kept through it, the
+            # chunk's values raise a long-running process's peak memory
+            del specs, columns
         if fmt == "json":
             handle.write("\n]\n" if n_rows else "[]\n")

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qbat import _io
+from qbat import _io, cli
 
 
 def _format_number(value) -> str:
@@ -52,8 +52,11 @@ def _reference_write(rows, fmt, path):
             handle.write("\n")
 
 
-EDGE_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308)
-TEXT = st.text(alphabet=st.sampled_from(["a", " ", ",", '"', "\n", "\r", "é"]), max_size=4)
+# the largest float rounds to inf under .15g; 1234567890123456.0 has 16 digits
+# before the point, so .15g writes it with an exponent and repr without
+EDGE_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, np.finfo(float).max,
+               1234567890123456.0)
+TEXT = st.text(alphabet=st.sampled_from(["a", " ", ",", '"', "\n", "\r", "é", "%"]), max_size=4)
 CELLS = st.one_of(st.integers(-10**20, 10**20), st.booleans(), TEXT,
                   st.floats(), st.sampled_from(EDGE_FLOATS))
 
@@ -80,6 +83,7 @@ def out_dir(tmp_path_factory):
 @settings(max_examples=200, deadline=None)
 @given(table=tables(), chunk_rows=st.integers(1, 5))
 @example(table={"": [""]}, chunk_rows=1)
+@example(table={"a%s": np.array(EDGE_FLOATS[-2:]), "%": ["%s", "%%"]}, chunk_rows=1)
 @example(table={"s": ["", "a\rb", 'x"y', "a,b", "l\nm"], "x": np.array(EDGE_FLOATS[:5])},
          chunk_rows=2)
 def test_writer_matches_the_row_writer(out_dir, table, chunk_rows):
@@ -89,6 +93,23 @@ def test_writer_matches_the_row_writer(out_dir, table, chunk_rows):
             _io.write_rows(table, fmt, str(out_dir / f"new.{fmt}"))
         _reference_write(rows, fmt, out_dir / f"old.{fmt}")
         assert (out_dir / f"new.{fmt}").read_bytes() == (out_dir / f"old.{fmt}").read_bytes()
+
+
+def test_the_drive_table_matches_the_row_writer(out_dir):
+    # the largest table a benchmarked command writes, at the default chunk size:
+    # 10,241 rows over 11 chunks, the last one short, with parity and
+    # leakage_forbidden values repeated down their columns
+    captured = []
+    with mock.patch.object(cli, "write_rows", lambda table, fmt, path: captured.append(table)):
+        assert cli.main(["adiabatic", "--jtau", "1280", "--samples", "10241"]) == 0
+    (table,) = captured
+    rows = [dict(zip(table, row)) for row in zip(*table.values())]
+    assert len(rows) == 10241 and len(set(table["parity"].tolist())) < 10241
+    for fmt in ("csv", "json"):
+        _io.write_rows(table, fmt, str(out_dir / f"drive.{fmt}"))
+        _reference_write(rows, fmt, out_dir / f"drive_old.{fmt}")
+        assert ((out_dir / f"drive.{fmt}").read_bytes()
+                == (out_dir / f"drive_old.{fmt}").read_bytes())
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -131,15 +152,15 @@ def test_a_failed_write_leaves_the_old_file_or_none(tmp_path, fmt, old, error):
     path = tmp_path / "out"
     if old is not None:
         path.write_text(old, encoding="utf-8")
-    cells, formatted = _io._cells, []
+    field, formatted = _io._field, []
 
-    def failing(column, fmt):
+    def failing(column, fmt, empty_row):
         formatted.append(column)
         if len(formatted) > 2:  # two columns per chunk
             raise error("write failed")
-        return cells(column, fmt)
+        return field(column, fmt, empty_row)
 
-    with mock.patch.object(_io, "_CHUNK_ROWS", 2), mock.patch.object(_io, "_cells", failing):
+    with mock.patch.object(_io, "_CHUNK_ROWS", 2), mock.patch.object(_io, "_field", failing):
         with pytest.raises(error):
             _io.write_rows({"a": np.zeros(5), "b": np.ones(5)}, fmt, str(path))
     assert os.listdir(tmp_path) == ([] if old is None else ["out"])

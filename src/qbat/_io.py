@@ -7,8 +7,9 @@ of its ``.15g`` rounding in JSON, and ``%s`` for cells formatted beforehand,
 and applies it to each row's values, with '\\n' line endings.  The CSV is
 byte for byte what ``csv.writer(lineterminator="\\n")`` writes, and the JSON
 what ``json.dump(rows, indent=2)`` writes for the list of row dicts.  Output
-is identical across platforms for identical inputs.  An output file is
-replaced whole or left as it was, never cut short.
+is identical across platforms for identical inputs.  ``_kind`` is the one
+rule for how an output path is written (a replaced file is never cut short),
+and ``check_writable`` judges a path by it before any work.
 """
 
 from __future__ import annotations
@@ -60,41 +61,69 @@ def _field(column, fmt: str, empty_row: str) -> tuple:
     return "%s", [cell or empty_row for cell in cells]
 
 
-def replaced_whole(path: str) -> bool:
-    """Whether writing ``path`` replaces it whole: it is new or a regular
-    file.  Any other path that exists is written in place: a symlink (such as
-    /dev/stdout, which may name the descriptor of a shell's ``>>``), a device
-    such as /dev/null, or a FIFO."""
+def _kind(path: str) -> tuple:
+    """``path``'s kind and lstat mode (None when new): "stdout" for "-"; "in
+    place" for another path that exists and is not a regular file (a symlink
+    such as /dev/stdout, a device such as /dev/null, or a FIFO); "replaced"
+    for a new path or a regular file.  Only "not found" counts as new."""
+    if path == "-":
+        return "stdout", None
     try:
-        return stat.S_ISREG(os.lstat(path).st_mode)
-    except OSError:  # new, or under a path that is not a directory, where no write works
-        return True
+        mode = os.lstat(path).st_mode
+    except FileNotFoundError:
+        return "replaced", None
+    return ("replaced" if stat.S_ISREG(mode) else "in place"), mode
+
+
+def check_writable(path: str) -> None:
+    """Raise OSError, opening and creating nothing, unless ``write_rows`` can
+    write ``path`` as ``_kind`` says: in place, a writable non-directory (a
+    link is judged by the file it names); a new file, in a writable directory;
+    a replaced file, writable too, so that a read-only file is kept."""
+    try:
+        kind, mode = _kind(path)
+        parent = os.path.dirname(path) or "."
+        if kind == "in place" and stat.S_ISLNK(mode):
+            try:
+                mode = os.stat(path).st_mode
+            except FileNotFoundError:  # a new file where the link points
+                mode, parent = None, os.path.dirname(os.path.realpath(path))
+        if kind == "stdout":
+            usable = sys.stdout is not None  # None when started with descriptor 1 closed
+        elif mode is None:
+            usable = os.access(parent, os.W_OK | os.X_OK)
+        else:
+            usable = (not stat.S_ISDIR(mode) and os.access(path, os.W_OK)
+                      and (kind == "in place" or os.access(parent, os.W_OK | os.X_OK)))
+    except OSError:  # a link loop, a name too long, a component that is no directory
+        usable = False
+    if not usable:
+        raise OSError("cannot write the output to stdout: its descriptor is closed"
+                      if path == "-" else f"cannot write the output file {path!r}")
 
 
 def _is_stdout(path: str) -> bool:
     """Whether ``path`` is the file open on ``sys.stdout``'s descriptor: a
     shell's ``>>`` there keeps its append offset only through that descriptor."""
     try:
-        held, named = os.fstat(sys.stdout.fileno()), os.stat(path)
+        return os.path.samestat(os.fstat(sys.stdout.fileno()), os.stat(path))
     except (AttributeError, OSError, ValueError):  # no stdout, a captured one, or no file
         return False
-    return (held.st_dev, held.st_ino) == (named.st_dev, named.st_ino)
 
 
 @contextlib.contextmanager
 def _opened(path: str):
-    """A text handle on stdout for "-" or the file stdout holds, on ``path`` if
-    it is written in place, and otherwise on a new file beside it, with the
-    mode a new file gets under the umask: renamed onto the path when the block
-    ends, removed if it raises (Ctrl-C included), so the path never holds a
-    prefix of the output."""
-    if path == "-" or not replaced_whole(path):
-        with (contextlib.nullcontext(sys.stdout) if path == "-" or _is_stdout(path)
+    """A text handle on stdout for "-" or the file stdout holds, on ``path``
+    if it is written in place, and otherwise on a new file beside it (the
+    umask's mode, a fixed-length name), renamed onto the path when the block
+    ends and removed if it raises (Ctrl-C included): no prefix is left."""
+    kind, _ = _kind(path)
+    if kind != "replaced":
+        with (contextlib.nullcontext(sys.stdout) if kind == "stdout" or _is_stdout(path)
               else open(path, "w", encoding="utf-8", newline="\n")) as handle:
             yield handle
         return
-    head, name = os.path.split(path)
-    temp = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
+    temp = os.path.join(os.path.dirname(path), f".qbat-{os.urandom(6).hex()}.tmp")
     fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", encoding="utf-8", newline="\n") as handle:

@@ -1,16 +1,18 @@
 """Self-test suite: one callable check per advertised guarantee of the package.
 
-Each criterion is independent and returns a CriterionResult; ``run_all``
-executes the lot.  Where a check needs an oracle, the oracle is built here
-from raw numpy (explicit Kronecker products, direct diagonalization) so that
-it does not share code with the library path it is checking.
+Each criterion is an independent check, declared with its name and
+description, that returns ``(passed, details)``; ``run_criterion`` makes a
+CriterionResult of it and ``run_all`` runs the lot.  Where a check needs an
+oracle, the oracle is built here from raw numpy (explicit Kronecker products,
+direct diagonalization) so that it does not share code with the library path
+it is checking.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -52,6 +54,18 @@ class CriterionResult:
         return f"{self.name} {status} [{self.elapsed:5.2f}s] {self.description}: {self.details}"
 
 
+CRITERIA = []  # every check, in the order declared
+
+
+def _criterion(name: str, description: str):
+    """Declare a check as the criterion ``name`` and add it to CRITERIA."""
+    def declare(check):
+        check.name, check.description = name, description
+        CRITERIA.append(check)
+        return check
+    return declare
+
+
 # ----------------------------------------------------------------------
 # Raw-numpy oracle pieces (kept independent of the qalg construction path).
 
@@ -86,7 +100,8 @@ def _oracle_bell(n, m):
 # Criteria.
 
 
-def ac1_bell_discharge_law(seed: int = 42) -> CriterionResult:
+@_criterion("AC-1", "Bell discharge law at 64 sample times")
+def ac1_bell_discharge_law(seed: int = 42) -> tuple:
     """Simulated hub charge matches E0 * g * sin^2(2*sqrt(2)*J*t) per Bell state."""
     hs = hamiltonian_set()
     worst = 0.0
@@ -97,11 +112,11 @@ def ac1_bell_discharge_law(seed: int = 42) -> CriterionResult:
                                        2 * DISCHARGE_TIME, 64, hs)
             closed = np.array([bell_charge_closed_form(label, t) for t in series.times])
             worst = max(worst, float(np.abs(series.charge - closed).max()))
-    return _result("AC-1", "Bell discharge law at 64 sample times",
-                   worst <= 1e-9, f"max |C_sim - C_closed| = {worst:.3e} (tol 1e-9)")
+    return worst <= 1e-9, f"max |C_sim - C_closed| = {worst:.3e} (tol 1e-9)"
 
 
-def ac2_normalization_oracle(seed: int = 42) -> CriterionResult:
+@_criterion("AC-2", "peak transfer normalization fixed by exact diagonalization")
+def ac2_normalization_oracle(seed: int = 42) -> tuple:
     """Raw exact diagonalization pins the full-release peak at 2*hbar*omega."""
     h_c, h0a, e_emp = _oracle_cell()
     w, v = np.linalg.eigh(h_c)
@@ -118,35 +133,35 @@ def ac2_normalization_oracle(seed: int = 42) -> CriterionResult:
     ok = (abs(at_taud - E0) <= 1e-10
           and grid_peak <= at_taud + 1e-10
           and abs(closed_peak - at_taud) <= 1e-10)
-    return _result("AC-2", "peak transfer normalization fixed by exact diagonalization",
-                   ok, f"oracle C(tau_d) = {at_taud:.12f} (expected {E0}, tol 1e-10)")
+    return ok, f"oracle C(tau_d) = {at_taud:.12f} (expected {E0}, tol 1e-10)"
 
 
-def ac3_trapping(seed: int = 42) -> CriterionResult:
+@_criterion("AC-3", "energy trapping over 256 sampled times")
+def ac3_trapping(seed: int = 42) -> tuple:
     """The stored singlet keeps zero current and unit fidelity while coupled."""
     hs = hamiltonian_set()
     series = sample_trajectory(hs.h_charging, storage_state(), 2 * DISCHARGE_TIME, 256, hs)
     max_ec = float(np.abs(series.ec).max())
     min_fid = float(series.extra["fidelity_initial"].min())
     ok = max_ec <= 1e-12 and min_fid >= 1.0 - 1e-12
-    return _result("AC-3", "energy trapping over 256 sampled times", ok,
-                   f"max |ec| = {max_ec:.2e} (tol 1e-12), min fidelity = {min_fid:.15f}")
+    return ok, f"max |ec| = {max_ec:.2e} (tol 1e-12), min fidelity = {min_fid:.15f}"
 
 
-def ac4_uniqueness_scan(seed: int = 42) -> CriterionResult:
+@_criterion("AC-4", "blocking-state uniqueness scan")
+def ac4_uniqueness_scan(seed: int = 42) -> tuple:
     """Constraint solve lands on the singlet; 10^4 family samples, no counterexamples."""
     n_samples = 10_000
     report = trapping_uniqueness_scan(n_samples, tol=1e-3, seed=seed)
     ok = (report.constraint_trace_distance <= 1e-10
           and report.n_counterexamples == 0)
-    extra = (f"constraint distance = {report.constraint_trace_distance:.2e} (tol 1e-10), "
-             f"{n_samples} samples, {report.n_pass_both} passed both, "
-             f"{report.n_counterexamples} counterexamples; unrestricted scan: "
-             f"{report.n_unrestricted_pass_both} passed of {n_samples}")
-    return _result("AC-4", "blocking-state uniqueness scan", ok, extra)
+    return ok, (f"constraint distance = {report.constraint_trace_distance:.2e} (tol 1e-10), "
+                f"{n_samples} samples, {report.n_pass_both} passed both, "
+                f"{report.n_counterexamples} counterexamples; unrestricted scan: "
+                f"{report.n_unrestricted_pass_both} passed of {n_samples}")
 
 
-def ac5_switch_gates(seed: int = 42) -> CriterionResult:
+@_criterion("AC-5", "switch-gate release levels and qubit independence")
+def ac5_switch_gates(seed: int = 42) -> tuple:
     """Phase gate releases the full charge, bit flip half, either qubit alike."""
     stored = storage_state()
     gates = (SwitchGate.FULL_ON_QUBIT1, SwitchGate.FULL_ON_QUBIT2,
@@ -159,12 +174,12 @@ def ac5_switch_gates(seed: int = 42) -> CriterionResult:
     worst_pair = float(np.abs(charges[:-1, 0::2] - charges[:-1, 1::2]).max())
     ok = (abs(full_peak - E0) <= 1e-9 and abs(half_peak - E0 / 2) <= 1e-9
           and worst_pair <= 1e-12)
-    return _result("AC-5", "switch-gate release levels and qubit independence", ok,
-                   f"full = {full_peak:.12f}, half = {half_peak:.12f}, "
-                   f"qubit-1 vs qubit-2 curves differ by {worst_pair:.2e} (tol 1e-12)")
+    return ok, (f"full = {full_peak:.12f}, half = {half_peak:.12f}, "
+                f"qubit-1 vs qubit-2 curves differ by {worst_pair:.2e} (tol 1e-12)")
 
 
-def ac6_baselines(seed: int = 42) -> CriterionResult:
+@_criterion("AC-6", "single-particle and separable baselines")
+def ac6_baselines(seed: int = 42) -> tuple:
     """Single-particle timing, sqrt(2) speedup, and the separable-state bound."""
     sp_hs = single_particle_system()
     t_sp = SINGLE_PARTICLE_TRANSFER_TIME
@@ -187,13 +202,13 @@ def ac6_baselines(seed: int = 42) -> CriterionResult:
           and abs(at_corner - 1.0) <= 1e-12
           and runner_up <= 1.0 - 1e-4
           and abs(full_battery - 2 * E0) <= 1e-10)
-    return _result("AC-6", "single-particle and separable baselines", ok,
-                   f"single-particle C = {sp_charge:.12f}, timing ratio = {ratio:.15f}, "
-                   f"separable max {at_corner:.12f} at {argmax} "
-                   f"(runner-up {runner_up:.6f}), full battery stores {full_battery:.12f}")
+    return ok, (f"single-particle C = {sp_charge:.12f}, timing ratio = {ratio:.15f}, "
+                f"separable max {at_corner:.12f} at {argmax} "
+                f"(runner-up {runner_up:.6f}), full battery stores {full_battery:.12f}")
 
 
-def ac7_frame_invariance(seed: int = 42) -> CriterionResult:
+@_criterion("AC-7", "frame invariance of the transferred charge")
+def ac7_frame_invariance(seed: int = 42) -> tuple:
     """Charge curves agree between the lab frame and the co-moving frame."""
     hs = hamiltonian_set()
     psi0 = bell_with_empty_hub(BellLabel(1, 0))
@@ -201,11 +216,11 @@ def ac7_frame_invariance(seed: int = 42) -> CriterionResult:
     lab = sample_trajectory(hs.h0_total + hs.h_charging, psi0, t_final, 129, hs)
     rotating = sample_trajectory(hs.h_charging, psi0, t_final, 129, hs)
     worst = float(np.abs(lab.charge - rotating.charge).max())
-    return _result("AC-7", "frame invariance of the transferred charge",
-                   worst <= 1e-9, f"max |C_lab - C_int| = {worst:.3e} (tol 1e-9)")
+    return worst <= 1e-9, f"max |C_lab - C_int| = {worst:.3e} (tol 1e-9)"
 
 
-def ac8_ec_identity(seed: int = 42) -> CriterionResult:
+@_criterion("AC-8", "dC/dt equals the energy current (1024 samples)")
+def ac8_ec_identity(seed: int = 42) -> tuple:
     """Central differences of the charge reproduce the energy-current channel."""
     hs = hamiltonian_set()
     series = sample_trajectory(hs.h_charging, bell_with_empty_hub(BellLabel(1, 0)),
@@ -216,11 +231,11 @@ def ac8_ec_identity(seed: int = 42) -> CriterionResult:
     err = float(np.abs(deriv - series.ec[2:-2]).max())
     scale = float(np.abs(series.ec).max())
     rel = err / scale
-    return _result("AC-8", "dC/dt equals the energy current (1024 samples)",
-                   rel <= 1e-6, f"relative residual = {rel:.3e} (tol 1e-6)")
+    return rel <= 1e-6, f"relative residual = {rel:.3e} (tol 1e-6)"
 
 
-def ac9_adiabatic_stability(seed: int = 42) -> CriterionResult:
+@_criterion("AC-9", "adiabatic stability threshold")
+def ac9_adiabatic_stability(seed: int = 42) -> tuple:
     """Above a computed threshold every schedule discharges fully and calmly.
 
     Phase one scans all schedules for the charge saturation threshold; phase
@@ -251,8 +266,7 @@ def ac9_adiabatic_stability(seed: int = 42) -> CriterionResult:
             t_charge = jtau
             break
     if t_charge is None:
-        return _result("AC-9", "adiabatic stability threshold", False,
-                       "charge never saturated on the scanned grid")
+        return False, "charge never saturated on the scanned grid"
 
     stored = storage_state().amplitudes
     forbidden = adiabatic.forbidden_state().amplitudes
@@ -267,8 +281,7 @@ def ac9_adiabatic_stability(seed: int = 42) -> CriterionResult:
             t_joint = jtau
             break
     if t_joint is None:
-        return _result("AC-9", "adiabatic stability threshold", False,
-                       f"current tail of the linear schedule never fell below {tail_ceiling}")
+        return False, f"current tail of the linear schedule never fell below {tail_ceiling}"
 
     final = [run(t_joint, s) for s in Schedule]
     charges_ok = all(r.final_charge >= charge_floor for r in final)
@@ -276,16 +289,16 @@ def ac9_adiabatic_stability(seed: int = 42) -> CriterionResult:
 
     parity = adiabatic.parity_check(Schedule.LINEAR)
     ok = charges_ok and tails_ok and worst_leakage <= 1e-10 and parity.passed
-    detail = (f"charge threshold Jtau = {t_charge:g}, joint threshold T* = {t_joint:g}; "
-              f"at T*: min charge = {min(r.final_charge for r in final):.6f} "
-              f"(floor {charge_floor}), max tail = {max(r.ec_tail for r in final):.6e} "
-              f"(ceiling {tail_ceiling}); max leakage in full 8-dim runs at "
-              f"Jtau = {t_charge:g} = {worst_leakage:.2e} (tol 1e-10); "
-              f"max |[H(s), parity]| = {parity.max_commutator_norm:.2e} (tol 1e-12)")
-    return _result("AC-9", "adiabatic stability threshold", ok, detail)
+    return ok, (f"charge threshold Jtau = {t_charge:g}, joint threshold T* = {t_joint:g}; "
+                f"at T*: min charge = {min(r.final_charge for r in final):.6f} "
+                f"(floor {charge_floor}), max tail = {max(r.ec_tail for r in final):.6e} "
+                f"(ceiling {tail_ceiling}); max leakage in full 8-dim runs at "
+                f"Jtau = {t_charge:g} = {worst_leakage:.2e} (tol 1e-10); "
+                f"max |[H(s), parity]| = {parity.max_commutator_norm:.2e} (tol 1e-12)")
 
 
-def ac10_adiabatic_rate_formula(seed: int = 42) -> CriterionResult:
+@_criterion("AC-10", "adiabatic-limit current formula")
+def ac10_adiabatic_rate_formula(seed: int = 42) -> tuple:
     """Single-eigenspace data predicts exactly zero; two branches oscillate."""
     spec = AdiabaticSpec(8.0, Schedule.SIN_SQUARED)
     single_pred = adiabatic.adiabatic_rate_prediction(
@@ -302,8 +315,7 @@ def ac10_adiabatic_rate_formula(seed: int = 42) -> CriterionResult:
     prediction = adiabatic.adiabatic_rate_prediction(decomp)
     occ = np.nonzero(decomp.occupied)[0]
     if len(occ) != 2:
-        return _result("AC-10", "adiabatic-limit current formula", False,
-                       f"expected two occupied branches, found {len(occ)}")
+        return False, f"expected two occupied branches, found {len(occ)}"
     m, n = int(occ[0]), int(occ[1])
     w_term = (np.conj(decomp.coefficients[m]) * decomp.coefficients[n]
               * np.exp(1j * (decomp.phases[n] - decomp.phases[m]))
@@ -313,13 +325,13 @@ def ac10_adiabatic_rate_formula(seed: int = 42) -> CriterionResult:
     mismatch = float(np.abs(prediction - two_level).max())
     amplitude = float(np.abs(prediction).max())
     ok = exactly_zero and mismatch <= 1e-9 and amplitude > 1e-4
-    return _result("AC-10", "adiabatic-limit current formula", ok,
-                   f"single-eigenspace prediction identically zero: {exactly_zero}; "
-                   f"two-branch amplitude = {amplitude:.3e}, "
-                   f"two-level assembly mismatch = {mismatch:.2e} (tol 1e-9)")
+    return ok, (f"single-eigenspace prediction identically zero: {exactly_zero}; "
+                f"two-branch amplitude = {amplitude:.3e}, "
+                f"two-level assembly mismatch = {mismatch:.2e} (tol 1e-9)")
 
 
-def ac11_integrator(seed: int = 42) -> CriterionResult:
+@_criterion("AC-11", "integrator order and unitarity")
+def ac11_integrator(seed: int = 42) -> tuple:
     """The stepper self-converges (at fourth order; the floor is 1.9), and the
     8x8 propagator it builds in 256 steps, one basis state per column, is
     unitary."""
@@ -340,23 +352,24 @@ def ac11_integrator(seed: int = 42) -> CriterionResult:
                   for k in range(8)], axis=1)
     worst_defect = float(np.abs(u.conj().T @ u - np.eye(8)).max())
     ok = order >= 1.9 and worst_defect <= 1e-10
-    return _result("AC-11", "integrator order and unitarity", ok,
-                   f"self-convergence order = {order:.3f} (floor 1.9), "
-                   f"max |U+U - 1| = {worst_defect:.2e} (tol 1e-10)")
+    return ok, (f"self-convergence order = {order:.3f} (floor 1.9), "
+                f"max |U+U - 1| = {worst_defect:.2e} (tol 1e-10)")
 
 
-def ac12_dephasing_fixpoint(seed: int = 42) -> CriterionResult:
+@_criterion("AC-12", "collective-dephasing fixed point")
+def ac12_dephasing_fixpoint(seed: int = 42) -> tuple:
     """The stored singlet is a fixed point of collective dephasing."""
     singlet = protocols.bell_state(BellLabel(1, 1)).density()
     worst = 0.0
     for gamma_t in (0.1, 1.0, 10.0):
         out = dynamics.collective_dephasing_fixpoint(singlet, 1.0, gamma_t)
         worst = max(worst, trace_distance(out, singlet))
-    return _result("AC-12", "collective-dephasing fixed point", worst <= 1e-12,
-                   f"max trace distance = {worst:.2e} (tol 1e-12) for gamma*t in 0.1, 1, 10")
+    return worst <= 1e-12, (f"max trace distance = {worst:.2e} (tol 1e-12) "
+                            "for gamma*t in 0.1, 1, 10")
 
 
-def ac13_ncell(seed: int = 42) -> CriterionResult:
+@_criterion("AC-13", "independent-cell scaling")
+def ac13_ncell(seed: int = 42) -> tuple:
     """Plans add per cell; a raw-numpy two-cell block evolves as the product of
     the library's per-cell evolutions, as ``ncell`` assumes, and its charge adds."""
     total, per_cell = ncell_plan_energy(NCellPlan.parse("f,H,h"))
@@ -382,43 +395,19 @@ def ac13_ncell(seed: int = 42) -> CriterionResult:
     state_gap = float(np.abs(joint - product).max())
     sum_charge = charge(final_a, hs) + charge(final_b, hs)
     ok = plan_ok and state_gap <= 1e-9 and abs(joint_charge - sum_charge) <= 1e-9
-    return _result("AC-13", "independent-cell scaling", ok,
-                   f"plan f,H,h total = {total:.12f} (expected 3), "
-                   f"joint vs product state gap = {state_gap:.2e} (tol 1e-9), "
-                   f"charge additivity gap = {abs(joint_charge - sum_charge):.2e}")
+    return ok, (f"plan f,H,h total = {total:.12f} (expected 3), "
+                f"joint vs product state gap = {state_gap:.2e} (tol 1e-9), "
+                f"charge additivity gap = {abs(joint_charge - sum_charge):.2e}")
 
 
-# ----------------------------------------------------------------------
-
-CRITERIA = (
-    ac1_bell_discharge_law,
-    ac2_normalization_oracle,
-    ac3_trapping,
-    ac4_uniqueness_scan,
-    ac5_switch_gates,
-    ac6_baselines,
-    ac7_frame_invariance,
-    ac8_ec_identity,
-    ac9_adiabatic_stability,
-    ac10_adiabatic_rate_formula,
-    ac11_integrator,
-    ac12_dephasing_fixpoint,
-    ac13_ncell,
-)
-
-def _result(name, description, passed, details) -> CriterionResult:
-    return CriterionResult(name=name, description=description, passed=bool(passed),
-                           details=details)
-
-
-def run_criterion(func, seed: int = 42) -> CriterionResult:
+def run_criterion(check, seed: int = 42) -> CriterionResult:
     start = time.perf_counter()
     try:
-        result = func(seed)
+        passed, details = check(seed)
     except Exception as exc:  # surface as a failed criterion, not a crash
-        name = func.__name__.split("_")[0].upper().replace("AC", "AC-")
-        result = _result(name, "criterion raised", False, f"{type(exc).__name__}: {exc}")
-    return replace(result, elapsed=time.perf_counter() - start)
+        passed, details = False, f"criterion raised {type(exc).__name__}: {exc}"
+    return CriterionResult(check.name, check.description, bool(passed), details,
+                           time.perf_counter() - start)
 
 
 def run_all(seed: int = 42) -> list:

@@ -16,7 +16,6 @@ levels cross before the end of the drive.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
@@ -263,6 +262,7 @@ def sweep_tau(jtau_values, *, max_workers: int = 1) -> list:
         report = run_discharge(spec, n_samples=SWEEP_SAMPLES)
         return SweepPoint(spec.jtau, spec.schedule, report.final_charge / E0, report.ec_tail)
 
+    from concurrent.futures import ThreadPoolExecutor  # imported here, as only sweeps use it
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
         runs = iter(list(pool.map(_one, specs)))
     return [next(runs) if jtau != 0.0 else SweepPoint(0.0, schedule, 0.0, 0.0)

@@ -3,9 +3,10 @@
 Every subcommand emits either a sampled trajectory or a report as CSV or
 JSON with reproducible formatting; physical parameters come from flags, an
 optional ``qbat.json`` config file, or their defaults (flags win).  Exit
-codes: 0 success, 2 parameter/usage error (an output that cannot be written,
-stdout's descriptor closed included), 1 internal failure, 130 interrupted
-(Ctrl-C), 141 the reader of the output closed it early (as ``head`` does).
+codes: 0 success, 2 parameter/usage error (an output ``_io.check_writable``
+rejects, stdout's descriptor closed included), 1 internal failure, 130
+interrupted (Ctrl-C), 141 the reader of the output closed it early (as
+``head`` does).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from functools import cache
 import numpy as np
 
 from . import adiabatic, dynamics, protocols
-from ._io import replaced_whole, write_rows
+from ._io import check_writable, write_rows
 from .adiabatic import AdiabaticSpec, Schedule
 from .model import E0, hamiltonian_set
 from .protocols import (
@@ -97,27 +98,6 @@ def _resolve_config(args) -> RunConfig:
         if given is not None:
             values[name] = given
     return RunConfig(**values)
-
-
-def _check_writable(path: str) -> None:
-    """Reject an output that cannot be written, before any work is done.
-
-    Nothing is opened or created: a run that fails later leaves no empty
-    file, and short calls pay no extra open and close of their output.  A
-    new or regular file is replaced from a file written beside it, so its
-    directory must be writable (and a read-only file is kept); any other
-    path is written in place.
-    """
-    if path == "-":
-        if sys.stdout is None:  # started with descriptor 1 closed
-            raise OSError("cannot write the output to stdout: its descriptor is closed")
-        return
-    usable = not os.path.exists(path) or (not os.path.isdir(path) and os.access(path, os.W_OK))
-    if replaced_whole(path):
-        parent = os.path.dirname(path) or "."
-        usable = usable and os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK)
-    if not usable:
-        raise OSError(f"cannot write the output file {path!r}")
 
 
 def _max_workers() -> int:
@@ -354,7 +334,7 @@ def main(argv=None) -> int:
         return int(exit_code.code or 0)
     try:
         cfg = _resolve_config(args)
-        _check_writable(cfg.output)
+        check_writable(cfg.output)
         if args.command == "selftest":
             code = _cmd_selftest(cfg, args)
         else:

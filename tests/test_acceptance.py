@@ -65,7 +65,7 @@ def test_ac11_measures_the_stepper(monkeypatch):
     def growing(*args, **kwargs):
         return SimpleNamespace(amplitudes=stepper(*args, **kwargs).amplitudes * (1 + 1e-6))
 
-    assert acceptance.ac11_integrator().passed
+    assert acceptance.run_criterion(acceptance.ac11_integrator).passed
     monkeypatch.setattr(acceptance, "evolve_timedep", growing)
-    result = acceptance.ac11_integrator()
+    result = acceptance.run_criterion(acceptance.ac11_integrator)
     assert not result.passed, result.details

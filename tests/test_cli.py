@@ -329,6 +329,43 @@ def test_a_read_only_output_file_is_kept(monkeypatch, tmp_path, capsys):
     assert path.read_text() == "old output\n"
 
 
+@pytest.mark.parametrize("kind", ["dangling-link", "link-loop", "name-of-256-bytes"])
+def test_an_output_path_the_writer_would_fail_on_is_rejected_before_any_work(
+        monkeypatch, tmp_path, capsys, kind):
+    # the path is judged as it will be written: a link by the file it names,
+    # and a name longer than the file system takes (255 bytes) as unwritable
+    if kind == "dangling-link":
+        path = tmp_path / "link"
+        path.symlink_to(tmp_path / "missing" / "out.csv")
+    elif kind == "link-loop":
+        path = tmp_path / "one"
+        path.symlink_to(tmp_path / "two")
+        (tmp_path / "two").symlink_to(path)
+    else:
+        path = tmp_path / ("x" * 256)
+    before = sorted(os.listdir(tmp_path))
+
+    def unreached(*_args, **_kwargs):
+        raise AssertionError("a rejected output reached the scan")
+
+    monkeypatch.setattr(cli, "trapping_uniqueness_scan", unreached)
+    code, out, err = run_cli(["trap-scan", "--samples", "200000", "--output", str(path)],
+                             capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write the output file {str(path)!r}\n"
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize("length", [238, 255])
+def test_an_output_name_of_any_legal_length_is_written_whole(tmp_path, capsys, length):
+    # the file written beside the path has a name of its own fixed length, so
+    # a name up to the file system's 255 bytes is written
+    path = tmp_path / ("x" * length)
+    _, table, _ = run_cli(["trap-check"], capsys)
+    assert run_cli(["trap-check", "--output", str(path)], capsys) == (0, "", "")
+    assert path.read_text() == table and os.listdir(tmp_path) == [path.name]
+
+
 def test_a_run_without_stdout_still_writes_its_output_file(monkeypatch, tmp_path):
     # an interpreter started with descriptor 1 closed sets sys.stdout to None
     monkeypatch.setattr(sys, "stdout", None)

@@ -180,6 +180,57 @@ def test_a_symlink_is_written_in_place(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["link", "real"]
 
 
+def test_a_link_to_a_new_file_is_written_in_place(tmp_path):
+    (tmp_path / "link").symlink_to("new")
+    _io.check_writable(str(tmp_path / "link"))
+    _io.write_rows({"a": [1]}, "csv", str(tmp_path / "link"))
+    assert (tmp_path / "link").is_symlink()
+    assert (tmp_path / "new").read_text(encoding="utf-8") == "a\n1\n"
+    assert sorted(os.listdir(tmp_path)) == ["link", "new"]
+
+
+@pytest.mark.parametrize("kind", ["dangling-link", "link-loop", "link-to-a-directory",
+                                  "name-of-256-bytes"])
+def test_a_path_the_writer_would_fail_on_is_rejected(tmp_path, kind):
+    # a link is judged by the file it names, and only "not found" makes a path
+    # new: a link loop or a name longer than 255 bytes is no new file
+    path = tmp_path / "link"
+    if kind == "dangling-link":
+        path.symlink_to(tmp_path / "missing" / "out.csv")
+    elif kind == "link-loop":
+        path.symlink_to(tmp_path / "loop")
+        (tmp_path / "loop").symlink_to(path)
+    elif kind == "link-to-a-directory":
+        path.symlink_to(tmp_path)
+    else:
+        path = tmp_path / ("x" * 256)
+    with pytest.raises(OSError, match="^cannot write the output file ") as raised:
+        _io.check_writable(str(path))
+    assert repr(str(path)) in str(raised.value)
+
+
+@pytest.mark.parametrize("length", [238, 255])
+def test_a_name_of_any_legal_length_is_replaced_whole(tmp_path, length):
+    path = tmp_path / ("x" * length)
+    path.write_text("old output\n", encoding="utf-8")
+    _io.check_writable(str(path))
+    _io.write_rows({"a": [1]}, "csv", str(path))
+    assert path.read_text(encoding="utf-8") == "a\n1\n" and os.listdir(tmp_path) == [path.name]
+
+
+def test_the_temporary_name_does_not_grow_with_the_output_name(tmp_path, monkeypatch):
+    temps, replace = [], os.replace
+
+    def recording(src, dst):
+        temps.append(os.path.basename(src))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", recording)
+    for length in (1, 255):
+        _io.write_rows({"a": [1]}, "csv", str(tmp_path / ("x" * length)))
+    assert len(temps) == 2 and len(temps[0]) == len(temps[1])
+
+
 def test_a_path_to_the_file_on_stdout_is_written_through_stdout(tmp_path, monkeypatch):
     # a shell's `>>` keeps its append offset only on its own descriptor; a
     # captured stdout has none, so the path is then opened in place

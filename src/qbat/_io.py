@@ -25,6 +25,8 @@ from typing import Mapping
 import numpy as np
 
 _CHUNK_ROWS = 1024  # rows formatted and written at a time
+# procfs's device: none of its directories, as /dev/stdout's /proc/self/fd, takes a new file
+_PROCFS = {os.stat("/proc").st_dev} if os.path.isdir("/proc") else set()
 
 
 def format_number(value) -> str:
@@ -78,8 +80,8 @@ def _kind(path: str) -> tuple:
 def check_writable(path: str) -> None:
     """Raise OSError, opening and creating nothing, unless ``write_rows`` can
     write ``path`` as ``_kind`` says: in place, a writable non-directory (a
-    link is judged by the file it names); a new file, in a writable directory;
-    a replaced file, writable too, so that a read-only file is kept."""
+    link is judged by the file it names); a new file, in a writable directory
+    not on procfs; a replaced file, writable too, so that a read-only file is kept."""
     try:
         kind, mode = _kind(path)
         parent = os.path.dirname(path) or "."
@@ -91,7 +93,7 @@ def check_writable(path: str) -> None:
         if kind == "stdout":
             usable = sys.stdout is not None  # None when started with descriptor 1 closed
         elif mode is None:
-            usable = os.access(parent, os.W_OK | os.X_OK)
+            usable = os.access(parent, os.W_OK | os.X_OK) and os.stat(parent).st_dev not in _PROCFS
         else:
             usable = (not stat.S_ISDIR(mode) and os.access(path, os.W_OK)
                       and (kind == "in place" or os.access(parent, os.W_OK | os.X_OK)))

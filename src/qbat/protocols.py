@@ -27,10 +27,10 @@ from .qalg import (
     trace_distance,
 )
 
-# States the uniqueness scan draws and tests at a time: (2048, 4, 4) complex
-# batches, so its memory does not grow with the sample count.
+# States the uniqueness scan draws and tests at a time: (2048, 4, 4) real
+# Ginibre parts, so its memory does not grow with the sample count.
 _SCAN_CHUNK = 2**11
-# Most states the uniqueness scan draws per family (about 2 s at 2 us each).
+# Most states the uniqueness scan draws per family (about 0.7 s on a 2-core machine).
 MAX_SCAN_SAMPLES = 2**20
 
 # Releasing projector Q = |T><T| + |11><11| of the empty-hub discharge law,
@@ -163,6 +163,12 @@ def blocking_state_from_constraints() -> DensityMatrix:
     return DensityMatrix(2, mat)
 
 
+def _blocking(diag: np.ndarray, re23: np.ndarray):
+    """blocking_conditions from the only entries it reads: diagonals and Re rho23."""
+    max_ec = 4.0 * math.sqrt(2.0) * np.abs((diag[..., 1] + diag[..., 2]) / 2 + re23 + diag[..., 3])
+    return np.abs(diag[..., 0] - diag[..., 3]) <= _BLOCKING_TOL, max_ec <= _BLOCKING_TOL, max_ec
+
+
 def blocking_conditions(rho: np.ndarray):
     """Both blocking conditions for (..., 4, 4) battery density matrices,
     with an empty hub: (passes_available_energy, passes_zero_ec, max_abs_ec).
@@ -173,10 +179,14 @@ def blocking_conditions(rho: np.ndarray):
     max_abs_ec = 4*sqrt(2) * |transfer_fraction(rho)| in units of
     hbar*omega*J, with 1e-9.
     """
-    max_ec = 4.0 * math.sqrt(2.0) * np.abs(transfer_fraction(rho))
-    diag = np.einsum("...aa->...a", rho).real
-    return (np.abs(diag[..., 0] - diag[..., 3]) <= _BLOCKING_TOL,
-            max_ec <= _BLOCKING_TOL, max_ec)
+    return _blocking(np.einsum("...aa->...a", rho).real, rho[..., 1, 2].real)
+
+
+def _wishart_entries(re: np.ndarray, im: np.ndarray) -> tuple:
+    """diag W and Re W23 of W = G G^dag / tr W, G = re + i*im, forming neither."""
+    diag = np.einsum("nak,nak->na", re, re) + np.einsum("nak,nak->na", im, im)
+    re23 = np.einsum("nk,nk->n", re[:, 1], re[:, 2]) + np.einsum("nk,nk->n", im[:, 1], im[:, 2])
+    return diag / (trace := diag.sum(axis=1))[:, None], re23 / trace
 
 
 @dataclass(frozen=True)
@@ -206,9 +216,9 @@ def trapping_uniqueness_scan(n_random: int, tol: float = 1e-3, *,
     states as the restricted one.  The family's Dirichlet diagonals come
     from ``default_rng(seed)``; its rho23 factors and the Ginibre matrices'
     real and imaginary parts come from three streams spawned from
-    ``SeedSequence(seed)``.  Each stream is drawn and tested in chunks of
-    ``_SCAN_CHUNK``, so memory does not grow with ``n_random`` and the
-    report does not depend on the chunk size.
+    ``SeedSequence(seed)``, drawn in chunks of ``_SCAN_CHUNK`` that bound the
+    memory and leave the report unchanged.  The tests read a state's diagonal
+    and Re rho23 alone; only a state passing both is built in full.
     """
     if not 1 <= n_random <= MAX_SCAN_SAMPLES:
         raise ValueError(f"n_random must lie in [1, {MAX_SCAN_SAMPLES}], got {n_random}")
@@ -220,11 +230,11 @@ def trapping_uniqueness_scan(n_random: int, tol: float = 1e-3, *,
     coherence_rng, re_rng, im_rng = map(np.random.default_rng,
                                         np.random.SeedSequence(seed).spawn(3))
 
-    def _scan(rho_batch: np.ndarray) -> np.ndarray:
-        pass_ca, pass_cb, _ = blocking_conditions(rho_batch)
+    def _scan(diag: np.ndarray, re23: np.ndarray, full) -> np.ndarray:
+        pass_ca, pass_cb, _ = _blocking(diag, re23)
         both = pass_ca & pass_cb
         far = sum(trace_distance(DensityMatrix(2, rho), singlet) > tol
-                  for rho in rho_batch[both])
+                  for rho in (full(both) if both.any() else ()))
         return np.array([pass_ca.sum(), pass_cb.sum(), both.sum(), far])
 
     # per family: passes available, zero ec, both, and counterexamples
@@ -233,16 +243,14 @@ def trapping_uniqueness_scan(n_random: int, tol: float = 1e-3, *,
         m = min(_SCAN_CHUNK, n_random - start)
         # Restricted family: Dirichlet diagonal, real rho23 bounded by positivity.
         diags = diagonal_rng.dirichlet(np.ones(4), size=m)
-        batch = np.zeros((m, 4, 4), dtype=complex)
-        batch[:, range(4), range(4)] = diags
-        batch[:, 1, 2] = batch[:, 2, 1] = (coherence_rng.uniform(-1.0, 1.0, size=m)
-                                           * np.sqrt(diags[:, 1] * diags[:, 2]))
-        tally[0] += _scan(batch)
+        coh = coherence_rng.uniform(-1.0, 1.0, size=m) * np.sqrt(diags[:, 1] * diags[:, 2])
+        tally[0] += _scan(diags, coh, lambda rows: (
+            [[d1, 0, 0, 0], [0, d2, c, 0], [0, c, d3, 0], [0, 0, 0, d4]]
+            for (d1, d2, d3, d4), c in zip(diags[rows], coh[rows])))
         # Unrestricted scan: Ginibre-random density matrices.
-        ginibre = re_rng.normal(size=(m, 4, 4)) + 1j * im_rng.normal(size=(m, 4, 4))
-        wish = ginibre @ ginibre.conj().transpose(0, 2, 1)
-        wish /= np.einsum("naa->n", wish).real[:, None, None]
-        tally[1] += _scan(wish)
+        re, im = re_rng.normal(size=(m, 4, 4)), im_rng.normal(size=(m, 4, 4))
+        tally[1] += _scan(*_wishart_entries(re, im), lambda rows: (
+            g @ g.conj().T / np.vdot(g, g).real for g in re[rows] + 1j * im[rows]))
 
     (n_ca, n_cb, n_both, n_far), (_, _, n_unres_both, n_unres_far) = tally.tolist()
     return UniquenessScanReport(

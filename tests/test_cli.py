@@ -329,12 +329,21 @@ def test_a_read_only_output_file_is_kept(monkeypatch, tmp_path, capsys):
     assert path.read_text() == "old output\n"
 
 
-@pytest.mark.parametrize("kind", ["dangling-link", "link-loop", "name-of-256-bytes"])
+@pytest.mark.parametrize("kind", ["dangling-link", "link-loop", "name-of-256-bytes",
+                                  "link-to-a-missing-descriptor"])
 def test_an_output_path_the_writer_would_fail_on_is_rejected_before_any_work(
         monkeypatch, tmp_path, capsys, kind):
     # the path is judged as it will be written: a link by the file it names,
-    # and a name longer than the file system takes (255 bytes) as unwritable
-    if kind == "dangling-link":
+    # and a name longer than the file system takes (255 bytes) as unwritable;
+    # /dev/stdout with descriptor 1 closed names a missing /proc/self/fd entry
+    if kind == "link-to-a-missing-descriptor":
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("needs procfs")
+        fd = os.open(os.devnull, os.O_RDONLY)
+        os.close(fd)
+        path = tmp_path / "link"
+        path.symlink_to(f"/proc/self/fd/{fd}")
+    elif kind == "dangling-link":
         path = tmp_path / "link"
         path.symlink_to(tmp_path / "missing" / "out.csv")
     elif kind == "link-loop":

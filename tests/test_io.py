@@ -190,12 +190,20 @@ def test_a_link_to_a_new_file_is_written_in_place(tmp_path):
 
 
 @pytest.mark.parametrize("kind", ["dangling-link", "link-loop", "link-to-a-directory",
-                                  "name-of-256-bytes"])
+                                  "name-of-256-bytes", "link-to-a-missing-descriptor"])
 def test_a_path_the_writer_would_fail_on_is_rejected(tmp_path, kind):
     # a link is judged by the file it names, and only "not found" makes a path
-    # new: a link loop or a name longer than 255 bytes is no new file
+    # new: a link loop or a name longer than 255 bytes is no new file; a new
+    # file in /proc/self/fd, where /dev/stdout points when descriptor 1 is
+    # closed, is one that no one can make, though os.access lets root
     path = tmp_path / "link"
-    if kind == "dangling-link":
+    if kind == "link-to-a-missing-descriptor":
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("needs procfs")
+        fd = os.open(os.devnull, os.O_RDONLY)
+        os.close(fd)
+        path.symlink_to(f"/proc/self/fd/{fd}")
+    elif kind == "dangling-link":
         path.symlink_to(tmp_path / "missing" / "out.csv")
     elif kind == "link-loop":
         path.symlink_to(tmp_path / "loop")

@@ -35,7 +35,7 @@ from qbat.protocols import (
     trapping_check,
     trapping_uniqueness_scan,
 )
-from qbat.qalg import DensityMatrix, PureState, embed, expectation, ket
+from qbat.qalg import DensityMatrix, PureState, embed, expectation, ket, trace_distance
 
 from oracles import I2, kron, raw_bare, raw_cell_coupling
 
@@ -149,17 +149,31 @@ def test_uniqueness_scan_clean():
 def test_uniqueness_scan_counts_counterexamples(monkeypatch, tol):
     # with every state passing both conditions, each family's counterexamples
     # are exactly its states farther than tol from the singlet, counted here
-    # from the eigenvalues of rho - singlet over chunks of 128 states
-    batches = []
+    # from the eigenvalues of rho - singlet over chunks of 128 states; the
+    # full matrices the scan builds for them hold the entries the conditions read
+    entries, states = [], []
 
-    def everything_passes(rho):
-        batches.append(rho.copy())
-        ones = np.ones(rho.shape[:-2], dtype=bool)
-        return ones, ones, np.zeros(rho.shape[:-2])
+    def everything_passes(diag, re23):
+        entries.append((diag.copy(), re23.copy()))
+        ones = np.ones(re23.shape, dtype=bool)
+        return ones, ones, np.zeros(re23.shape)
+
+    def recorded(a, b):
+        states.append(a.entries)
+        return trace_distance(a, b)
 
     monkeypatch.setattr(protocols, "_SCAN_CHUNK", 128)
-    monkeypatch.setattr(protocols, "blocking_conditions", everything_passes)
+    monkeypatch.setattr(protocols, "_blocking", everything_passes)
+    monkeypatch.setattr(protocols, "trace_distance", recorded)
     report = trapping_uniqueness_scan(300, tol=tol, seed=5)
+    # the first distance is the solved constraint state's, then each chunk's
+    # restricted states and its Ginibre states, in the order they were tested
+    assert_allclose(states[0], blocking_state_from_constraints().entries, atol=0)
+    sizes = [re23.size for _, re23 in entries]
+    batches = np.split(np.stack(states[1:]), np.cumsum(sizes)[:-1])
+    for (diag, re23), rho in zip(entries, batches):
+        assert_allclose(np.einsum("naa->na", rho).real, diag, rtol=0, atol=1e-15)
+        assert_allclose(rho[:, 1, 2].real, re23, rtol=0, atol=1e-15)
     singlet = bell_state(BellLabel(1, 1)).density().entries
     counts = []
     for family in (batches[0::2], batches[1::2]):
@@ -170,6 +184,42 @@ def test_uniqueness_scan_counts_counterexamples(monkeypatch, tol):
     assert report.n_pass_both == report.n_unrestricted_pass_both == 300
     assert (report.n_counterexamples, report.n_unrestricted_counterexamples) == tuple(counts)
     assert all(0 < c < 300 for c in counts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e-6, 1e-3, 1.0]))
+def test_scan_entries_agree_with_the_full_matrices(seed, mix):
+    # Ginibre parts whose rows 2 and 3 (1-based) cancel up to `mix` and whose
+    # rows 1 and 4 are `mix` small: 0 gives the singlet, 1e-6 states passing
+    # both conditions, 1e-3 and 1 states carrying a current; the scan's
+    # entries give the flags and g of blocking_conditions on W = G G^dag / tr W
+    rng = np.random.default_rng(seed)
+    re, im = rng.normal(size=(2, 64, 4, 4))
+    for part in (re, im):
+        part[:, 2] = mix * part[:, 2] - part[:, 1]
+        part[:, [0, 3]] *= mix
+    ginibre = re + 1j * im
+    wishart = ginibre @ ginibre.conj().transpose(0, 2, 1)
+    wishart /= np.trace(wishart, axis1=1, axis2=2).real[:, None, None]
+    diag, re23 = protocols._wishart_entries(re, im)
+    assert_allclose(diag, np.einsum("naa->na", wishart).real, rtol=0, atol=1e-15)
+    assert_allclose(re23, wishart[:, 1, 2].real, rtol=0, atol=1e-15)
+    # restricted-family states, the singlet among them
+    diags = rng.dirichlet(np.ones(4), size=64)
+    coh = rng.uniform(-1.0, 1.0, size=64) * np.sqrt(diags[:, 1] * diags[:, 2])
+    diags[0], coh[0] = [0.0, 0.5, 0.5, 0.0], -0.5
+    restricted = np.zeros((64, 4, 4))
+    restricted[:, range(4), range(4)] = diags
+    restricted[:, 1, 2] = restricted[:, 2, 1] = coh
+    for args, full in (((diag, re23), wishart), ((diags, coh), restricted)):
+        pass_ca, pass_cb, max_ec = protocols._blocking(*args)
+        want_ca, want_cb, _ = blocking_conditions(full)
+        assert (pass_ca == want_ca).all() and (pass_cb == want_cb).all()
+        assert_allclose(max_ec / (4 * math.sqrt(2)), np.abs(transfer_fraction(full)),
+                        rtol=0, atol=1e-15)
+    assert pass_ca[0] and pass_cb[0]  # the singlet
+    pass_ca, pass_cb, _ = protocols._blocking(diag, re23)
+    assert (pass_ca & pass_cb).all() if mix <= 1e-6 else not pass_cb.any()
 
 
 def test_uniqueness_scan_memory_is_bounded(monkeypatch):

@@ -7,9 +7,10 @@ of its ``.15g`` rounding in JSON, and ``%s`` for cells formatted beforehand,
 and applies it to each row's values, with '\\n' line endings.  The CSV is
 byte for byte what ``csv.writer(lineterminator="\\n")`` writes, and the JSON
 what ``json.dump(rows, indent=2)`` writes for the list of row dicts.  Output
-is identical across platforms for identical inputs.  ``_kind`` is the one
-rule for how an output path is written (a replaced file is never cut short),
-and ``check_writable`` judges a path by it before any work.
+is identical across platforms for identical inputs.  ``_kind`` is the one rule
+for how an output path is written (a file open on stdout or stderr through that
+stream, a replaced file never cut short), and ``check_writable`` judges a path
+by it before any work.
 """
 
 from __future__ import annotations
@@ -64,34 +65,50 @@ def _field(column, fmt: str, empty_row: str) -> tuple:
 
 
 def _kind(path: str) -> tuple:
-    """``path``'s kind and lstat mode (None when new): "stdout" for "-"; "in
-    place" for another path that exists and is not a regular file (a symlink
-    such as /dev/stdout, a device such as /dev/null, or a FIFO); "replaced"
-    for a new path or a regular file.  Only "not found" counts as new."""
+    """``path``'s kind, with the stream for "stream" and else its lstat mode
+    (None when new): "stream" for "-" (stdout, None when closed) or the file
+    open on stdout's or stderr's descriptor, whose ``>>`` offset only it keeps;
+    "in place" for another path that exists and is not a regular file (a link,
+    device or FIFO); "replaced" for a regular file or a path "not found"."""
     if path == "-":
-        return "stdout", None
+        return "stream", sys.stdout
     try:
-        mode = os.lstat(path).st_mode
+        status = os.lstat(path)
     except FileNotFoundError:
         return "replaced", None
-    return ("replaced" if stat.S_ISREG(mode) else "in place"), mode
+    if (stream := _standard_stream(path, status)) is not None:
+        return "stream", stream
+    return ("replaced" if stat.S_ISREG(status.st_mode) else "in place"), status.st_mode
+
+
+def _standard_stream(path: str, status: os.stat_result):
+    """stdout or stderr if its descriptor holds the file ``path`` names
+    (``status`` its lstat, followed for a link), else None."""
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            status = os.stat(path) if stat.S_ISLNK(status.st_mode) else status
+            if os.path.samestat(os.fstat(stream.fileno()), status):
+                return stream
+        except (AttributeError, OSError, ValueError):  # no stream, a captured one, or no file
+            pass
+    return None
 
 
 def check_writable(path: str) -> None:
     """Raise OSError, opening and creating nothing, unless ``write_rows`` can
-    write ``path`` as ``_kind`` says: in place, a writable non-directory (a
-    link is judged by the file it names); a new file, in a writable directory
-    not on procfs; a replaced file, writable too, so that a read-only file is kept."""
+    write ``path`` as ``_kind`` says: a stream if open; in place, a writable
+    non-directory (a link judged by the file it names); a new file, in a writable
+    directory not on procfs; a replaced file, if writable too (a read-only one is kept)."""
     try:
-        kind, mode = _kind(path)
+        kind, mode = _kind(path)  # the stream itself for a stream
         parent = os.path.dirname(path) or "."
         if kind == "in place" and stat.S_ISLNK(mode):
             try:
                 mode = os.stat(path).st_mode
             except FileNotFoundError:  # a new file where the link points
                 mode, parent = None, os.path.dirname(os.path.realpath(path))
-        if kind == "stdout":
-            usable = sys.stdout is not None  # None when started with descriptor 1 closed
+        if kind == "stream":
+            usable = mode is not None
         elif mode is None:
             usable = os.access(parent, os.W_OK | os.X_OK) and os.stat(parent).st_dev not in _PROCFS
         else:
@@ -104,24 +121,15 @@ def check_writable(path: str) -> None:
                       if path == "-" else f"cannot write the output file {path!r}")
 
 
-def _is_stdout(path: str) -> bool:
-    """Whether ``path`` is the file open on ``sys.stdout``'s descriptor: a
-    shell's ``>>`` there keeps its append offset only through that descriptor."""
-    try:
-        return os.path.samestat(os.fstat(sys.stdout.fileno()), os.stat(path))
-    except (AttributeError, OSError, ValueError):  # no stdout, a captured one, or no file
-        return False
-
-
 @contextlib.contextmanager
 def _opened(path: str):
-    """A text handle on stdout for "-" or the file stdout holds, on ``path``
-    if it is written in place, and otherwise on a new file beside it (the
-    umask's mode, a fixed-length name), renamed onto the path when the block
-    ends and removed if it raises (Ctrl-C included): no prefix is left."""
-    kind, _ = _kind(path)
+    """A text handle on the stream ``_kind`` names, on ``path`` if it is
+    written in place, and otherwise on a new file beside it (the umask's mode,
+    a fixed-length name), renamed onto the path when the block ends and
+    removed if it raises (Ctrl-C included): no prefix is left."""
+    kind, stream = _kind(path)
     if kind != "replaced":
-        with (contextlib.nullcontext(sys.stdout) if kind == "stdout" or _is_stdout(path)
+        with (contextlib.nullcontext(stream) if kind == "stream"
               else open(path, "w", encoding="utf-8", newline="\n")) as handle:
             yield handle
         return

@@ -239,8 +239,8 @@ def ac9_adiabatic_stability(seed: int = 42) -> tuple:
     """Above a computed threshold every schedule discharges fully and calmly.
 
     Phase one scans all schedules for the charge saturation threshold; phase
-    two continues along the binding schedule until the current tail also
-    settles, then all schedules are confirmed at the joint threshold.  Those
+    two continues along the linear schedule until its current tail also
+    settles, then all schedules are confirmed at that joint threshold.  Those
     runs step the stored cell's excitation sector, which holds no component of
     the unreachable ground state, so parity leakage into it is measured on
     full 8-dim runs of every schedule at the charge threshold and must stay at

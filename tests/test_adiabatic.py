@@ -28,7 +28,7 @@ from qbat.adiabatic import (
     target_state,
 )
 from qbat.dynamics import STEPS_PER_UNIT_JT, evolve_timedep
-from qbat.model import charge, ec_operator, hamiltonian_set
+from qbat.model import E0, charge, ec_operator, hamiltonian_set
 from qbat.qalg import Operator, PureState, ket
 
 from oracles import I2, X, Y, Z, kron
@@ -291,6 +291,44 @@ def test_current_follows_the_first_order_adiabatic_law(schedule, jtau):
         assert error <= 0.8 / jtau
     else:
         assert error <= 20.0 / jtau**2
+
+
+def _shortfall(schedule, jtau):
+    """delta = 1 - C/E0 after one drive: the charge the hub has not received."""
+    return 1.0 - run_discharge(AdiabaticSpec(jtau, schedule), n_samples=2).final_charge / E0
+
+
+def test_the_linear_drive_falls_short_by_its_boundary_terms():
+    # first-order adiabatic perturbation theory (Rigolin, Ortiz & Ponce, PRA
+    # 78, 052508 (2008)) leaves c_n = (i/Jtau)[M_n(1) e^{i Theta_n} - M_n(0)]
+    # in branch n, M_n = <n|dH/ds|0>/(E_n - E_0)^2 and Theta_n = Jtau
+    # int_0^1 (E_n - E_0) ds, on real vectors carried along s without a sign
+    # flip (no geometric phase).  Sum |M_n(0)|^2 = 1/8, all in the middle
+    # branch, and sum |M_n(1)|^2 = 1/4, so delta (Jtau)^2 = 1/8 + (1 - cos
+    # Theta_1)/4.  Measured: |delta (Jtau)^2 - prediction| Jtau <= 0.874
+    sector = _EXCITATION_SECTORS[1]
+    s = np.linspace(0.0, 1.0, 4097)
+    w, v = _sector_branches(Schedule.LINEAR, s, sector)
+    v[1:] *= np.cumprod(np.sign(np.einsum("kia,kia->ka", v[1:], v[:-1])), axis=0)[:, None]
+    gaps = w[:, 1:] - w[:, :1]
+    phases = (gaps[1:] + gaps[:-1]).sum(axis=0) / 2.0 * (s[1] - s[0])
+    assert abs(phases[0] - 1.2369604) < 1e-6  # a 200,001-point trapezoid's integral
+    h_i, h_m, h_f = (h.matrix.real[np.ix_(sector, sector)] for h in interpolation_parts())
+    ends = [0, -1]
+    dh = -h_i + (1.0 - 2.0 * s[ends, None, None]) * h_m + h_f  # dH/ds, with f = s
+    m = np.einsum("kia,kij,kj->ka", v[ends], dh, v[ends, :, 0])[:, 1:] / gaps[ends] ** 2
+    assert_allclose([m[0, 1], *(m**2).sum(axis=1)], [0.0, 0.125, 0.25], atol=1e-12)
+    for jtau in (300.0, 333.0, 377.0, 450.0, 600.0, 700.0, 1000.0, 1100.0):
+        predicted = np.sum(np.abs(m[1] * np.exp(1j * jtau * phases) - m[0]) ** 2)
+        assert abs(_shortfall(Schedule.LINEAR, jtau) * jtau**2 - predicted) <= 1.0 / jtau
+
+
+@pytest.mark.parametrize("schedule", [Schedule.SIN_SQUARED, Schedule.SMOOTHSTEP])
+def test_a_smooth_drive_has_no_first_order_boundary_term(schedule):
+    # f'(0) = f'(1) = 0 makes every M_n vanish (see the linear drive's test),
+    # so delta falls as (Jtau)^-4, not (Jtau)^-2.  Measured: log2 of
+    # delta(640)/delta(320) is -4.07 (sin2) and -4.38 (smoothstep)
+    assert math.log2(_shortfall(schedule, 640.0) / _shortfall(schedule, 320.0)) < -3.5
 
 
 def test_spec_validation():

@@ -300,9 +300,14 @@ def test_a_run_started_with_stdout_closed_is_a_parameter_error():
     assert len(run.stderr.splitlines()) == 1 and run.stderr.startswith(b"error: ")
 
 
-def test_an_output_to_stdout_appended_to_a_file_keeps_the_file(tmp_path):
-    # `qbat trap-check --output /dev/stdout >> FILE`: a reopened /dev/stdout
-    # would truncate FILE, so the output goes through the shell's descriptor
+@pytest.mark.parametrize("output, stream", [("/dev/stdout", "stdout"), ("log.txt", "stdout"),
+                                            ("/dev/stderr", "stderr")],
+                         ids=["dev-stdout", "the-file-itself", "dev-stderr"])
+def test_an_output_to_stdout_appended_to_a_file_keeps_the_file(tmp_path, output, stream):
+    # `qbat trap-check --output /dev/stdout >> FILE`, `--output FILE >> FILE`
+    # or `--output /dev/stderr 2>> FILE`: a reopened /dev/stdout would
+    # truncate FILE, and a replaced FILE would lose it, so the output goes
+    # through the shell's descriptor
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -310,11 +315,30 @@ def test_an_output_to_stdout_appended_to_a_file_keeps_the_file(tmp_path):
     path.write_text("prior\n")
     with open(path, "a") as appended:
         run = subprocess.run([sys.executable, "-m", "qbat.cli", "trap-check", "--output",
-                              "/dev/stdout"], env=env, stdout=appended, timeout=60)
+                              output], env=env, cwd=tmp_path, timeout=60, **{stream: appended})
     table = subprocess.run([sys.executable, "-m", "qbat.cli", "trap-check"], env=env,
                            stdout=subprocess.PIPE, text=True, timeout=60).stdout
     assert run.returncode == 0 and table.startswith("state,")
     assert path.read_text() == "prior\n" + table
+
+
+def test_a_selftest_appended_to_its_output_file_keeps_the_file(tmp_path):
+    # `qbat selftest --output FILE >> FILE`: FILE's earlier bytes, then the
+    # criterion lines printed as each runs, then the table
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    path = tmp_path / "log.txt"
+    path.write_text("prior\n")
+    with open(path, "a") as appended:
+        run = subprocess.run([sys.executable, "-m", "qbat.cli", "selftest", "--output",
+                              "log.txt"], env=env, cwd=tmp_path, stdout=appended, timeout=600)
+    prior, *lines = path.read_text().splitlines()
+    criteria = [f"AC-{i}" for i in range(1, 14)]
+    assert run.returncode == 0 and prior == "prior" and len(lines) == 27
+    assert [line.split(" ")[:2] for line in lines[:13]] == [[name, "PASS"] for name in criteria]
+    assert lines[13] == "criterion,passed,description,details,elapsed_s"
+    assert [row.split(",")[:2] for row in lines[14:]] == [[name, "true"] for name in criteria]
 
 
 def test_a_read_only_output_file_is_kept(monkeypatch, tmp_path, capsys):

@@ -239,19 +239,36 @@ def test_the_temporary_name_does_not_grow_with_the_output_name(tmp_path, monkeyp
     assert len(temps) == 2 and len(temps[0]) == len(temps[1])
 
 
-def test_a_path_to_the_file_on_stdout_is_written_through_stdout(tmp_path, monkeypatch):
-    # a shell's `>>` keeps its append offset only on its own descriptor; a
-    # captured stdout has none, so the path is then opened in place
+@pytest.mark.parametrize("stream", ["stdout", "stderr"])
+@pytest.mark.parametrize("name", ["log", "link"], ids=["the-file", "a-link"])
+def test_a_path_to_the_file_on_stdout_is_written_through_stdout(tmp_path, monkeypatch,
+                                                                 stream, name):
+    # a shell's `>>` keeps its append offset only on its own descriptor, which
+    # is written whatever os.access says of the directory (root passes every
+    # check, so it is made to deny it); a captured stream has no descriptor,
+    # so the path is then written as any other
     path = tmp_path / "log"
     path.write_text("prior\n", encoding="utf-8")
     (tmp_path / "link").symlink_to("log")
+    access = os.access
     with open(path, "a", encoding="utf-8") as held:
-        monkeypatch.setattr(sys, "stdout", held)
-        _io.write_rows({"a": [1]}, "csv", str(tmp_path / "link"))
+        monkeypatch.setattr(sys, stream, held)
+        monkeypatch.setattr(os, "access", lambda p, mode: access(p, mode) and p != str(tmp_path))
+        _io.check_writable(str(tmp_path / name))
+        _io.write_rows({"a": [1]}, "csv", str(tmp_path / name))
     assert path.read_text(encoding="utf-8") == "prior\na\n1\n"
-    monkeypatch.setattr(sys, "stdout", io.StringIO())
-    _io.write_rows({"a": [2]}, "csv", str(tmp_path / "link"))
+    monkeypatch.setattr(sys, stream, io.StringIO())
+    _io.write_rows({"a": [2]}, "csv", str(tmp_path / name))
     assert path.read_text(encoding="utf-8") == "a\n2\n"
+
+
+def test_a_new_path_is_tested_against_no_descriptor(tmp_path, monkeypatch):
+    # the lstat that finds no file comes first, and every benchmark output is new
+    fstats, fstat = [], os.fstat
+    monkeypatch.setattr(os, "fstat", lambda fd: fstats.append(fd) or fstat(fd))
+    _io.check_writable(str(tmp_path / "new"))
+    _io.write_rows({"a": [1]}, "csv", str(tmp_path / "new"))
+    assert fstats == [] and (tmp_path / "new").read_text(encoding="utf-8") == "a\n1\n"
 
 
 def test_a_regular_file_is_replaced(tmp_path):

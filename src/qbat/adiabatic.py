@@ -23,7 +23,7 @@ from functools import cache
 import numpy as np
 
 from .dynamics import STEPS_PER_UNIT_JT, TimeSeries, _check_sampling, _stepped_states
-from .model import E0, _observable_rows, _xy_exchange, charge, ec_operator, hamiltonian_set
+from .model import E0, _observable_rows, _xy_exchange, ec_operator, hamiltonian_set
 from .protocols import storage_state
 from .qalg import Operator, PureState, embed, expectation, ket, max_abs, pauli, tensor
 
@@ -205,11 +205,10 @@ def run_discharge(spec: AdiabaticSpec, n_samples: int = 513) -> DischargeReport:
     hs = hamiltonian_set()
     states = _drive_states(spec, storage_state().amplitudes[sector], n_samples, sector)
     times = np.linspace(0.0, spec.jtau, n_samples)
-    charge_channel = charge(states, hs, sector)
-    currents = [_observable_rows(states, ec_operator(hs.h0_hub, h).matrix, sector)
-                for h in interpolation_parts()]
+    ops = [hs.hub_charge, *(ec_operator(hs.h0_hub, h).matrix for h in interpolation_parts()),
+           parity_operator().matrix]
+    charge_channel, *currents, parity_channel = _observable_rows(states, np.stack(ops), sector)
     ec_channel = sum(map(np.multiply, _part_weights(spec.schedule, times / spec.jtau), currents))
-    parity_channel = _observable_rows(states, parity_operator().matrix, sector)
     fidelity_channel = np.abs(states @ target_state().amplitudes[sector].conj()) ** 2
 
     tail = np.abs(ec_channel[times >= 0.9 * spec.jtau])

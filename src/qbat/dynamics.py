@@ -11,8 +11,8 @@ exponents are hermitian (real symmetric for the drive), so every step is
 exactly unitary; the global error is fourth order in the step size, and the
 rule is exact for constant Hamiltonians.  Each segment's factors (closed-form
 for the drive's real 3x3 blocks) are batched and multiplied pairwise into one
-propagator, so a state is touched once per recording segment, not per step,
-by one ``ndarray.dot``.
+propagator, and a blocked prefix scan carries the state over the propagators
+with no Python call per segment (see ``_stepped_states``).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .model import HamiltonianSet, _observable_rows, charge, ec_operator
+from .model import HamiltonianSet, _observable_rows, ec_operator
 from .qalg import HERMITIAN_ATOL, DensityMatrix, Operator, PureState, max_abs
 
 HStack = Callable[[np.ndarray], np.ndarray]  # s values (m,) -> Hamiltonians (m, d, d)
@@ -34,6 +34,7 @@ HStack = Callable[[np.ndarray], np.ndarray]  # s values (m,) -> Hamiltonians (m,
 # drive's sector blocks far less) and the peak memory of a threaded sweep
 # hardly depends on how its workers' chunks overlap.
 _CHUNK = 2**10
+_BLOCK = 16  # segments per block of the state carry, fixed whatever _CHUNK is
 STEPS_PER_UNIT_JT = 8  # least steps of the drive per unit of dimensionless Jt
 _NODES = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0  # Gauss-Legendre, in units of a step
 _ALPHA, _BETA = 0.25 + math.sqrt(3.0) / 6.0, 0.25 - math.sqrt(3.0) / 6.0
@@ -161,16 +162,18 @@ def _stepped_states(h_stack: HStack, psi0: np.ndarray, tau: float, n_steps: int,
     ``_expm_sym3`` for real 3x3 exponents, and otherwise as V diag(exp(-i w
     dt)) V^dagger from one batched eigh; ``_tree_product`` folds them into
     one propagator per segment (or per ``_CHUNK``-step piece of a longer
-    segment), carried onto the state with one ``ndarray.dot``: a C method
-    call, where ``@`` dispatches through the matmul ufunc (1.7 against 2.6 ms
-    per 1,024 complex 3x3 segments on a 2-core x86-64 machine).
+    segment).  A blocked prefix scan (Blelloch, CMU-CS-90-190, 1990) carries the
+    state: segment k is at place k % _BLOCK of block k // _BLOCK, every place of
+    a chunk's blocks takes one multiply-and-sum on an entries-first (_BLOCK, d,
+    d, blocks) array, every block one ``ndarray.dot``, and all states one batched
+    product.  A block left open is redone in the next chunk and ``_BLOCK`` is
+    fixed, so chunks holding whole recording segments give the same bits at any size.
     """
     dt = tau / n_steps
-    psi = np.asarray(psi0, dtype=complex)
-    d = psi.size
+    d = len(psi0)
     states = np.empty((n_steps // every + 1, d), dtype=complex)
-    states[0] = psi
-    done = 0
+    states[0] = start = np.asarray(psi0, dtype=complex)  # the state where the open block starts
+    done, pending = 0, np.empty((0, d, d), dtype=complex)  # steps; the open block's segments
     while done < n_steps:
         piece = min(every - done % every, _CHUNK)
         m = piece * max(1, min(_CHUNK // every, (n_steps - done) // every))
@@ -186,11 +189,24 @@ def _stepped_states(h_stack: HStack, psi0: np.ndarray, tau: float, n_steps: int,
         else:
             w, v = np.linalg.eigh(exponents)
             factors = (v * np.exp(-1j * dt * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
-        for segment in _tree_product(factors.reshape(m // piece, 2 * piece, d, d)):
-            psi = segment.dot(psi)
-            done += piece
-            if done % every == 0:
-                states[done // every] = psi
+        segments = np.concatenate([pending, _tree_product(factors.reshape(-1, 2 * piece, d, d))])
+        n = len(segments)
+        blocks, places = -(-n // _BLOCK), min(_BLOCK, n)
+        q = np.concatenate([segments, np.tile(np.eye(d), (blocks * places - n, 1, 1))])
+        q = np.ascontiguousarray(q.reshape(blocks, places, d, d).transpose(1, 2, 3, 0))
+        for j in range(1, places):
+            np.sum(q[j][:, :, None] * q[j - 1], axis=1, out=q[j])
+        starts = [start]
+        for product in np.ascontiguousarray(q[-1].transpose(2, 0, 1)):  # one per block
+            starts.append(product.dot(starts[-1]))
+        starts = np.array(starts)
+        after = sum(q[:, :, i] * starts[:-1, i] for i in range(d))  # (places, d, blocks)
+        after = after.transpose(2, 0, 1).reshape(-1, d)[len(pending):n]
+        done += m
+        if done % every == 0:
+            states[done // every - len(after) + 1:done // every + 1] = after
+        pending, start = segments[n - n % _BLOCK:].copy(), starts[n // _BLOCK]
+        del segments, q, after  # freed before the next chunk's exponentials, not after
     return states
 
 
@@ -219,9 +235,8 @@ def sample_trajectory(h: Operator, psi0: PureState, t_final: float, n_samples: i
     _check_sampling("t_final", t_final, n_samples)
     times = np.linspace(0.0, t_final, n_samples)
     states = _spectral(h, psi0.amplitudes, times)
-    charge_channel = charge(states, hs)
     p_hat = hs.current if h is hs.h_charging else ec_operator(hs.h0_hub, h)
-    ec_channel = _observable_rows(states, p_hat.matrix)
+    charge_channel, ec_channel = _observable_rows(states, np.stack([hs.hub_charge, p_hat.matrix]))
     fidelity = np.abs(states @ psi0.amplitudes.conj()) ** 2
     return TimeSeries(times, charge_channel, ec_channel,
                       extra={"fidelity_initial": fidelity})

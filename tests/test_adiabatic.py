@@ -438,6 +438,15 @@ def test_long_drive_keeps_norm_and_fidelity(schedule):
     assert fidelity.max() <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("schedule", list(Schedule), ids=lambda schedule: schedule.value)
+def test_drive_starts_from_an_empty_hub_and_never_reads_a_negative_charge(schedule):
+    # the stored singlet has no amplitude on |001>, so row 0 reads 0 exactly,
+    # and the charge H0_hub - e_empty has entries 0 and 2, so no row is negative
+    series = run_discharge(AdiabaticSpec(20.0, schedule), n_samples=161).series
+    assert series.charge[0] == 0.0
+    assert series.charge.min() >= 0.0
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from(list(Schedule)), st.floats(0.5, 40.0), st.integers(2, 200),
        st.integers(1, 600))

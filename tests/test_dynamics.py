@@ -250,6 +250,65 @@ def test_stepped_states_are_unitary_property(d, steps, chunk, tau, seed):
     assert np.abs(u - oracle).max() <= 1e-12
 
 
+def _per_segment_carry(h_stack, psi0, tau, n_steps, every, chunk):
+    """The stepper on the same chunks, kernels and segment products, but with
+    the state carried by one ``ndarray.dot`` per segment: the plain loop the
+    blocked scan replaced."""
+    dt = tau / n_steps
+    psi = psi0.astype(complex)
+    d = psi.size
+    states = np.empty((n_steps // every + 1, d), dtype=complex)
+    states[0] = psi
+    done = 0
+    while done < n_steps:
+        piece = min(every - done % every, chunk)
+        m = piece * max(1, min(chunk // every, (n_steps - done) // every))
+        h = h_stack(((done + np.arange(m))[:, None] + dynamics._NODES).ravel() / n_steps)
+        h1, h2 = h[0::2], h[1::2]
+        alpha, beta = dynamics._ALPHA, dynamics._BETA
+        exponents = np.stack([alpha * h1 + beta * h2, beta * h1 + alpha * h2], axis=1)
+        factors = (_expm_sym3(exponents, dt) if d == 3 and exponents.dtype.kind == "f"
+                   else _eigh_factors(exponents, dt))
+        for segment in _tree_product(factors.reshape(m // piece, 2 * piece, d, d)):
+            psi = segment.dot(psi)
+            done += piece
+            if done % every == 0:
+                states[done // every] = psi
+    return states
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([3, 8]), st.integers(1, 40), st.integers(1, 60), st.integers(1, 80),
+       st.integers(1, 600), st.floats(0.1, 10.0), st.integers(0, 2**32 - 1))
+def test_blocked_scan_matches_the_per_segment_carry(d, every, records, chunk, other_chunk,
+                                                    tau, seed):
+    # the scan regroups the products of whole segments, so it follows the
+    # per-segment carry on every chunking (measured <= 3.7e-15): on the real
+    # 3x3 closed form and the complex 8x8 eigh path, where chunks end inside a
+    # block of _BLOCK segments, and where a recording segment spans several
+    # chunks (every > chunk).  Its blocks sit on segment indices, so chunks
+    # that hold whole recording segments give the same bits at any size
+    n_steps = every * records
+    rng = np.random.default_rng(seed)
+    a, b = ((rng.normal(size=(3, 3)) for _ in range(2)) if d == 3
+            else (_random_hermitian(rng, d) for _ in range(2)))
+
+    def h_stack(s):
+        return (a + a.T.conj()) / 2 + np.sin(2.0 * s)[:, None, None] * (b + b.T.conj()) / 2
+
+    psi0 = rng.normal(size=d) + 1j * rng.normal(size=d)
+    psi0 /= np.linalg.norm(psi0)
+    runs = {}
+    for size in (chunk, other_chunk):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dynamics, "_CHUNK", size)
+            runs[size] = _stepped_states(h_stack, psi0, tau, n_steps, every)
+    oracle = _per_segment_carry(h_stack, psi0, tau, n_steps, every, chunk)
+    assert np.abs(runs[chunk] - oracle).max() <= 1e-13
+    if min(chunk, other_chunk) >= every:
+        assert np.array_equal(runs[chunk], runs[other_chunk])
+
+
 def _eigh_factors(a, dt):
     # exp(-i dt A) through the eigendecomposition, as the stepper forms it
     # for every stack the closed form does not take
@@ -390,6 +449,17 @@ def test_sample_trajectory_trapped_state(hs):
     assert np.abs(series.ec).max() <= 1e-12
     assert np.abs(series.charge).max() <= 1e-12
     assert series.extra["fidelity_initial"].min() >= 1.0 - 1e-12
+
+
+def test_trapped_state_reads_no_charge_over_the_whole_run(hs):
+    # the singlet never excites the hub: only the eigenbasis round trip puts
+    # amplitudes of 1e-16 on it, so the charge stays at or below 1e-30, and
+    # it is exactly 0 at t = 0 (it read 3.3e-16 on every row when e_empty was
+    # subtracted from <H0_hub>)
+    series = sample_trajectory(hs.h_charging, bell_with_empty_hub(BellLabel(1, 1)),
+                               10 * TAUD, 1025, hs)
+    assert series.charge[0] == 0.0
+    assert np.all((series.charge >= 0.0) & (series.charge <= 1e-30))
 
 
 def test_sample_trajectory_matches_closed_form(hs):

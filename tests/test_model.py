@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from qbat import model
 from qbat.dynamics import evolve_static
 from qbat.model import (
+    _observable_rows,
     charge,
     ec_operator,
     ergotropy,
@@ -14,6 +16,7 @@ from qbat.model import (
 from qbat.protocols import BellLabel, bell_state, bell_with_empty_hub, single_particle_system
 from qbat.qalg import (
     DensityMatrix,
+    Operator,
     PureState,
     embed,
     expectation,
@@ -210,6 +213,53 @@ def test_charge_on_a_sector_is_the_charge_of_the_padded_rows(hs, rows):
     assert np.abs(charge(rows, hs, sector) - charge(padded, hs)).max() <= 1e-14
     # a tuple names the same states as the list
     assert np.array_equal(charge(rows, hs, tuple(sector)), charge(rows, hs, sector))
+
+
+def test_an_empty_hub_holds_exactly_no_charge(hs):
+    # H0_hub - e_empty is diagonal with entries 0 and 2, so a state with no
+    # amplitude on an excited hub reads 0 exactly, not the 1e-16 to 7e-16
+    # left when e_empty is subtracted from <H0_hub> afterwards
+    empty = [ket("000")] + [bell_with_empty_hub(BellLabel(n, m)) for n in (0, 1) for m in (0, 1)]
+    for state in empty:
+        assert charge(state, hs) == 0.0
+    assert np.array_equal(charge(np.stack([s.amplitudes for s in empty]), hs), np.zeros(5))
+    assert np.array_equal(np.diag(hs.hub_charge), [0.0, 2.0] * 4)
+    assert hs.hub_charge.flags.writeable is False
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: _state_stacks(n, 8)), st.integers(0, 2**32 - 1))
+def test_stacked_observable_rows_are_the_one_operator_rows(hs, rows, seed):
+    # one row per operator of a stack, equal to each operator's own call
+    # within 1e-15 (on all eight states and on a sector), and to the
+    # expectation of each row within 1e-14, for any leading shape of states and
+    # however many states each matmul takes
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(4, 8, 8)) + 1j * rng.normal(size=(4, 8, 8))
+    ops = np.concatenate([g + g.conj().swapaxes(1, 2), [hs.hub_charge]])
+    sector = [0b001, 0b010, 0b100]
+    for states, where in ((rows, slice(None)), (rows[:, sector], sector)):
+        stacked = _observable_rows(states, ops, where)
+        assert stacked.shape == (len(ops), len(rows))
+        for op, row in zip(ops, stacked):
+            assert np.abs(row - _observable_rows(states, op, where)).max() <= 1e-15
+    expected = [[expectation(Operator(3, op), PureState(3, r)) for r in rows] for op in ops]
+    whole = _observable_rows(rows, ops)
+    assert np.abs(whole - expected).max() <= 1e-14
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "_ROWS", 2)  # two states per matmul
+        assert np.abs(_observable_rows(rows, ops) - whole).max() <= 1e-15
+    pairs = _observable_rows(np.stack([rows, rows]), ops)
+    assert pairs.shape == (len(ops), 2, len(rows))
+    assert np.array_equal(pairs[:, 0], pairs[:, 1])
+
+
+def test_stacked_observable_rows_reject_a_state_of_the_wrong_size(hs):
+    ops = np.stack([hs.hub_charge, hs.current.matrix])
+    with pytest.raises(ValueError, match="^dimension mismatch: operator 8, state 4$"):
+        _observable_rows(np.zeros((5, 4), dtype=complex), ops)
+    with pytest.raises(ValueError, match="^dimension mismatch: operator 3, state 8$"):
+        _observable_rows(np.zeros((5, 8), dtype=complex), ops, [0b001, 0b010, 0b100])
 
 
 def _density_matrices(n_qubits):

@@ -263,7 +263,7 @@ def _cmd_separable(cfg: RunConfig, args) -> dict:
 def _cmd_single_particle(cfg: RunConfig, args) -> dict:
     _check_rows(f"samples {args.samples}", args.samples)
     series = single_particle_trajectory(args.tmax, args.samples)
-    closed = np.array([protocols.single_particle_baseline(t) / E0 for t in series.times])
+    closed = protocols.single_particle_baseline(series.times) / E0
     return _series_table(series, closed_form_over_E0=closed)
 
 

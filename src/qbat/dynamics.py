@@ -229,15 +229,16 @@ def sample_trajectory(h: Operator, psi0: PureState, t_final: float, n_samples: i
     """Uniformly sampled charge and energy-current channels under a constant H.
 
     The current is the expectation of (1/i)[H0_hub, H], so ``ec`` is dC/dt
-    in either frame.  The extra channel ``fidelity_initial`` records
-    |<psi0|psi(t)>|^2.  Driven runs go through ``qbat.adiabatic``.
+    in either frame.  The extra channel ``fidelity_initial`` is the expectation
+    of |psi0><psi0|, |<psi0|psi(t)>|^2.  Driven runs go through ``qbat.adiabatic``.
     """
     _check_sampling("t_final", t_final, n_samples)
     times = np.linspace(0.0, t_final, n_samples)
     states = _spectral(h, psi0.amplitudes, times)
     p_hat = hs.current if h is hs.h_charging else ec_operator(hs.h0_hub, h)
-    charge_channel, ec_channel = _observable_rows(states, np.stack([hs.hub_charge, p_hat.matrix]))
-    fidelity = np.abs(states @ psi0.amplitudes.conj()) ** 2
+    amps = psi0.amplitudes
+    ops = np.stack([hs.hub_charge, p_hat.matrix, np.outer(amps, amps.conj())])
+    charge_channel, ec_channel, fidelity = _observable_rows(states, ops)
     return TimeSeries(times, charge_channel, ec_channel,
                       extra={"fidelity_initial": fidelity})
 

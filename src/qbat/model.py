@@ -127,13 +127,13 @@ def _observable_rows(states: np.ndarray, ops: np.ndarray, sector=slice(None)) ->
     return rows.reshape(blocks.shape[:-2] + states.shape[:-1])[()]
 
 
-def charge(state: PureState | np.ndarray, hs: HamiltonianSet, sector=slice(None)):
+def charge(state: PureState | np.ndarray, hs: HamiltonianSet):
     """Energy held by the hub above its empty (ground) energy: a float for a
-    ``PureState``, an array for a state stack as ``_observable_rows`` takes."""
+    ``PureState``, an array for a (..., D) stack of amplitudes."""
     if not isinstance(state, (PureState, np.ndarray)):
         raise TypeError(f"charge takes a PureState or an ndarray, got {type(state).__name__}")
     rows = state.amplitudes if isinstance(state, PureState) else state
-    return _observable_rows(rows, hs.hub_charge, sector)
+    return _observable_rows(rows, hs.hub_charge)
 
 
 def ergotropy(rho: State, h: Operator) -> float:

@@ -33,11 +33,6 @@ _SCAN_CHUNK = 2**11
 # Most states the uniqueness scan draws per family (about 0.7 s on a 2-core machine).
 MAX_SCAN_SAMPLES = 2**20
 
-# Releasing projector Q = |T><T| + |11><11| of the empty-hub discharge law,
-# T = (|01> + |10>)/sqrt(2); see transfer_fraction.
-_RELEASING = np.diag([0.0, 0.5, 0.5, 1.0])
-_RELEASING[1, 2] = _RELEASING[2, 1] = 0.5
-
 # Blocking conditions: rho11 == rho44 within _BLOCKING_TOL, and a current
 # below _BLOCKING_TOL * hbar*omega*J at all times.
 _BLOCKING_TOL = 1e-9
@@ -76,22 +71,28 @@ def bell_with_empty_hub(label: BellLabel, gate: SwitchGate | None = None) -> Pur
     return psi if gate is None else switch_gate(gate, psi)
 
 
+def _fraction(diag: np.ndarray, re23: np.ndarray) -> np.ndarray:
+    """g = (rho22 + rho33)/2 + Re rho23 + rho44 (1-based) from the only entries it
+    reads, the diagonals and Re rho23: the one place the law is written."""
+    return (diag[..., 1] + diag[..., 2]) / 2 + re23 + diag[..., 3]
+
+
 def transfer_fraction(rho) -> np.ndarray:
     """g(rho) = <T|rho|T> + <11|rho|11> for (..., 4, 4) battery density
-    matrices, with T = (|01> + |10>)/sqrt(2).
+    matrices, with T = (|01> + |10>)/sqrt(2), by the law's one owner ``_fraction``.
 
     Coupled to an empty hub, any battery state rho charges the hub as
     C(t) = 2*hbar*omega * g * sin^2(2*sqrt(2)*J*t), with energy current
     <P_hat(t)> = 4*sqrt(2)*hbar*omega*J * g * sin(4*sqrt(2)*J*t).
     """
-    return np.einsum("ab,...ba->...", _RELEASING, rho).real
+    return _fraction(np.einsum("...aa->...a", rho).real, rho[..., 1, 2].real)
 
 
-def bell_charge_closed_form(label: BellLabel, t: float) -> float:
-    """Closed-form hub charge of a Bell battery; g is 1/2 for the (0, m)
-    states, 1 for (1, 0) and 0 for the singlet."""
+def bell_charge_closed_form(label: BellLabel, t):
+    """Closed-form hub charge of a Bell battery at t, a time or an array of times;
+    g is 1/2 for the (0, m) states, 1 for (1, 0) and 0 for the singlet."""
     g = float(transfer_fraction(bell_state(label).density().entries))
-    return E0 * g * math.sin(2.0 * math.sqrt(2.0) * t) ** 2
+    return E0 * g * np.sin(2.0 * math.sqrt(2.0) * t) ** 2
 
 
 @dataclass(frozen=True)
@@ -165,7 +166,7 @@ def blocking_state_from_constraints() -> DensityMatrix:
 
 def _blocking(diag: np.ndarray, re23: np.ndarray):
     """blocking_conditions from the only entries it reads: diagonals and Re rho23."""
-    max_ec = 4.0 * math.sqrt(2.0) * np.abs((diag[..., 1] + diag[..., 2]) / 2 + re23 + diag[..., 3])
+    max_ec = 4.0 * math.sqrt(2.0) * np.abs(_fraction(diag, re23))
     return np.abs(diag[..., 0] - diag[..., 3]) <= _BLOCKING_TOL, max_ec <= _BLOCKING_TOL, max_ec
 
 
@@ -311,7 +312,7 @@ def separable_sweep(grid_n: int) -> np.ndarray:
     betas = np.linspace(0.0, 1.0, grid_n)
     qubits = np.stack([np.sqrt(1.0 - betas**2), betas], axis=1)  # a|0> + b|1> per beta
     pairs = np.einsum("ia,jb->ijab", qubits, qubits).reshape(grid_n, grid_n, 4)
-    surface = transfer_fraction(pairs[..., :, None] * pairs[..., None, :])
+    surface = _fraction(pairs**2, pairs[..., 1] * pairs[..., 2])  # g of |pair><pair|
 
     sampled = np.linspace(0, grid_n**2 - 1, min(24, grid_n**2)).astype(int)
     cells = np.zeros((8, sampled.size), dtype=complex)
@@ -332,10 +333,10 @@ def cell_charges(cells: np.ndarray, times) -> np.ndarray:
     return charge(_spectral(hs.h_charging, cells, times).swapaxes(1, 2), hs)
 
 
-def single_particle_baseline(t: float) -> float:
+def single_particle_baseline(t):
     """Hub charge 2*hbar*omega*sin^2(2Jt) for a one-qubit battery in |1>
-    coupled to the hub by one XY term."""
-    return E0 * math.sin(2.0 * t) ** 2
+    coupled to the hub by one XY term, at a time or an array of times."""
+    return E0 * np.sin(2.0 * t) ** 2
 
 
 def single_particle_system() -> HamiltonianSet:

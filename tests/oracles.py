@@ -20,6 +20,12 @@ def raw_cell_coupling():
     return kron(X, I2, X) + kron(Y, I2, Y) + kron(I2, X, X) + kron(I2, Y, Y)
 
 
+def raw_transfer_fraction(rho):
+    """<T|rho|T> + rho44 of (..., 4, 4) battery states, T = (|01> + |10>)/sqrt(2)."""
+    t = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2.0)
+    return np.einsum("a,...ab,b->...", t, rho, t).real + rho[..., 3, 3].real
+
+
 def raw_bare():
     """Per-qubit bare term |1><1| - |0><0|."""
     return np.diag([-1.0, 1.0]).astype(complex)

@@ -226,6 +226,34 @@ def test_rate_prediction_matches_manual_two_level_sum():
     assert np.abs(prediction - 2.0 * np.imag(w_term)).max() <= 1e-9
 
 
+def _pairwise_prediction(decomp):
+    """The adiabatic-limit current summed pair by pair over the occupied branches."""
+    prediction = np.zeros_like(decomp.times)
+    for m in np.nonzero(decomp.occupied)[0]:
+        for n in np.nonzero(decomp.occupied)[0]:
+            term = (np.conj(decomp.coefficients[m]) * decomp.coefficients[n]
+                    * np.exp(1j * (decomp.phases[n] - decomp.phases[m]))
+                    * (decomp.energies[n] - decomp.energies[m])
+                    * decomp.hub_elements[m, n]) / 1j
+            prediction += term.real
+    return prediction
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(list(Schedule)), st.floats(0.5, 40.0), st.integers(0, 2**31 - 1))
+def test_rate_prediction_is_the_sum_over_branch_pairs(schedule, jtau, seed):
+    # random weight on all six branches of the one- and two-excitation sectors
+    rng = np.random.default_rng(seed)
+    amps = np.zeros(8, dtype=complex)
+    sectors = adiabatic._EXCITATION_SECTORS[1] + adiabatic._EXCITATION_SECTORS[2]
+    amps[sectors] = rng.normal(size=6) + 1j * rng.normal(size=6)
+    decomp = adiabatic_decomposition(AdiabaticSpec(jtau, schedule),
+                                     PureState(3, amps / np.linalg.norm(amps)))
+    assert decomp.energies.shape[0] == 6 and np.count_nonzero(decomp.occupied) >= 3
+    prediction = adiabatic_rate_prediction(decomp)
+    assert np.abs(prediction - _pairwise_prediction(decomp)).max() <= 1e-12
+
+
 @pytest.mark.parametrize("bits", ["10", "1000"])
 def test_decomposition_rejects_a_state_of_another_size(bits):
     with pytest.raises(ValueError, match=f"^dimension mismatch: drive 8, state {2**len(bits)}$"):

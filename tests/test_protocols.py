@@ -37,7 +37,7 @@ from qbat.protocols import (
 )
 from qbat.qalg import DensityMatrix, PureState, embed, expectation, ket, trace_distance
 
-from oracles import I2, kron, raw_bare, raw_cell_coupling
+from oracles import I2, kron, raw_bare, raw_cell_coupling, raw_transfer_fraction
 
 TAUD = math.pi / (4 * math.sqrt(2))
 
@@ -60,6 +60,34 @@ def test_closed_form_g_table():
     bells = np.stack([bell_state(BellLabel(n, m)).density().entries
                       for n in (0, 1) for m in (0, 1)])
     assert_allclose(transfer_fraction(bells), [0.5, 0.5, 1.0, 0.0], atol=1e-15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_transfer_fraction_is_the_overlap_with_the_releasing_states(seed):
+    # g = <T|rho|T> + rho44 from an explicit T, on Wishart states with complex
+    # coherences and on restricted-family states (diagonal plus a real rho23)
+    rng = np.random.default_rng(seed)
+    ginibre = rng.normal(size=(32, 4, 4)) + 1j * rng.normal(size=(32, 4, 4))
+    wishart = ginibre @ ginibre.conj().transpose(0, 2, 1)
+    wishart /= np.trace(wishart, axis1=1, axis2=2).real[:, None, None]
+    diags = rng.dirichlet(np.ones(4), size=32)
+    restricted = np.zeros((32, 4, 4))
+    restricted[:, range(4), range(4)] = diags
+    restricted[:, 1, 2] = restricted[:, 2, 1] = (
+        rng.uniform(-1.0, 1.0, size=32) * np.sqrt(diags[:, 1] * diags[:, 2]))
+    for rho in (wishart, restricted):
+        assert_allclose(transfer_fraction(rho), raw_transfer_fraction(rho), rtol=0, atol=1e-15)
+
+
+def test_closed_forms_on_an_array_are_their_scalar_calls():
+    times = np.linspace(-3.0, 40.0, 1001)
+    bell_laws = [lambda t, label=BellLabel(n, m): bell_charge_closed_form(label, t)
+                 for n in (0, 1) for m in (0, 1)]
+    for law in [single_particle_baseline, *bell_laws]:
+        batch = law(times)
+        assert batch.shape == times.shape
+        assert np.array_equal(batch, [law(t) for t in times.tolist()])
 
 
 def test_closed_form_matches_simulation_all_labels(hs):
@@ -215,7 +243,7 @@ def test_scan_entries_agree_with_the_full_matrices(seed, mix):
         pass_ca, pass_cb, max_ec = protocols._blocking(*args)
         want_ca, want_cb, _ = blocking_conditions(full)
         assert (pass_ca == want_ca).all() and (pass_cb == want_cb).all()
-        assert_allclose(max_ec / (4 * math.sqrt(2)), np.abs(transfer_fraction(full)),
+        assert_allclose(max_ec / (4 * math.sqrt(2)), np.abs(raw_transfer_fraction(full)),
                         rtol=0, atol=1e-15)
     assert pass_ca[0] and pass_cb[0]  # the singlet
     pass_ca, pass_cb, _ = protocols._blocking(diag, re23)
@@ -363,7 +391,8 @@ def test_separable_cross_check_raises_on_a_wrong_law(monkeypatch):
     separable_sweep(5)  # law and simulation agree
     # a law off by 1e-8 in g is off by 2e-8 E0 everywhere; the error names the
     # first of the 24 sampled grid points, the corner beta = (0, 0)
-    monkeypatch.setattr(protocols, "transfer_fraction", lambda rho: transfer_fraction(rho) + 1e-8)
+    fraction = protocols._fraction
+    monkeypatch.setattr(protocols, "_fraction", lambda diag, re23: fraction(diag, re23) + 1e-8)
     with pytest.raises(RuntimeError, match=re.escape("beta=(0.0, 0.0)")):
         separable_sweep(5)
 
@@ -371,11 +400,13 @@ def test_separable_cross_check_raises_on_a_wrong_law(monkeypatch):
 def test_separable_cross_check_simulates_the_full_charge_corner(monkeypatch):
     # a law wrong only at beta = (1, 1), the one grid point reaching E0, is
     # caught on the default grid of 101 x 101
-    def wrong_at_the_corner(rho):
-        g = transfer_fraction(rho)
-        return np.where(np.isclose(rho[..., 3, 3], 1.0), g - 1e-3, g)
+    fraction = protocols._fraction
 
-    monkeypatch.setattr(protocols, "transfer_fraction", wrong_at_the_corner)
+    def wrong_at_the_corner(diag, re23):
+        g = fraction(diag, re23)
+        return np.where(np.isclose(diag[..., 3], 1.0), g - 1e-3, g)
+
+    monkeypatch.setattr(protocols, "_fraction", wrong_at_the_corner)
     with pytest.raises(RuntimeError, match=re.escape("beta=(1.0, 1.0)")):
         separable_sweep(101)
 
